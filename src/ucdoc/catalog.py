@@ -126,13 +126,10 @@ def build_catalog(sources: Iterable[tuple[str, str]],
     by_id: dict[str, CatalogEntry] = {}
     for path, text in sources:
         use_cases, errors = parse_document(text)
-        for err in errors:
-            message = err.message
-            if err.expected:
-                message += " (expected " + " or ".join(err.expected) + ")"
-            diagnostics.append(Diagnostic(
-                Severity.ERROR, f"parse.{err.code}", message,
-                f"{path}:{err.span.line}:{err.span.column}"))
+        diagnostics.extend(
+            Diagnostic(Severity.ERROR, f"parse.{err.code}", err.detail(),
+                       f"{path}:{err.span.line}:{err.span.column}")
+            for err in errors)
         for uc in use_cases:
             problems = validate_use_case(uc)
             if problems:
@@ -254,7 +251,10 @@ def export_json(cat: Catalog) -> bytes:
 
 def _assessment_from_dict(entry: dict) -> RiskAssessment:
     try:
-        level = RiskLevel[entry["risk_level"].upper()]
+        name = entry["risk_level"]
+        if not isinstance(name, str):
+            raise TypeError(f"risk_level must be a string, not {name!r}")
+        level = RiskLevel[name.upper()]
         matched = tuple(
             AreaMatch(m["area_id"], Tier(m["tier"]),
                       m["area_label"], m["sub_use_label"])
@@ -264,7 +264,7 @@ def _assessment_from_dict(entry: dict) -> RiskAssessment:
                        f["area_label"], f["sub_use_label"])
             for f in entry.get("risk_misuse_flags", ()))
         rationale = tuple(entry.get("risk_rationale", ()))
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CatalogFormatError(f"bad risk fields in entry: {exc}") from exc
     return RiskAssessment(level, matched, flags, rationale)
 

@@ -94,11 +94,8 @@ def _resolve_taxonomy(ns: argparse.Namespace) -> Taxonomy:
 def _report_parse_errors(name: str, errors: list[ParseError],
                          err: TextIO) -> None:
     for e in errors:
-        suffix = ""
-        if e.expected:
-            suffix = " (expected " + " or ".join(e.expected) + ")"
         err.write(f"{name}:{e.span.line}:{e.span.column}: error: "
-                  f"{e.message}{suffix}\n")
+                  f"{e.detail()}\n")
 
 
 def _report_diagnostic(name: Optional[str], diag: Diagnostic,

@@ -1,8 +1,21 @@
 """Tokenizer for ``.ucdl`` use-case description files.
 
-The language is line-oriented only for humans; the lexer itself is free-form:
-``#`` starts a comment, identifiers may contain ``.`` (dotted area ids) and
-``-`` (slugs such as ``smart-camera``), and ``->`` is a single arrow token.
+The language is line-oriented only for humans; the lexer itself is free-form.
+The token grammar is one compiled regular expression, :data:`_TOKEN_RE`:
+
+* ``#`` starts a comment that runs to the end of the line; spaces, tabs,
+  CR and LF separate tokens.
+* An identifier starts with a letter or ``_`` and goes on with letters,
+  digits and ``_``.  ``.`` continues it when a letter or ``_`` follows
+  (dotted area ids such as ``employment.monitor_performance``); ``-``
+  continues it when a letter or digit follows (slugs such as
+  ``smart-camera``).
+* A number is a run of decimal digits (``str.isdecimal``, so ``٣`` counts
+  and ``²`` does not: ``²`` is an invalid character).  Digits followed
+  directly by a letter or ``_`` and more letters, digits or ``_`` form a
+  step-branch label such as ``3a``.
+* ``->`` is a single arrow token; ``{ } [ ] ( ) : ,`` are punctuation.
+
 Strings come in two forms:
 
 * single-line, double-quoted, with ``\\\\  \\"  \\n  \\t  \\r`` escapes;
@@ -17,8 +30,10 @@ records so a caller can show every problem in a file at once.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 from enum import Enum, auto
+from typing import NamedTuple
 
 
 class TokenKind(Enum):
@@ -38,8 +53,7 @@ class TokenKind(Enum):
     EOF = auto()
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(NamedTuple):
     """Position of a token or error: 1-based line/column plus length."""
 
     line: int
@@ -57,18 +71,20 @@ class ParseError:
     expected: tuple[str, ...] = ()
     code: str = "syntax"
 
+    def detail(self) -> str:
+        """The message plus its ``(expected X or Y)`` suffix, if any."""
+        if not self.expected:
+            return self.message
+        return f"{self.message} (expected {' or '.join(self.expected)})"
+
     def render(self) -> str:
-        suffix = ""
-        if self.expected:
-            suffix = " (expected " + " or ".join(self.expected) + ")"
-        return f"{self.span}: {self.message}{suffix}"
+        return f"{self.span}: {self.detail()}"
 
     def sort_key(self) -> tuple[int, int]:
         return (self.span.line, self.span.column)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     text: str
     value: object
@@ -87,14 +103,65 @@ _PUNCTUATION = {
 }
 
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
+_QUOTE = {ord(c): "\\" + e for e, c in _ESCAPES.items()}
+
+# ``[^\W\d]`` stands for "letter or _" but also admits numeric non-letters
+# such as "½"; :func:`_word_end` rejects those where a word or segment starts.
+_NUMBER = r"(?P<digits>\d+)(?:[^\W\d]\w*)?"
+_IDENT = r"[^\W\d]\w*(?:(?:\.[^\W\d]|-[^\W_])\w*)*"
+
+_TOKEN_RE = re.compile(rf"""
+    (?P<ws>[ \t\r\n]+)
+  | (?P<ident>{_IDENT})
+  | (?P<punct>[{{}}\[\]():,])
+  | (?P<triple>\"\"\"
+        (?P<tbody>[^"]*(?:"(?!"")[^"]*)*)
+        (?P<tclose>\"\"\")?)
+  | (?P<string>"
+        (?P<body>[^"\\\n]*(?:\\[^\n][^"\\\n]*)*)
+        (?P<dangle>\\)?
+        (?P<close>")?)
+  | (?P<number>{_NUMBER})
+  | (?P<arrow>->)
+  | (?P<comment>\#[^\n]*)
+  | (?P<invalid>.)
+""", re.VERBOSE)
+
+_WORD_RE = re.compile(f"{_NUMBER}|{_IDENT}")
+
+_ESCAPE_RE = re.compile(r"\\(.)")
 
 
 def _is_ident_start(c: str) -> bool:
     return c.isalpha() or c == "_"
 
 
-def _is_ident_char(c: str) -> bool:
-    return c.isalnum() or c == "_"
+def _word_end(m: re.Match) -> int:
+    """End of the IDENT, INT or BRANCH token that the non-ASCII ``m`` starts.
+
+    The token stops before a numeric non-letter that starts the word, a
+    dotted segment or a branch suffix; an identifier that cannot start at
+    all ends where it starts.  (ASCII matches need no check.)
+    """
+    start, end = m.span()
+    source = m.string
+    digits = m.end("digits")
+    if digits >= 0:
+        return end if digits == end or _is_ident_start(source[digits]) else digits
+    if not _is_ident_start(source[start]):
+        return start
+    dot = source.find(".", start, end)
+    while dot >= 0:
+        if not _is_ident_start(source[dot + 1]):
+            return dot
+        dot = source.find(".", dot + 1, end)
+    return end
+
+
+def is_word(text: str) -> bool:
+    """True when ``text`` lexes as exactly one IDENT, INT or BRANCH token."""
+    m = _WORD_RE.fullmatch(text)
+    return m is not None and (text.isascii() or _word_end(m) == len(text))
 
 
 def dedent_block(content: str) -> str:
@@ -113,190 +180,103 @@ def dedent_block(content: str) -> str:
     return "\n".join(lines)
 
 
-class _Lexer:
-    def __init__(self, source: str):
-        self.source = source
-        self.pos = 0
-        self.line = 1
-        self.line_start = 0
-        self.tokens: list[Token] = []
-        self.errors: list[ParseError] = []
-
-    # -- primitives ---------------------------------------------------
-
-    def peek(self, offset: int = 0) -> str:
-        i = self.pos + offset
-        return self.source[i] if i < len(self.source) else ""
-
-    def advance(self) -> str:
-        c = self.source[self.pos]
-        self.pos += 1
-        if c == "\n":
-            self.line += 1
-            self.line_start = self.pos
+def _unescape(body: str, line: int, col: int,
+              errors: list[ParseError]) -> str:
+    """Decode the escapes of a string body that starts at ``line``, ``col``."""
+    def escape(m: re.Match) -> str:
+        c = m.group(1)
+        if c in _ESCAPES:
+            return _ESCAPES[c]
+        errors.append(ParseError(
+            SourceSpan(line, col + m.start(), 2),
+            f"unknown escape sequence '\\{c}'", code="lex.bad_escape"))
         return c
+    return _ESCAPE_RE.sub(escape, body)
 
-    def span_from(self, start: int, start_line: int, start_col: int) -> SourceSpan:
-        return SourceSpan(start_line, start_col, self.pos - start)
 
-    def here(self) -> tuple[int, int, int]:
-        return self.pos, self.line, self.pos - self.line_start + 1
+def _string_value(m: re.Match, line: int, col: int,
+                  errors: list[ParseError]) -> str:
+    """Value of the single-line string ``m`` that starts at ``line``, ``col``."""
+    body = m.group("body")
+    if "\\" in body:
+        body = _unescape(body, line, col + 1, errors)
+    length = m.end() - m.start()
+    if m.group("dangle") is not None:
+        errors.append(ParseError(SourceSpan(line, col + length - 1, 1),
+                                 "dangling backslash in string",
+                                 code="lex.bad_escape"))
+    if m.group("close") is None:
+        errors.append(ParseError(SourceSpan(line, col, length),
+                                 "unterminated string",
+                                 code="lex.unterminated_string"))
+    return body
 
-    def emit(self, kind: TokenKind, start: int, line: int, col: int,
-             value: object = None) -> None:
-        text = self.source[start:self.pos]
-        self.tokens.append(Token(kind, text, value, self.span_from(start, line, col)))
 
-    def error(self, code: str, message: str, span: SourceSpan) -> None:
-        self.errors.append(ParseError(span, message, code=code))
-
-    # -- token scanners -----------------------------------------------
-
-    def run(self) -> None:
-        while self.pos < len(self.source):
-            c = self.peek()
-            if c in " \t\r\n":
-                self.advance()
-            elif c == "#":
-                while self.pos < len(self.source) and self.peek() != "\n":
-                    self.advance()
-            elif c == '"':
-                self.scan_string()
-            elif c.isdigit():
-                self.scan_number()
-            elif _is_ident_start(c):
-                self.scan_ident()
-            elif c == "-" and self.peek(1) == ">":
-                start, line, col = self.here()
-                self.advance()
-                self.advance()
-                self.emit(TokenKind.ARROW, start, line, col)
-            elif c in _PUNCTUATION:
-                start, line, col = self.here()
-                self.advance()
-                self.emit(_PUNCTUATION[c], start, line, col)
-            else:
-                start, line, col = self.here()
-                self.advance()
-                self.error("lex.invalid_char",
-                           f"unexpected character {c!r}",
-                           self.span_from(start, line, col))
-        start, line, col = self.here()
-        self.tokens.append(Token(TokenKind.EOF, "", None,
-                                 SourceSpan(line, col, 0)))
-
-    def scan_ident(self) -> None:
-        start, line, col = self.here()
-        self.advance()
-        while True:
-            c = self.peek()
-            if _is_ident_char(c):
-                self.advance()
-            elif c == "." and _is_ident_start(self.peek(1)):
-                self.advance()
-            elif c == "-" and self.peek(1).isalnum():
-                self.advance()
-            else:
-                break
-        text = self.source[start:self.pos]
-        self.emit(TokenKind.IDENT, start, line, col, text)
-
-    def scan_number(self) -> None:
-        start, line, col = self.here()
-        while self.peek().isdigit():
-            self.advance()
-        if _is_ident_start(self.peek()):
-            # branch label such as "3a": digits immediately followed by
-            # identifier characters
-            while _is_ident_char(self.peek()):
-                self.advance()
-            self.emit(TokenKind.BRANCH, start, line, col,
-                      self.source[start:self.pos])
-        else:
-            text = self.source[start:self.pos]
-            self.emit(TokenKind.INT, start, line, col, int(text))
-
-    def scan_string(self) -> None:
-        if self.source.startswith('"""', self.pos):
-            self.scan_triple_string()
-        else:
-            self.scan_single_string()
-
-    def scan_triple_string(self) -> None:
-        start, line, col = self.here()
-        self.pos += 3
-        end = self.source.find('"""', self.pos)
-        if end < 0:
-            content = self.source[self.pos:]
-            self.error("lex.unterminated_string",
-                       "unterminated triple-quoted string",
-                       SourceSpan(line, col, 3))
-            target = len(self.source)
-        else:
-            content = self.source[self.pos:end]
-            target = end + 3
-        while self.pos < target:
-            self.advance()
-        self.emit(TokenKind.STRING, start, line, col, dedent_block(content))
-
-    def scan_single_string(self) -> None:
-        start, line, col = self.here()
-        self.advance()
-        chars: list[str] = []
-        while True:
-            c = self.peek()
-            if c == "" or c == "\n":
-                self.error("lex.unterminated_string",
-                           "unterminated string",
-                           self.span_from(start, line, col))
-                break
-            if c == '"':
-                self.advance()
-                break
-            if c == "\\":
-                esc_start, esc_line, esc_col = self.here()
-                self.advance()
-                e = self.peek()
-                if e in _ESCAPES:
-                    chars.append(_ESCAPES[e])
-                    self.advance()
-                elif e == "" or e == "\n":
-                    self.error("lex.bad_escape",
-                               "dangling backslash in string",
-                               self.span_from(esc_start, esc_line, esc_col))
-                else:
-                    self.advance()
-                    self.error("lex.bad_escape",
-                               f"unknown escape sequence '\\{e}'",
-                               self.span_from(esc_start, esc_line, esc_col))
-                    chars.append(e)
-            else:
-                chars.append(self.advance())
-        self.emit(TokenKind.STRING, start, line, col, "".join(chars))
+# ``tuple.__new__`` skips the Python-level ``__new__`` that NamedTuple
+# generates; building the two tuples of each token this way made ``lex``
+# about 13% faster on CPython 3.11.
+_new = tuple.__new__
 
 
 def lex(source: str) -> tuple[list[Token], list[ParseError]]:
     """Tokenize ``source``; always ends with an EOF token."""
-    lexer = _Lexer(source)
-    lexer.run()
-    return lexer.tokens, lexer.errors
+    tokens: list[Token] = []
+    errors: list[ParseError] = []
+    emit = tokens.append
+    match = _TOKEN_RE.match
+    pos = 0
+    line = 1
+    line_start = 0      # offset of the first character of ``line``
+    n = len(source)
+    while pos < n:
+        m = match(source, pos)
+        group = m.lastgroup
+        end = m.end()
+        text = m.group()
+        col = pos - line_start + 1
+        if (group == "ident" or group == "number") and not text.isascii():
+            end = _word_end(m)
+            text = source[pos:end]
+            if not text:
+                group, end, text = "invalid", pos + 1, source[pos]
+        if group == "ws" or group == "comment":
+            kind = None
+        elif group == "ident":
+            kind, value = TokenKind.IDENT, text
+        elif group == "punct":
+            kind, value = _PUNCTUATION[text], None
+        elif group == "string":
+            kind, value = TokenKind.STRING, _string_value(m, line, col, errors)
+        elif group == "number":
+            if m.end("digits") == end:
+                kind, value = TokenKind.INT, int(text)
+            else:
+                kind, value = TokenKind.BRANCH, text
+        elif group == "arrow":
+            kind, value = TokenKind.ARROW, None
+        elif group == "triple":
+            if m.group("tclose") is None:
+                errors.append(ParseError(SourceSpan(line, col, 3),
+                                         "unterminated triple-quoted string",
+                                         code="lex.unterminated_string"))
+            kind, value = TokenKind.STRING, dedent_block(m.group("tbody"))
+        else:
+            kind = None
+            errors.append(ParseError(SourceSpan(line, col, 1),
+                                     f"unexpected character {text!r}",
+                                     code="lex.invalid_char"))
+        if kind is not None:
+            emit(_new(Token, (kind, text, value,
+                              _new(SourceSpan, (line, col, end - pos)))))
+        if "\n" in text:   # only whitespace and triple strings span lines
+            line += text.count("\n")
+            line_start = pos + text.rindex("\n") + 1
+        pos = end
+    emit(Token(TokenKind.EOF, "", None,
+               SourceSpan(line, pos - line_start + 1, 0)))
+    return tokens, errors
 
 
 def escape_string(value: str) -> str:
     """Render ``value`` as a single-line quoted UCDL string literal."""
-    out = ['"']
-    for c in value:
-        if c == "\\":
-            out.append("\\\\")
-        elif c == '"':
-            out.append('\\"')
-        elif c == "\n":
-            out.append("\\n")
-        elif c == "\t":
-            out.append("\\t")
-        elif c == "\r":
-            out.append("\\r")
-        else:
-            out.append(c)
-    out.append('"')
-    return "".join(out)
+    return '"' + value.translate(_QUOTE) + '"'

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .lexer import TokenKind, escape_string, lex
+from .lexer import escape_string, is_word
 from .model import (
     Actor,
     ApplicationAreaRef,
@@ -24,21 +24,8 @@ from .model import (
 
 _INDENT = "  "
 
-_WORD_KINDS = (TokenKind.IDENT, TokenKind.BRANCH, TokenKind.INT)
-
-
-def _is_bare(text: str) -> bool:
-    """True when ``text`` round-trips as one unquoted token."""
-    if not text:
-        return False
-    tokens, errors = lex(text)
-    return (not errors and len(tokens) == 2
-            and tokens[0].kind in _WORD_KINDS
-            and tokens[0].text == text)
-
-
 def _word(text: str) -> str:
-    return text if _is_bare(text) else escape_string(text)
+    return text if is_word(text) else escape_string(text)
 
 
 def _common_indent(value: str) -> int:

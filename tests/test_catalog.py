@@ -113,6 +113,15 @@ def test_parse_error_does_not_abort_build():
     assert "expected" in parse_errors[0].message
 
 
+def test_non_decimal_digit_does_not_abort_build():
+    cat, diagnostics = build_catalog(
+        [("bad.ucdl", 'usecase "T" { id: a }\n²'),
+         ("good.ucdl", serialize_canonical(u()))], TAX)
+    assert cat.ids() == ["scan-1"]
+    assert ("parse.lex.invalid_char", "bad.ucdl:2:1") in [
+        (d.code, d.location) for d in diagnostics]
+
+
 def test_invalid_use_case_excluded_with_diagnostics():
     invalid = serialize_canonical(u()).replace('  inputs: ["image"]\n', "")
     cat, diagnostics = build_catalog([("inv.ucdl", invalid)], TAX)

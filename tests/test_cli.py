@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from conftest import FIXTURES_DIR
+from conftest import FIXTURES_DIR, GOLDEN_DIR
 from ucdoc.cli import ExitStatus, run
 
 SMART_CAMERA = str(FIXTURES_DIR / "smart_camera.ucdl")
@@ -123,6 +123,14 @@ def test_validate_parse_error(tmp_path):
     assert first.startswith(f"{bad}:")
     assert ": error: " in first and "expected" in first
     assert out == "1 file(s), 0 use case(s), 1 error(s), 0 warning(s)\n"
+
+
+def test_validate_non_decimal_digit_is_parse_error(tmp_path):
+    bad = tmp_path / "digit.ucdl"
+    bad.write_text('usecase "T" { id: a }\n²', encoding="utf-8")
+    code, _, err = cli("validate", str(bad))
+    assert code == ExitStatus.PARSE_ERROR
+    assert f"{bad}:2:1: error: unexpected character '²'" in err.splitlines()
 
 
 def test_validate_invalid_use_case(tmp_path):
@@ -431,6 +439,17 @@ def test_catalog_commands_reject_bad_json(tmp_path):
         code, _, err = cli("catalog", sub, str(bad))
         assert code == ExitStatus.PARSE_ERROR == 2
         assert err.startswith("ucdoc: error:")
+
+
+def test_catalog_stats_rejects_non_string_risk_level(tmp_path):
+    doc = json.loads((GOLDEN_DIR / "catalog.json").read_bytes())
+    doc["entries"][0]["risk_level"] = 3
+    bad = tmp_path / "catalog.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = cli("catalog", "stats", str(bad))
+    assert code == ExitStatus.PARSE_ERROR
+    assert out == ""
+    assert err.startswith("ucdoc: error:") and "risk_level" in err
 
 
 def test_catalog_stats_missing_file():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from ucdoc import parse_document
 from ucdoc.lexer import TokenKind, dedent_block, escape_string, lex
 
 
@@ -80,6 +81,25 @@ def test_invalid_character():
     _, errors = lex("a = b")
     assert [e.code for e in errors] == ["lex.invalid_char"]
     assert "line 1, column 3" in errors[0].render()
+
+
+def test_non_decimal_digits_are_invalid_characters():
+    # "²" is a digit to str.isdigit but not a decimal digit; int() rejects it.
+    tokens, errors = lex("3² ²")
+    assert [(t.kind, t.text) for t in tokens] == [
+        (TokenKind.INT, "3"), (TokenKind.EOF, "")]
+    assert [(e.code, e.span.column) for e in errors] == [
+        ("lex.invalid_char", 2), ("lex.invalid_char", 4)]
+    _, errors = parse_document('usecase "T" { id: a }\n²')
+    assert "line 2, column 1: unexpected character '²'" in [
+        e.render() for e in errors]
+
+
+def test_decimal_digits_beyond_ascii():
+    tokens, errors = lex("٣ ٣a")
+    assert errors == []
+    assert [(t.kind, t.value) for t in tokens[:2]] == [
+        (TokenKind.INT, 3), (TokenKind.BRANCH, "٣a")]
 
 
 def test_triple_quoted_raw():
