@@ -3,154 +3,63 @@
 The pipeline: parse UCDL text into :class:`UseCase` records, validate
 them, classify each against an EU AI Act risk taxonomy, and emit
 documentation tables, UML use-case diagrams, and queryable catalogues.
+
+Submodules load on first use of one of their names (PEP 562), so that
+``import ucdoc`` and each ``ucdoc`` command pay only for what they run.
 """
 
-from .model import (
-    Actor,
-    ActorKind,
-    ActorRole,
-    ApplicationAreaRef,
-    Association,
-    Diagnostic,
-    Extension,
-    GoalLevel,
-    Misuse,
-    RiskLevel,
-    ScenarioStep,
-    Severity,
-    SystemFunction,
-    UseCase,
-    ValidationFailedError,
-    canonicalize,
-    require_valid,
-    risk_order,
-    use_case_from_dict,
-    use_case_to_dict,
-    validate_use_case,
-)
-from .lexer import ParseError, SourceSpan
-from .parser import parse_document
-from .serializer import serialize_canonical, serialize_document
-from .risk import (
-    AreaMatch,
-    MisuseFlag,
-    RiskAssessment,
-    Taxonomy,
-    TaxonomyEntry,
-    TaxonomyError,
-    Tier,
-    assessment_to_dict,
-    builtin_taxonomy,
-    classify,
-    explain,
-    load_taxonomy,
-    match_area,
-    misuse_diagnostics,
-)
-from .diagram import (
-    Diagram,
-    Edge,
-    EdgeKind,
-    LayoutConfig,
-    PositionedDiagram,
-    build_diagram,
-    layout,
-    render_svg,
-    render_textual,
-)
-from .docgen import (
-    EMPTY_CELL,
-    MalformedSvgError,
-    escape_cell,
-    parse_table_rows,
-    render_html_page,
-    render_table_markdown,
-    unescape_cell,
-)
-from .catalog import (
-    Catalog,
-    CatalogEntry,
-    CatalogFormatError,
-    CatalogStats,
-    Query,
-    QueryError,
-    build_catalog,
-    export_json,
-    load_catalog_json,
-    load_sources,
-    query,
-    stats,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Actor",
-    "ActorKind",
-    "ActorRole",
-    "ApplicationAreaRef",
-    "AreaMatch",
-    "Association",
-    "Catalog",
-    "CatalogEntry",
-    "CatalogFormatError",
-    "CatalogStats",
-    "Diagnostic",
-    "Diagram",
-    "EMPTY_CELL",
-    "Edge",
-    "EdgeKind",
-    "Extension",
-    "GoalLevel",
-    "LayoutConfig",
-    "MalformedSvgError",
-    "Misuse",
-    "MisuseFlag",
-    "ParseError",
-    "PositionedDiagram",
-    "Query",
-    "QueryError",
-    "RiskAssessment",
-    "RiskLevel",
-    "ScenarioStep",
-    "Severity",
-    "SourceSpan",
-    "SystemFunction",
-    "Taxonomy",
-    "TaxonomyEntry",
-    "TaxonomyError",
-    "Tier",
-    "UseCase",
-    "ValidationFailedError",
-    "assessment_to_dict",
-    "build_catalog",
-    "build_diagram",
-    "builtin_taxonomy",
-    "canonicalize",
-    "classify",
-    "escape_cell",
-    "explain",
-    "export_json",
-    "layout",
-    "load_catalog_json",
-    "load_sources",
-    "load_taxonomy",
-    "match_area",
-    "misuse_diagnostics",
-    "parse_document",
-    "parse_table_rows",
-    "query",
-    "render_html_page",
-    "render_svg",
-    "render_table_markdown",
-    "render_textual",
-    "require_valid",
-    "risk_order",
-    "serialize_canonical",
-    "serialize_document",
-    "stats",
-    "unescape_cell",
-    "use_case_from_dict",
-    "use_case_to_dict",
-    "validate_use_case",
-]
+# Public names by the submodule that defines them.
+_EXPORTS = {
+    "model": [
+        "Actor", "ActorKind", "ActorRole", "ApplicationAreaRef",
+        "Association", "CatalogFormatError", "Diagnostic", "Extension",
+        "GoalLevel", "Misuse", "QueryError", "RiskLevel", "ScenarioStep",
+        "Severity", "SystemFunction", "TaxonomyError", "UseCase",
+        "ValidationFailedError", "canonicalize", "require_valid",
+        "use_case_from_dict", "use_case_to_dict", "validate_use_case",
+    ],
+    "lexer": ["ParseError", "SourceSpan"],
+    "parser": ["parse_document"],
+    "serializer": ["serialize_canonical", "serialize_document"],
+    "risk": [
+        "AreaMatch", "MisuseFlag", "RiskAssessment", "Taxonomy",
+        "TaxonomyEntry", "Tier", "assessment_to_dict", "builtin_taxonomy",
+        "classify", "explain", "load_taxonomy", "match_area",
+        "misuse_diagnostics",
+    ],
+    "diagram": [
+        "Diagram", "Edge", "EdgeKind", "LayoutConfig", "PositionedDiagram",
+        "build_diagram", "layout", "render_svg", "render_textual",
+    ],
+    "docgen": [
+        "EMPTY_CELL", "MalformedSvgError", "escape_cell", "parse_table_rows",
+        "render_html_page", "render_table_markdown", "unescape_cell",
+    ],
+    "catalog": [
+        "Catalog", "CatalogEntry", "CatalogStats", "Query", "build_catalog",
+        "export_json", "load_catalog_json", "load_sources", "query", "stats",
+    ],
+}
+
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:  # a submodule, such as ``ucdoc.risk``
+        return importlib.import_module(f".{name}", __name__)
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | _HOME.keys())

@@ -21,7 +21,9 @@ from typing import Iterable, Optional
 
 from .model import (
     ActorKind,
+    CatalogFormatError,
     Diagnostic,
+    QueryError,
     RiskLevel,
     Severity,
     UseCase,
@@ -83,18 +85,6 @@ class CatalogStats:
     by_level: dict[str, int]
     by_area: dict[str, int]
     by_capability: dict[str, int]
-
-
-class QueryError(ValueError):
-    """Raised for filters that cannot match anything (unknown area id)."""
-
-    def __init__(self, message: str, code: str = "query.unknown_area"):
-        self.code = code
-        super().__init__(message)
-
-
-class CatalogFormatError(ValueError):
-    """Raised when catalog JSON does not follow the export schema."""
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +239,7 @@ def export_json(cat: Catalog) -> bytes:
     return (json.dumps(doc, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
 
 
-def _assessment_from_dict(entry: dict) -> RiskAssessment:
+def _assessment_from_dict(index: int, entry: dict) -> RiskAssessment:
     try:
         name = entry["risk_level"]
         if not isinstance(name, str):
@@ -265,7 +255,8 @@ def _assessment_from_dict(entry: dict) -> RiskAssessment:
             for f in entry.get("risk_misuse_flags", ()))
         rationale = tuple(entry.get("risk_rationale", ()))
     except (KeyError, TypeError, ValueError) as exc:
-        raise CatalogFormatError(f"bad risk fields in entry: {exc}") from exc
+        raise CatalogFormatError(
+            f"bad risk fields in entry {index}: {exc}") from exc
     return RiskAssessment(level, matched, flags, rationale)
 
 
@@ -283,13 +274,19 @@ def load_catalog_json(data: bytes | str, tax: Taxonomy) -> Catalog:
         raise CatalogFormatError(
             f"unsupported catalog schema {doc.get('schema')!r}"
             if isinstance(doc, dict) else "top-level JSON value must be an object")
+    raw_entries = doc.get("entries", [])
+    if not isinstance(raw_entries, list):
+        raise CatalogFormatError("entries must be a list")
     entries = []
-    for raw in doc.get("entries", ()):
+    for i, raw in enumerate(raw_entries):
         try:
             uc = use_case_from_dict(raw)
+            if not isinstance(uc.id, str):  # entries are sorted by id below
+                raise TypeError(f"id must be a string, not {uc.id!r}")
         except (KeyError, TypeError, ValueError) as exc:
-            raise CatalogFormatError(f"bad use-case entry: {exc}") from exc
+            raise CatalogFormatError(
+                f"bad use-case fields in entry {i}: {exc}") from exc
         entries.append(CatalogEntry(
-            uc, _assessment_from_dict(raw), raw.get("source_path", "")))
+            uc, _assessment_from_dict(i, raw), raw.get("source_path", "")))
     entries.sort(key=lambda e: e.use_case.id)
     return Catalog(tuple(entries), tax, doc.get("taxonomy_version", tax.version))

@@ -11,45 +11,37 @@ When several apply, the highest code wins.  With ``--format json`` the
 machine-readable document is the only thing on stdout; human-facing
 messages go to stderr.  The risk taxonomy is resolved from ``--taxonomy``,
 then the ``UCDOC_TAXONOMY`` environment variable, then the built-in file.
+
+Each subcommand imports the modules it runs inside its handler, so that a
+one-shot command does not pay for the imports of the others.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 from enum import IntEnum
 from pathlib import Path
-from typing import Optional, TextIO
+from typing import TYPE_CHECKING, Optional, TextIO
 
-from .catalog import (
-    Catalog,
-    CatalogFormatError,
-    Query,
-    QueryError,
-    build_catalog,
-    export_json,
-    load_catalog_json,
-    load_sources,
-    query,
-    stats,
-)
-from .docgen import render_html_page, render_table_markdown
-from .diagram import build_diagram, layout, render_svg, render_textual
 from .lexer import ParseError
-from .model import Diagnostic, RiskLevel, Severity, UseCase, validate_use_case
-from .parser import parse_document
-from .risk import (
-    Taxonomy,
+from .model import (
+    CatalogFormatError,
+    Diagnostic,
+    QueryError,
+    RiskLevel,
+    Severity,
     TaxonomyError,
-    assessment_to_dict,
-    builtin_taxonomy,
-    classify,
-    explain,
-    load_taxonomy,
+    UseCase,
+    validate_use_case,
 )
+from .parser import parse_document
+
+if TYPE_CHECKING:
+    from .catalog import Catalog
+    from .risk import Taxonomy
 
 TAXONOMY_ENV_VAR = "UCDOC_TAXONOMY"
 
@@ -85,6 +77,8 @@ def _read_source(path: str, stdin: Optional[str]) -> tuple[str, str]:
 
 
 def _resolve_taxonomy(ns: argparse.Namespace) -> Taxonomy:
+    from .risk import builtin_taxonomy, load_taxonomy
+
     path = getattr(ns, "taxonomy", None) or os.environ.get(TAXONOMY_ENV_VAR)
     if path:
         return load_taxonomy(Path(path).read_text(encoding="utf-8"))
@@ -168,6 +162,8 @@ def _cmd_validate(ns, stdin, out, err) -> ExitStatus:
 
 
 def _cmd_classify(ns, stdin, out, err) -> ExitStatus:
+    from .risk import assessment_to_dict, classify, explain
+
     tax = _resolve_taxonomy(ns)
     name, text = _read_source(ns.path, stdin)
     use_cases, errors = parse_document(text)
@@ -186,6 +182,8 @@ def _cmd_classify(ns, stdin, out, err) -> ExitStatus:
         if assessment.misuse_flags and ns.strict:
             code = max(code, ExitStatus.FINDINGS)
     if ns.format == "json":
+        import json
+
         payload = [{"id": uc.id, **assessment_to_dict(a)} for uc, a in assessed]
         out.write(json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
     else:
@@ -198,6 +196,8 @@ def _cmd_classify(ns, stdin, out, err) -> ExitStatus:
 
 
 def _cmd_render(ns, stdin, out, err) -> ExitStatus:
+    from .diagram import build_diagram, layout, render_svg, render_textual
+
     name, text = _read_source(ns.path, stdin)
     uc, code = _single_use_case(name, text, err)
     if uc is None:
@@ -233,16 +233,28 @@ def _cmd_table(ns, stdin, out, err) -> ExitStatus:
     if not usable:
         return max(code, contribution)
     code = max(code, contribution)
-    assessment = classify(uc, _resolve_taxonomy(ns)) if ns.with_risk else None
+    from .docgen import render_html_page, render_table_markdown
+
+    assessment = None
+    if ns.with_risk:
+        from .risk import classify
+
+        assessment = classify(uc, _resolve_taxonomy(ns))
     if ns.format == "md":
         out.write(render_table_markdown(uc, assessment))
     else:
-        svg = render_svg(layout(build_diagram(uc))) if ns.with_diagram else None
+        svg = None
+        if ns.with_diagram:
+            from .diagram import build_diagram, layout, render_svg
+
+            svg = render_svg(layout(build_diagram(uc)))
         out.write(render_html_page(uc, assessment, svg))
     return code
 
 
 def _cmd_catalog_build(ns, stdin, out, err) -> ExitStatus:
+    from .catalog import build_catalog, export_json, load_sources
+
     tax = _resolve_taxonomy(ns)
     root = Path(ns.directory)
     if not root.is_dir():
@@ -263,11 +275,15 @@ def _cmd_catalog_build(ns, stdin, out, err) -> ExitStatus:
 
 
 def _load_catalog(ns) -> Catalog:
+    from .catalog import load_catalog_json
+
     tax = _resolve_taxonomy(ns)
     return load_catalog_json(Path(ns.file).read_bytes(), tax)
 
 
 def _cmd_catalog_query(ns, stdin, out, err) -> ExitStatus:
+    from .catalog import Query, query
+
     cat = _load_catalog(ns)
     level = RiskLevel[ns.risk.upper()] if ns.risk else None
     q = Query(risk_level=level, area_id=ns.area, capability=ns.capability)
@@ -277,6 +293,8 @@ def _cmd_catalog_query(ns, stdin, out, err) -> ExitStatus:
 
 
 def _cmd_catalog_stats(ns, stdin, out, err) -> ExitStatus:
+    from .catalog import stats
+
     report = stats(_load_catalog(ns))
     out.write(f"total: {report.total}\n")
     out.write("by risk level:\n")
@@ -293,6 +311,16 @@ def _cmd_catalog_stats(ns, stdin, out, err) -> ExitStatus:
 
 # ---------------------------------------------------------------------------
 # argument wiring
+
+
+# What a handler may raise, mapped to the exit status it ends in.
+_ERROR_STATUS = {
+    _UsageError: ExitStatus.USAGE,
+    OSError: ExitStatus.USAGE,
+    TaxonomyError: ExitStatus.USAGE,
+    QueryError: ExitStatus.USAGE,
+    CatalogFormatError: ExitStatus.PARSE_ERROR,
+}
 
 
 def build_arg_parser() -> _ArgumentParser:
@@ -382,21 +410,10 @@ def run(argv: list[str], stdin: Optional[str] = None,
         return int(exc.code or 0)
     try:
         return int(ns.handler(ns, stdin, out, err))
-    except _UsageError as exc:
+    except tuple(_ERROR_STATUS) as exc:
         err.write(f"ucdoc: error: {exc}\n")
-        return ExitStatus.USAGE
-    except OSError as exc:
-        err.write(f"ucdoc: error: {exc}\n")
-        return ExitStatus.USAGE
-    except TaxonomyError as exc:
-        err.write(f"ucdoc: error: {exc}\n")
-        return ExitStatus.USAGE
-    except CatalogFormatError as exc:
-        err.write(f"ucdoc: error: {exc}\n")
-        return ExitStatus.PARSE_ERROR
-    except QueryError as exc:
-        err.write(f"ucdoc: error: {exc}\n")
-        return ExitStatus.USAGE
+        return next(status for cls, status in _ERROR_STATUS.items()
+                    if isinstance(exc, cls))
 
 
 def main() -> None:

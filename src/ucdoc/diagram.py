@@ -20,12 +20,12 @@ coordinate), :func:`render_svg` emits byte-stable SVG 1.1, and
 
 from __future__ import annotations
 
+import html
 import math
 import textwrap
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
-from xml.sax.saxutils import escape
 
 from .model import (
     Diagnostic,
@@ -380,7 +380,7 @@ def render_svg(p: PositionedDiagram) -> bytes:
     out.append(
         f'<text x="{_fmt(bx + bw / 2)}" y="{_fmt(by + cfg.font_size + 6)}" '
         f'text-anchor="middle" font-weight="bold">'
-        f"{escape(p.diagram.boundary_label)}</text>")
+        f"{html.escape(p.diagram.boundary_label, quote=False)}</text>")
     for node in p.diagram.ellipses:
         cx, cy = p.ellipse_centers[node.id]
         lines = p.ellipse_labels[node.id]
@@ -389,13 +389,13 @@ def render_svg(p: PositionedDiagram) -> bytes:
             ty = cy + (i - (n - 1) / 2) * line_h + cfg.font_size / 3
             out.append(
                 f'<text x="{_fmt(cx)}" y="{_fmt(ty)}" text-anchor="middle">'
-                f"{escape(text)}</text>")
+                f"{html.escape(text, quote=False)}</text>")
     for actor in p.diagram.actors:
         cx, cy = p.actor_centers[actor.ident]
         ty = cy + cfg.actor_h / 2 + cfg.font_size + 2
         out.append(
             f'<text x="{_fmt(cx)}" y="{_fmt(ty)}" text-anchor="middle">'
-            f"{escape(actor.name)}</text>")
+            f"{html.escape(actor.name, quote=False)}</text>")
     for edge in p.diagram.edges:
         if edge.kind is EdgeKind.ASSOCIATION:
             continue

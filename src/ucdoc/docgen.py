@@ -17,11 +17,12 @@ collide with content because every literal ``<`` is escaped.
 from __future__ import annotations
 
 import html
-from typing import Optional
-from xml.etree import ElementTree
+from typing import TYPE_CHECKING, Optional
 
 from .model import UseCase, require_valid
-from .risk import RiskAssessment
+
+if TYPE_CHECKING:
+    from .risk import RiskAssessment
 
 EMPTY_CELL = "—"
 
@@ -190,6 +191,8 @@ figure { margin: 1rem 0; text-align: center; }"""
 
 
 def _check_svg(svg: bytes) -> str:
+    from xml.etree import ElementTree  # only pages that embed a diagram
+
     try:
         root = ElementTree.fromstring(svg)
     except ElementTree.ParseError as exc:

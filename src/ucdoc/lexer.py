@@ -11,7 +11,9 @@ The token grammar is one compiled regular expression, :data:`_TOKEN_RE`:
   continues it when a letter or digit follows (slugs such as
   ``smart-camera``).
 * A number is a run of decimal digits (``str.isdecimal``, so ``٣`` counts
-  and ``²`` does not: ``²`` is an invalid character).  Digits followed
+  and ``²`` does not: ``²`` is an invalid character).  A number longer
+  than the interpreter's integer-string limit (4,300 digits by default) is
+  reported as ``lex.number_too_long`` and dropped.  Digits followed
   directly by a letter or ``_`` and more letters, digits or ``_`` form a
   step-branch label such as ``3a``.
 * ``->`` is a single arrow token; ``{ } [ ] ( ) : ,`` are punctuation.
@@ -248,10 +250,17 @@ def lex(source: str) -> tuple[list[Token], list[ParseError]]:
         elif group == "string":
             kind, value = TokenKind.STRING, _string_value(m, line, col, errors)
         elif group == "number":
-            if m.end("digits") == end:
-                kind, value = TokenKind.INT, int(text)
-            else:
+            if m.end("digits") != end:
                 kind, value = TokenKind.BRANCH, text
+            else:
+                try:
+                    kind, value = TokenKind.INT, int(text)
+                except ValueError:  # beyond sys.get_int_max_str_digits()
+                    kind = None
+                    errors.append(ParseError(
+                        SourceSpan(line, col, end - pos),
+                        f"number of {len(text)} digits is too long",
+                        code="lex.number_too_long"))
         elif group == "arrow":
             kind, value = TokenKind.ARROW, None
         elif group == "triple":

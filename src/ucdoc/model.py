@@ -55,7 +55,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum, IntEnum
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
+
+if TYPE_CHECKING:
+    from .lexer import ParseError
 
 SYSTEM_ACTOR = "system"
 OTHER_AREA = "other"
@@ -76,11 +79,6 @@ class RiskLevel(IntEnum):
     @property
     def label(self) -> str:
         return self.name.capitalize()
-
-
-def risk_order(a: RiskLevel, b: RiskLevel) -> int:
-    """Total order over risk levels: -1 if a < b, 0 if equal, 1 if a > b."""
-    return (a > b) - (a < b)
 
 
 class ActorKind(Enum):
@@ -126,6 +124,33 @@ class ValidationFailedError(ValueError):
         self.diagnostics = list(diagnostics)
         summary = "; ".join(d.code for d in self.diagnostics) or "invalid use case"
         super().__init__(f"use case failed validation: {summary}")
+
+
+# The errors of the taxonomy and catalogue modules live here, next to the
+# model, so that the CLI can map them to exit codes without importing those
+# modules; ``ucdoc.risk`` and ``ucdoc.catalog`` re-export them.
+
+
+class TaxonomyError(ValueError):
+    """Raised when a taxonomy file cannot be loaded."""
+
+    def __init__(self, message: str, errors: tuple[ParseError, ...] = ()):
+        self.errors = errors
+        if errors:
+            message += ": " + "; ".join(e.render() for e in errors)
+        super().__init__(message)
+
+
+class CatalogFormatError(ValueError):
+    """Raised when catalog JSON does not follow the export schema."""
+
+
+class QueryError(ValueError):
+    """Raised for filters that cannot match anything (unknown area id)."""
+
+    def __init__(self, message: str, code: str = "query.unknown_area"):
+        self.code = code
+        super().__init__(message)
 
 
 @dataclass(frozen=True)

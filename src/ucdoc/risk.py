@@ -32,6 +32,7 @@ from .model import (
     Diagnostic,
     RiskLevel,
     Severity,
+    TaxonomyError,
     UseCase,
     require_valid,
 )
@@ -109,16 +110,6 @@ class RiskAssessment:
     matched: tuple[AreaMatch, ...]
     misuse_flags: tuple[MisuseFlag, ...]
     rationale: tuple[str, ...]
-
-
-class TaxonomyError(ValueError):
-    """Raised when a taxonomy file cannot be loaded."""
-
-    def __init__(self, message: str, errors: tuple[ParseError, ...] = ()):
-        self.errors = errors
-        if errors:
-            message += ": " + "; ".join(e.render() for e in errors)
-        super().__init__(message)
 
 
 # ---------------------------------------------------------------------------

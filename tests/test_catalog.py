@@ -122,6 +122,15 @@ def test_non_decimal_digit_does_not_abort_build():
         (d.code, d.location) for d in diagnostics]
 
 
+def test_overlong_number_does_not_abort_build():
+    cat, diagnostics = build_catalog(
+        [("bad.ucdl", 'usecase "T" { id: a }\n' + "1" * 5000),
+         ("good.ucdl", serialize_canonical(u()))], TAX)
+    assert cat.ids() == ["scan-1"]
+    assert ("parse.lex.number_too_long", "bad.ucdl:2:1") in [
+        (d.code, d.location) for d in diagnostics]
+
+
 def test_invalid_use_case_excluded_with_diagnostics():
     invalid = serialize_canonical(u()).replace('  inputs: ["image"]\n', "")
     cat, diagnostics = build_catalog([("inv.ucdl", invalid)], TAX)
@@ -362,7 +371,18 @@ def test_round_trip_random_catalogs():
     b'{"schema": "something-else/9"}',
     b'{"schema": "ucdoc-catalog/1", "entries": [{"id": "x"}]}',
     b'{"schema": "ucdoc-catalog/1", "entries": [{"risk_level": "Bogus"}]}',
+    b'{"schema": "ucdoc-catalog/1", "entries": 3}',
 ])
 def test_load_rejects_malformed_snapshots(payload):
     with pytest.raises(CatalogFormatError):
         load_catalog_json(payload, TAX)
+
+
+@pytest.mark.parametrize("field, value", [("id", 3), ("risk_level", 3)])
+def test_load_names_the_bad_entry(field, value):
+    doc = json.loads(export_json(build_catalog(
+        [(f"{i}.ucdl", serialize_canonical(u(id=f"uc-{i}"))) for i in range(3)],
+        TAX)[0]))
+    doc["entries"][1][field] = value
+    with pytest.raises(CatalogFormatError, match=f"entry 1: {field} must be"):
+        load_catalog_json(json.dumps(doc), TAX)

@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ucdoc
 from conftest import FIXTURES_DIR, GOLDEN_DIR
 from ucdoc.cli import ExitStatus, run
 
@@ -131,6 +136,14 @@ def test_validate_non_decimal_digit_is_parse_error(tmp_path):
     code, _, err = cli("validate", str(bad))
     assert code == ExitStatus.PARSE_ERROR
     assert f"{bad}:2:1: error: unexpected character '²'" in err.splitlines()
+
+
+def test_validate_overlong_number_is_parse_error(tmp_path):
+    bad = tmp_path / "long.ucdl"
+    bad.write_text('usecase "T" { id: a }\n' + "1" * 5000, encoding="utf-8")
+    code, _, err = cli("validate", str(bad))
+    assert code == ExitStatus.PARSE_ERROR
+    assert f"{bad}:2:1: error: number of 5000 digits is too long" in err
 
 
 def test_validate_invalid_use_case(tmp_path):
@@ -452,6 +465,86 @@ def test_catalog_stats_rejects_non_string_risk_level(tmp_path):
     assert err.startswith("ucdoc: error:") and "risk_level" in err
 
 
+def test_catalog_stats_rejects_non_string_id(tmp_path):
+    doc = json.loads((GOLDEN_DIR / "catalog.json").read_bytes())
+    doc["entries"][0]["id"] = 3
+    bad = tmp_path / "catalog.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = cli("catalog", "stats", str(bad))
+    assert code == ExitStatus.PARSE_ERROR
+    assert out == ""
+    assert err.startswith("ucdoc: error:") and "entry 0: id must be" in err
+
+
 def test_catalog_stats_missing_file():
     code, _, err = cli("catalog", "stats", "/no/such/catalog.json")
     assert code == 3 and err.startswith("ucdoc: error:")
+
+
+# ---------------------------------------------------------------------------
+# import budget: each command imports only the modules it runs
+
+SRC_DIR = Path(ucdoc.__file__).resolve().parents[1]
+
+# Loaded by ``xml.sax.saxutils`` through ``urllib.request``; no command
+# needs them.
+_NEVER_LOADED = ("urllib.request", "http.client", "email", "ssl")
+
+_CORE = {"ucdoc", "ucdoc.cli", "ucdoc.lexer", "ucdoc.model", "ucdoc.parser"}
+
+
+def fresh_modules(code: str) -> tuple[set[str], list[str]]:
+    """Run ``code`` in a new interpreter; its ucdoc modules and stray ones."""
+    probe = code + (
+        "\nimport json, sys\n"
+        "print(json.dumps([sorted(m for m in sys.modules"
+        " if m.split('.')[0] == 'ucdoc'),"
+        f" [m for m in {_NEVER_LOADED!r} if m in sys.modules]]))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    ucdoc_modules, stray = json.loads(proc.stdout.splitlines()[-1])
+    return set(ucdoc_modules), stray
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["validate", SMART_CAMERA], set()),
+    (["classify", "--format", "json", SMART_CAMERA], {"risk"}),
+    (["render", SMART_CAMERA, "--out", "{tmp}/camera.svg"], {"diagram"}),
+    (["table", "--format", "html", "--with-risk", "--with-diagram",
+      SMART_CAMERA], {"risk", "diagram", "docgen"}),
+    (["catalog", "query", str(GOLDEN_DIR / "catalog.json"), "--risk", "high"],
+     {"catalog", "risk"}),
+    (["catalog", "stats", str(GOLDEN_DIR / "catalog.json")],
+     {"catalog", "risk"}),
+], ids=["validate", "classify", "render", "table", "catalog-query",
+        "catalog-stats"])
+def test_command_imports_only_what_it_runs(tmp_path, argv, extra):
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    modules, stray = fresh_modules(
+        "import io\nfrom ucdoc import cli\n"
+        f"code = cli.run({argv!r}, stdout=io.StringIO(), stderr=io.StringIO())\n"
+        "assert code == 0, code")
+    assert modules == _CORE | {f"ucdoc.{m}" for m in extra}
+    assert stray == []
+
+
+def test_import_ucdoc_loads_no_submodule():
+    assert fresh_modules("import ucdoc") == ({"ucdoc"}, [])
+
+
+def test_lazy_package_namespace():
+    for name in ucdoc.__all__:
+        assert getattr(ucdoc, name) is not None, name
+    assert ucdoc.TaxonomyError is ucdoc.risk.TaxonomyError
+    assert ucdoc.CatalogFormatError is ucdoc.catalog.CatalogFormatError
+    assert ucdoc.QueryError is ucdoc.catalog.QueryError
+    assert set(ucdoc.__all__) <= set(dir(ucdoc))
+    assert ucdoc.__version__ == "0.1.0"
+    namespace: dict = {}
+    exec("from ucdoc import *", namespace)
+    assert set(ucdoc.__all__) <= namespace.keys()
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ucdoc.no_such_name

@@ -95,6 +95,19 @@ def test_non_decimal_digits_are_invalid_characters():
         e.render() for e in errors]
 
 
+def test_number_beyond_int_string_limit_is_an_error():
+    # int() refuses more than sys.get_int_max_str_digits() (4300) digits.
+    long = "1" * 5000
+    tokens, errors = lex(f"{long} 2")
+    assert [(t.kind, t.value) for t in tokens] == [
+        (TokenKind.INT, 2), (TokenKind.EOF, None)]
+    assert [(e.code, e.span.column, e.span.length) for e in errors] == [
+        ("lex.number_too_long", 1, 5000)]
+    assert lex(f"{long}a")[1] == []     # a branch label keeps its text
+    _, errors = parse_document(f'usecase "T" {{ id: a }}\n{long}')
+    assert "lex.number_too_long" in [e.code for e in errors]
+
+
 def test_decimal_digits_beyond_ascii():
     tokens, errors = lex("٣ ٣a")
     assert errors == []

@@ -21,7 +21,6 @@ from ucdoc import (
     ValidationFailedError,
     canonicalize,
     require_valid,
-    risk_order,
     use_case_from_dict,
     use_case_to_dict,
     validate_use_case,
@@ -165,9 +164,11 @@ def test_risk_order_total_order():
         "Unacceptable", "High", "Transparency", "Minimal"]
     for a in levels:
         for b in levels:
-            expected = (int(a) > int(b)) - (int(a) < int(b))
-            assert risk_order(a, b) == expected
-            assert risk_order(a, b) == -risk_order(b, a)
+            # exactly one of <, ==, > holds, and it agrees with the values
+            assert (a < b) + (a == b) + (a > b) == 1
+            assert (a < b) == (b > a) == (a.value < b.value)
+            for c in levels:
+                assert not (a < b < c) or a < c
 
 
 def test_risk_level_labels():
