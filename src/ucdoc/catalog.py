@@ -149,14 +149,8 @@ def build_catalog(sources: Iterable[tuple[str, str]],
 
 
 def _known_area(area_id: str, tax: Taxonomy) -> bool:
-    if area_id == "other":
-        return True
-    for entry in tax.entries:
-        if entry.area_id == area_id:
-            return True
-        if entry.area_id.split(".", 1)[0] == area_id:
-            return True
-    return False
+    return (area_id == "other" or tax.find(area_id) is not None
+            or any(e.area_id.split(".", 1)[0] == area_id for e in tax.entries))
 
 
 def _matches(entry: CatalogEntry, q: Query) -> bool:
@@ -264,7 +258,9 @@ def load_catalog_json(data: bytes | str, tax: Taxonomy) -> Catalog:
     """Load an exported snapshot; stored assessments are kept verbatim.
 
     ``tax`` backs area-id validation in later queries; entries are *not*
-    reclassified, so the snapshot remains faithful to its build.
+    reclassified, so the snapshot remains faithful to its build.  Raises
+    :class:`CatalogFormatError`, naming the entry index, for an entry that
+    does not follow the schema, fails validation or repeats an earlier id.
     """
     try:
         doc = json.loads(data)
@@ -278,14 +274,25 @@ def load_catalog_json(data: bytes | str, tax: Taxonomy) -> Catalog:
     if not isinstance(raw_entries, list):
         raise CatalogFormatError("entries must be a list")
     entries = []
+    first_index: dict[str, int] = {}
     for i, raw in enumerate(raw_entries):
         try:
             uc = use_case_from_dict(raw)
             if not isinstance(uc.id, str):  # entries are sorted by id below
                 raise TypeError(f"id must be a string, not {uc.id!r}")
-        except (KeyError, TypeError, ValueError) as exc:
+            # A wrong-typed field (a title of 3) fails inside validation.
+            problems = validate_use_case(uc)
+            if problems:
+                raise ValueError("; ".join(
+                    f"[{d.code}] {d.message}" for d in problems))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise CatalogFormatError(
                 f"bad use-case fields in entry {i}: {exc}") from exc
+        if uc.id in first_index:
+            raise CatalogFormatError(
+                f"duplicate id {uc.id!r} in entry {i} "
+                f"(first in entry {first_index[uc.id]})")
+        first_index[uc.id] = i
         entries.append(CatalogEntry(
             uc, _assessment_from_dict(i, raw), raw.get("source_path", "")))
     entries.sort(key=lambda e: e.use_case.id)

@@ -3,7 +3,8 @@
 Exit codes are part of the interface::
 
     0  success
-    1  findings (validation errors; warnings too when --strict is given)
+    1  findings (validation errors; under --strict, also misuse flags and
+       diagram or catalogue warnings)
     2  parse errors in an input file
     3  I/O problem or bad usage (unknown flag, missing file, bad filter)
 
@@ -102,18 +103,15 @@ def _report_diagnostic(name: Optional[str], diag: Diagnostic,
     err.write(f"{where}: {diag.severity.value}: [{diag.code}] {diag.message}\n")
 
 
-def _check_use_case(name: str, uc: UseCase, strict: bool,
-                    err: TextIO) -> tuple[bool, ExitStatus]:
-    """Report validation diagnostics; returns (usable, exit contribution)."""
+def _check_use_case(name: str, uc: UseCase,
+                    err: TextIO) -> tuple[ExitStatus, list[Diagnostic]]:
+    """Report validation diagnostics; FINDINGS means ``uc`` is unusable."""
     diags = validate_use_case(uc)
     for d in diags:
         _report_diagnostic(name, d, err)
-    has_errors = any(d.severity is Severity.ERROR for d in diags)
-    if has_errors:
-        return False, ExitStatus.FINDINGS
-    if diags and strict:
-        return True, ExitStatus.FINDINGS
-    return True, ExitStatus.OK
+    if any(d.severity is Severity.ERROR for d in diags):
+        return ExitStatus.FINDINGS, diags
+    return ExitStatus.OK, diags
 
 
 def _single_use_case(name: str, text: str,
@@ -145,17 +143,11 @@ def _cmd_validate(ns, stdin, out, err) -> ExitStatus:
             code = max(code, ExitStatus.PARSE_ERROR)
         for uc in use_cases:
             n_cases += 1
-            diags = validate_use_case(uc)
-            for d in diags:
-                _report_diagnostic(name, d, err)
-                if d.severity is Severity.ERROR:
-                    n_errors += 1
-                else:
-                    n_warnings += 1
-            if any(d.severity is Severity.ERROR for d in diags):
-                code = max(code, ExitStatus.FINDINGS)
-            elif diags and ns.strict:
-                code = max(code, ExitStatus.FINDINGS)
+            status, diags = _check_use_case(name, uc, err)
+            code = max(code, status)
+            errors = sum(d.severity is Severity.ERROR for d in diags)
+            n_errors += errors
+            n_warnings += len(diags) - errors
     out.write(f"{n_files} file(s), {n_cases} use case(s), "
               f"{n_errors} error(s), {n_warnings} warning(s)\n")
     return code
@@ -173,9 +165,9 @@ def _cmd_classify(ns, stdin, out, err) -> ExitStatus:
         code = ExitStatus.PARSE_ERROR
     assessed = []
     for uc in use_cases:
-        usable, contribution = _check_use_case(name, uc, False, err)
-        code = max(code, contribution)
-        if not usable:
+        status, _ = _check_use_case(name, uc, err)
+        code = max(code, status)
+        if status is ExitStatus.FINDINGS:
             continue
         assessment = classify(uc, tax)
         assessed.append((uc, assessment))
@@ -202,10 +194,10 @@ def _cmd_render(ns, stdin, out, err) -> ExitStatus:
     uc, code = _single_use_case(name, text, err)
     if uc is None:
         return code
-    usable, contribution = _check_use_case(name, uc, ns.strict, err)
-    if not usable:
-        return max(code, contribution)
-    code = max(code, contribution)
+    status, _ = _check_use_case(name, uc, err)
+    code = max(code, status)
+    if status is ExitStatus.FINDINGS:
+        return code
     diagram = build_diagram(uc)
     warnings = list(diagram.warnings)
     if ns.format == "svg":
@@ -229,10 +221,10 @@ def _cmd_table(ns, stdin, out, err) -> ExitStatus:
     uc, code = _single_use_case(name, text, err)
     if uc is None:
         return code
-    usable, contribution = _check_use_case(name, uc, False, err)
-    if not usable:
-        return max(code, contribution)
-    code = max(code, contribution)
+    status, _ = _check_use_case(name, uc, err)
+    code = max(code, status)
+    if status is ExitStatus.FINDINGS:
+        return code
     from .docgen import render_html_page, render_table_markdown
 
     assessment = None
@@ -334,8 +326,6 @@ def build_arg_parser() -> _ArgumentParser:
     p = sub.add_parser("validate", help="parse and validate UCDL files")
     p.add_argument("paths", nargs="+", metavar="path",
                    help="UCDL file, or - for stdin")
-    p.add_argument("--strict", action="store_true",
-                   help="treat warnings as findings (exit 1)")
     p.set_defaults(handler=_cmd_validate)
 
     p = sub.add_parser("classify", help="assess the risk level of use cases")

@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from typing import Optional
 
@@ -64,17 +64,41 @@ class TaxonomyEntry:
 
 @dataclass(frozen=True)
 class Taxonomy:
+    """Entries plus an id index and keyword patterns built on first use, so
+    a hand-built taxonomy works too and only free-text matching compiles."""
+
     version: str
     entries: tuple[TaxonomyEntry, ...]
 
+    @cached_property
+    def _by_id(self) -> dict[str, TaxonomyEntry]:
+        return {entry.area_id: entry for entry in self.entries}
+
+    @cached_property
+    def _patterns(self) -> tuple[tuple[re.Pattern[str], ...], ...]:
+        # One pattern per keyword, not one alternation per entry: hits
+        # count distinct keywords.
+        return tuple(
+            tuple(re.compile(r"\b" + re.escape(kw) + r"\b")
+                  for kw in entry.keywords)
+            for entry in self.entries)
+
     def find(self, area_id: str) -> Optional[TaxonomyEntry]:
-        for entry in self.entries:
-            if entry.area_id == area_id:
-                return entry
-        return None
+        return self._by_id.get(area_id)
 
     def by_tier(self, tier: Tier) -> tuple[TaxonomyEntry, ...]:
         return tuple(e for e in self.entries if e.tier is tier)
+
+    def _scan(self, ref: ApplicationAreaRef) -> list[tuple[int, TaxonomyEntry]]:
+        """``(hits, entry)`` for every entry ``ref`` hits, in taxonomy order;
+        an exact id is one hit, a free-text label one per whole-word keyword."""
+        if not ref.is_other:
+            entry = self.find(ref.area_id)
+            return [(1, entry)] if entry is not None else []
+        label = (ref.free_label or "").lower()
+        scan = ((sum(p.search(label) is not None for p in patterns), entry)
+                for patterns, entry in zip(self._patterns, self.entries))
+        return [(hits, entry) for hits, entry in scan if hits]
 
 
 @dataclass(frozen=True)
@@ -234,38 +258,14 @@ def builtin_taxonomy() -> Taxonomy:
 # matching
 
 
-def _keyword_hits(entry: TaxonomyEntry, label: str) -> int:
-    text = label.lower()
-    return sum(
-        1 for kw in entry.keywords
-        if re.search(r"\b" + re.escape(kw) + r"\b", text))
-
-
 def match_area(ref: ApplicationAreaRef, tax: Taxonomy) -> Optional[TaxonomyEntry]:
     """Best taxonomy entry for an area reference, if any.
 
     Taxonomy ids match exactly; free-text ``other(...)`` labels match by
-    case-insensitive whole-word keyword search.  Ties on hit count resolve
-    to the earliest entry in the taxonomy.
+    case-insensitive whole-word keyword search.  The entry with the most
+    keyword hits wins; ties resolve to the earliest entry in the taxonomy.
     """
-    if not ref.is_other:
-        return tax.find(ref.area_id)
-    best: Optional[TaxonomyEntry] = None
-    best_hits = 0
-    for entry in tax.entries:
-        hits = _keyword_hits(entry, ref.free_label or "")
-        if hits > best_hits:
-            best, best_hits = entry, hits
-    return best
-
-
-def _all_matches(ref: ApplicationAreaRef, tax: Taxonomy) -> list[TaxonomyEntry]:
-    """Every entry an area reference hits (taxonomy order)."""
-    if not ref.is_other:
-        entry = tax.find(ref.area_id)
-        return [entry] if entry else []
-    label = ref.free_label or ""
-    return [e for e in tax.entries if _keyword_hits(e, label) > 0]
+    return max(tax._scan(ref), key=lambda hit: hit[0], default=(0, None))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +284,7 @@ def classify(uc: UseCase, tax: Taxonomy) -> RiskAssessment:
     matched: list[AreaMatch] = []
     seen: set[str] = set()
     for ref in uc.application_areas:
-        for entry in _all_matches(ref, tax):
+        for _, entry in tax._scan(ref):
             if entry.area_id in seen:
                 continue
             seen.add(entry.area_id)

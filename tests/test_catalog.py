@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import assert_golden
+from conftest import GOLDEN_DIR, assert_golden
 from test_model import u
 from test_risk import RISK_AREA_POOL, random_risk_uc
 from ucdoc import (
@@ -386,3 +386,28 @@ def test_load_names_the_bad_entry(field, value):
     doc["entries"][1][field] = value
     with pytest.raises(CatalogFormatError, match=f"entry 1: {field} must be"):
         load_catalog_json(json.dumps(doc), TAX)
+
+
+# Mutations of the golden snapshot's entries, each with the error it must
+# raise; wrong-typed fields fail inside validation.
+BAD_GOLDEN_ENTRIES = {
+    "title-3": (lambda es: es[0].update(title=3), "entry 0: "),
+    "area-id-3": (lambda es: es[0]["application_areas"][0].update(area_id=3),
+                  "entry 0: "),
+    "empty-scenario": (lambda es: es[0].update(main_scenario=[]),
+                       r"entry 0: .*\[scenario\.empty\]"),
+    "duplicate": (lambda es: es.append(es[1]),
+                  "duplicate id 'driver-attention-monitoring' in entry 3"),
+}
+
+
+def mutated_golden_catalog(name: str) -> str:
+    doc = json.loads((GOLDEN_DIR / "catalog.json").read_bytes())
+    BAD_GOLDEN_ENTRIES[name][0](doc["entries"])
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("name", list(BAD_GOLDEN_ENTRIES))
+def test_load_rejects_bad_entries(name):
+    with pytest.raises(CatalogFormatError, match=BAD_GOLDEN_ENTRIES[name][1]):
+        load_catalog_json(mutated_golden_catalog(name), TAX)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ import pytest
 
 import ucdoc
 from conftest import FIXTURES_DIR, GOLDEN_DIR
+from test_catalog import BAD_GOLDEN_ENTRIES, mutated_golden_catalog
 from ucdoc.cli import ExitStatus, run
 
 SMART_CAMERA = str(FIXTURES_DIR / "smart_camera.ucdl")
@@ -154,6 +156,12 @@ def test_validate_invalid_use_case(tmp_path):
     assert code == ExitStatus.FINDINGS == 1
     assert "[inputs.empty]" in err
     assert out == "1 file(s), 1 use case(s), 1 error(s), 0 warning(s)\n"
+
+
+def test_validate_strict_is_gone():
+    code, _, err = cli("validate", "--strict", SMART_CAMERA)
+    assert code == ExitStatus.USAGE
+    assert "--strict" in err
 
 
 def test_validate_missing_file():
@@ -474,6 +482,17 @@ def test_catalog_stats_rejects_non_string_id(tmp_path):
     assert code == ExitStatus.PARSE_ERROR
     assert out == ""
     assert err.startswith("ucdoc: error:") and "entry 0: id must be" in err
+
+
+@pytest.mark.parametrize("name", list(BAD_GOLDEN_ENTRIES))
+def test_catalog_stats_rejects_bad_entries(tmp_path, name):
+    bad = tmp_path / "catalog.json"
+    bad.write_text(mutated_golden_catalog(name), encoding="utf-8")
+    code, out, err = cli("catalog", "stats", str(bad))
+    assert code == ExitStatus.PARSE_ERROR
+    assert out == ""
+    assert err.startswith("ucdoc: error:")
+    assert re.search(BAD_GOLDEN_ENTRIES[name][1], err)
 
 
 def test_catalog_stats_missing_file():

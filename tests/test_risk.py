@@ -12,6 +12,7 @@ from ucdoc import (
     Misuse,
     RiskLevel,
     Taxonomy,
+    TaxonomyEntry,
     TaxonomyError,
     Tier,
     assessment_to_dict,
@@ -120,6 +121,41 @@ def test_other_label_without_keywords():
 def test_keyword_match_is_word_bounded():
     # "visage" must not hit the "visa" keyword.
     assert match_area(ApplicationAreaRef("other", "visage analysis"), TAX) is None
+
+
+# A taxonomy built by hand, not loaded: its index and patterns must still be
+# built on first use.
+HAND_BUILT = Taxonomy("hand-1", (
+    TaxonomyEntry("alpha.one", Tier.HIGH_RISK, "Alpha", "One",
+                  ("camera", "crowd")),
+    TaxonomyEntry("beta.two", Tier.PROHIBITED, "Beta", "Two",
+                  ("camera", "score")),
+    TaxonomyEntry("gamma.three", Tier.HIGH_RISK, "Gamma", "Three", ("a.b",)),
+))
+
+
+def test_hand_built_taxonomy_find_and_classify():
+    assert HAND_BUILT.find("beta.two") is HAND_BUILT.entries[1]
+    assert HAND_BUILT.find("beta") is None
+    assert (match_area(ApplicationAreaRef("gamma.three"), HAND_BUILT)
+            is HAND_BUILT.entries[2])
+    uc = minimal_uc(application_areas=(
+        ApplicationAreaRef("other", "crowd score camera"),))
+    a = classify(uc, HAND_BUILT)
+    assert a.level is RiskLevel.UNACCEPTABLE
+    assert [m.area_id for m in a.matched] == ["alpha.one", "beta.two"]
+
+
+@pytest.mark.parametrize("label, expected", [
+    ("camera", "alpha.one"),          # one hit each: the earliest entry wins
+    ("crowd camera", "alpha.one"),    # two hits against one
+    ("score camera", "beta.two"),     # a later entry with more hits wins
+    ("rule a.b applies", "gamma.three"),
+    ("rule axb applies", None),       # keywords are literal, not regexes
+])
+def test_hand_built_taxonomy_best_match(label, expected):
+    m = match_area(ApplicationAreaRef("other", label), HAND_BUILT)
+    assert (m and m.area_id) == expected
 
 
 # ---------------------------------------------------------------------------
