@@ -32,7 +32,7 @@ _EXPORTS = {
         "misuse_diagnostics",
     ],
     "diagram": [
-        "Diagram", "Edge", "EdgeKind", "LayoutConfig", "PositionedDiagram",
+        "Diagram", "Edge", "EdgeKind", "PositionedDiagram",
         "build_diagram", "layout", "render_svg", "render_textual",
     ],
     "docgen": [

@@ -31,6 +31,7 @@ from .model import (
     use_case_to_dict,
     validate_use_case,
 )
+from .lexer import read_ucdl
 from .parser import parse_document
 from .risk import (
     AreaMatch,
@@ -100,7 +101,7 @@ def load_sources(directory: str | Path) -> list[tuple[str, str]]:
     sources: list[tuple[str, str]] = []
     for path in sorted(root.rglob("*.ucdl")):
         rel = path.relative_to(root).as_posix()
-        sources.append((rel, path.read_text(encoding="utf-8")))
+        sources.append((rel, read_ucdl(path)))
     return sources
 
 
@@ -254,6 +255,30 @@ def _assessment_from_dict(index: int, entry: dict) -> RiskAssessment:
     return RiskAssessment(level, matched, flags, rationale)
 
 
+# Authored fields that validation does not read, so their types are checked
+# on load: ``stats`` sorts the tags, and every field goes back into exports.
+_STRING_LIST_FIELDS = ("inputs", "outputs", "preconditions",
+                       "affective_capabilities")
+_STRING_FIELDS = ("source_path", "context_of_use", "trigger",
+                  "success_guarantee", "minimal_guarantee")
+
+
+def _check_unvalidated_types(raw: dict, uc: UseCase) -> None:
+    for key in _STRING_LIST_FIELDS:
+        value = raw.get(key, [])
+        if not (isinstance(value, list)
+                and all(isinstance(item, str) for item in value)):
+            raise TypeError(f"{key} must be a list of strings, not {value!r}")
+    texts = [(key, raw.get(key, "")) for key in _STRING_FIELDS]
+    texts += [("system_functions label", fn.label) for fn in uc.system_functions]
+    for key, value in texts:
+        if not isinstance(value, str):
+            raise TypeError(f"{key} must be a string, not {value!r}")
+    if not isinstance(uc.safety_component, bool):
+        raise TypeError("safety_component must be true or false, "
+                        f"not {uc.safety_component!r}")
+
+
 def load_catalog_json(data: bytes | str, tax: Taxonomy) -> Catalog:
     """Load an exported snapshot; stored assessments are kept verbatim.
 
@@ -264,7 +289,7 @@ def load_catalog_json(data: bytes | str, tax: Taxonomy) -> Catalog:
     """
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also UnicodeDecodeError, for bytes
         raise CatalogFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
         raise CatalogFormatError(
@@ -280,6 +305,7 @@ def load_catalog_json(data: bytes | str, tax: Taxonomy) -> Catalog:
             uc = use_case_from_dict(raw)
             if not isinstance(uc.id, str):  # entries are sorted by id below
                 raise TypeError(f"id must be a string, not {uc.id!r}")
+            _check_unvalidated_types(raw, uc)
             # A wrong-typed field (a title of 3) fails inside validation.
             problems = validate_use_case(uc)
             if problems:

@@ -27,7 +27,7 @@ from enum import IntEnum
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, TextIO
 
-from .lexer import ParseError
+from .lexer import ParseError, read_ucdl
 from .model import (
     CatalogFormatError,
     Diagnostic,
@@ -74,7 +74,7 @@ def _read_source(path: str, stdin: Optional[str]) -> tuple[str, str]:
         if stdin is None:
             raise _UsageError("no data on stdin")
         return "<stdin>", stdin
-    return path, Path(path).read_text(encoding="utf-8")
+    return path, read_ucdl(path)
 
 
 def _resolve_taxonomy(ns: argparse.Namespace) -> Taxonomy:
@@ -82,7 +82,7 @@ def _resolve_taxonomy(ns: argparse.Namespace) -> Taxonomy:
 
     path = getattr(ns, "taxonomy", None) or os.environ.get(TAXONOMY_ENV_VAR)
     if path:
-        return load_taxonomy(Path(path).read_text(encoding="utf-8"))
+        return load_taxonomy(read_ucdl(path))
     return builtin_taxonomy()
 
 

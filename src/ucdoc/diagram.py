@@ -25,7 +25,6 @@ import math
 import textwrap
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 from .model import (
     Diagnostic,
@@ -77,29 +76,20 @@ class Diagram:
     warnings: tuple[Diagnostic, ...] = ()
 
 
-@dataclass(frozen=True)
-class LayoutConfig:
-    """Geometry knobs, in SVG user units; all strictly positive."""
-
-    ellipse_w: float = 160.0
-    ellipse_h: float = 60.0
-    actor_w: float = 40.0
-    actor_h: float = 80.0
-    gap: float = 24.0
-    padding: float = 32.0
-    column_gap: float = 64.0
-    font_size: float = 12.0
-
-    def __post_init__(self) -> None:
-        for name, value in self.__dict__.items():
-            if value <= 0:
-                raise ValueError(f"LayoutConfig.{name} must be positive")
+# Layout geometry, in SVG user units.
+ELLIPSE_W = 160.0
+ELLIPSE_H = 60.0
+ACTOR_W = 40.0
+ACTOR_H = 80.0
+GAP = 24.0
+PADDING = 32.0
+COLUMN_GAP = 64.0
+FONT_SIZE = 12.0
 
 
 @dataclass(frozen=True)
 class PositionedDiagram:
     diagram: Diagram
-    config: LayoutConfig
     canvas_w: float
     canvas_h: float
     boundary: tuple[float, float, float, float]
@@ -170,9 +160,9 @@ def build_diagram(uc: UseCase) -> Diagram:
     return Diagram(uc.title, tuple(actors), ellipses, tuple(edges), warnings)
 
 
-def _wrap_label(label: str, config: LayoutConfig) -> tuple[tuple[str, ...], bool]:
+def _wrap_label(label: str) -> tuple[tuple[str, ...], bool]:
     """Word-wrap a label to fit the ellipse; at most 3 lines, then ``…``."""
-    max_chars = max(1, int((config.ellipse_w * 0.85) / (config.font_size * 0.6)))
+    max_chars = max(1, int((ELLIPSE_W * 0.85) / (FONT_SIZE * 0.6)))
     lines = textwrap.wrap(label, width=max_chars, break_long_words=True,
                           break_on_hyphens=False) or [""]
     if len(lines) <= 3:
@@ -185,53 +175,50 @@ def _wrap_label(label: str, config: LayoutConfig) -> tuple[tuple[str, ...], bool
     return tuple(kept), True
 
 
-def _column_height(count: int, item_h: float, gap: float) -> float:
+def _column_height(count: int, item_h: float) -> float:
     if count == 0:
         return 0.0
-    return count * item_h + (count - 1) * gap
+    return count * item_h + (count - 1) * GAP
 
 
-def layout(d: Diagram, config: Optional[LayoutConfig] = None) -> PositionedDiagram:
+def layout(d: Diagram) -> PositionedDiagram:
     """Three-column layered layout: left actors, boundary, right actors.
 
     Deterministic: node order in the diagram fixes every coordinate.
     """
-    cfg = config or LayoutConfig()
     left = [a for a in d.actors if a.side is Side.LEFT]
     right = [a for a in d.actors if a.side is Side.RIGHT]
     n_ellipses = len(d.ellipses)
 
-    boundary_w = cfg.ellipse_w + 2 * cfg.padding
-    boundary_h = (2 * cfg.padding
-                  + _column_height(n_ellipses, cfg.ellipse_h, cfg.gap))
-    left_h = _column_height(len(left), cfg.actor_h, cfg.gap)
-    right_h = _column_height(len(right), cfg.actor_h, cfg.gap)
+    boundary_w = ELLIPSE_W + 2 * PADDING
+    boundary_h = 2 * PADDING + _column_height(n_ellipses, ELLIPSE_H)
+    left_h = _column_height(len(left), ACTOR_H)
+    right_h = _column_height(len(right), ACTOR_H)
     content_h = max(boundary_h, left_h, right_h)
-    canvas_h = content_h + 2 * cfg.padding
+    canvas_h = content_h + 2 * PADDING
 
-    x = cfg.padding
+    x = PADDING
     actor_centers: dict[str, tuple[float, float]] = {}
     if left:
-        cx = x + cfg.actor_w / 2
-        top = cfg.padding + (content_h - left_h) / 2
+        cx = x + ACTOR_W / 2
+        top = PADDING + (content_h - left_h) / 2
         for i, actor in enumerate(left):
-            cy = top + i * (cfg.actor_h + cfg.gap) + cfg.actor_h / 2
+            cy = top + i * (ACTOR_H + GAP) + ACTOR_H / 2
             actor_centers[actor.ident] = (cx, cy)
-        x += cfg.actor_w + cfg.column_gap
+        x += ACTOR_W + COLUMN_GAP
 
     boundary_x = x
-    boundary_y = cfg.padding + (content_h - boundary_h) / 2
+    boundary_y = PADDING + (content_h - boundary_h) / 2
     x += boundary_w
 
     ellipse_centers: dict[str, tuple[float, float]] = {}
     ellipse_labels: dict[str, tuple[str, ...]] = {}
     warnings: list[Diagnostic] = []
-    ecx = boundary_x + cfg.padding + cfg.ellipse_w / 2
+    ecx = boundary_x + PADDING + ELLIPSE_W / 2
     for i, node in enumerate(d.ellipses):
-        ecy = (boundary_y + cfg.padding
-               + i * (cfg.ellipse_h + cfg.gap) + cfg.ellipse_h / 2)
+        ecy = boundary_y + PADDING + i * (ELLIPSE_H + GAP) + ELLIPSE_H / 2
         ellipse_centers[node.id] = (ecx, ecy)
-        lines, truncated = _wrap_label(node.label, cfg)
+        lines, truncated = _wrap_label(node.label)
         ellipse_labels[node.id] = lines
         if truncated:
             warnings.append(_warn(
@@ -240,17 +227,16 @@ def layout(d: Diagram, config: Optional[LayoutConfig] = None) -> PositionedDiagr
                 "and was truncated"))
 
     if right:
-        cx = x + cfg.column_gap + cfg.actor_w / 2
-        top = cfg.padding + (content_h - right_h) / 2
+        cx = x + COLUMN_GAP + ACTOR_W / 2
+        top = PADDING + (content_h - right_h) / 2
         for i, actor in enumerate(right):
-            cy = top + i * (cfg.actor_h + cfg.gap) + cfg.actor_h / 2
+            cy = top + i * (ACTOR_H + GAP) + ACTOR_H / 2
             actor_centers[actor.ident] = (cx, cy)
-        x += cfg.column_gap + cfg.actor_w
+        x += COLUMN_GAP + ACTOR_W
 
-    canvas_w = x + cfg.padding
+    canvas_w = x + PADDING
     return PositionedDiagram(
         diagram=d,
-        config=cfg,
         canvas_w=canvas_w,
         canvas_h=canvas_h,
         boundary=(boundary_x, boundary_y, boundary_w, boundary_h),
@@ -283,12 +269,12 @@ def _anchor(p: PositionedDiagram, node: str,
     if dx == 0 and dy == 0:
         return (cx, cy)
     if node in p.actor_centers:
-        half_w = p.config.actor_w / 2
-        half_h = p.config.actor_h / 2
+        half_w = ACTOR_W / 2
+        half_h = ACTOR_H / 2
         t = 1 / max(abs(dx) / half_w, abs(dy) / half_h)
     else:
-        rx = p.config.ellipse_w / 2
-        ry = p.config.ellipse_h / 2
+        rx = ELLIPSE_W / 2
+        ry = ELLIPSE_H / 2
         t = 1 / math.sqrt((dx / rx) ** 2 + (dy / ry) ** 2)
     t = min(t, 1.0)
     return (cx + dx * t, cy + dy * t)
@@ -326,14 +312,13 @@ def _stick_figure(cx: float, cy: float, w: float, h: float) -> list[str]:
 
 def render_svg(p: PositionedDiagram) -> bytes:
     """Render to SVG 1.1; byte-identical output for identical input."""
-    cfg = p.config
     out: list[str] = []
     out.append('<?xml version="1.0" encoding="UTF-8"?>')
     out.append(
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{_fmt(p.canvas_w)}" height="{_fmt(p.canvas_h)}" '
         f'viewBox="0 0 {_fmt(p.canvas_w)} {_fmt(p.canvas_h)}" '
-        f'font-family="sans-serif" font-size="{_fmt(cfg.font_size)}">')
+        f'font-family="sans-serif" font-size="{_fmt(FONT_SIZE)}">')
 
     needs_marker = any(e.kind is not EdgeKind.ASSOCIATION
                        for e in p.diagram.edges)
@@ -356,12 +341,12 @@ def render_svg(p: PositionedDiagram) -> bytes:
         cx, cy = p.ellipse_centers[node.id]
         out.append(
             f'<ellipse cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
-            f'rx="{_fmt(cfg.ellipse_w / 2)}" ry="{_fmt(cfg.ellipse_h / 2)}" '
+            f'rx="{_fmt(ELLIPSE_W / 2)}" ry="{_fmt(ELLIPSE_H / 2)}" '
             'fill="none" stroke="black"/>')
 
     for actor in p.diagram.actors:
         cx, cy = p.actor_centers[actor.ident]
-        out.extend(_stick_figure(cx, cy, cfg.actor_w, cfg.actor_h))
+        out.extend(_stick_figure(cx, cy, ACTOR_W, ACTOR_H))
 
     for edge in p.diagram.edges:
         (x1, y1), (x2, y2) = _edge_endpoints(p, edge)
@@ -376,9 +361,9 @@ def render_svg(p: PositionedDiagram) -> bytes:
                 'marker-end="url(#arrowhead)"/>')
 
     # labels last so they stay legible over shapes
-    line_h = cfg.font_size + 2
+    line_h = FONT_SIZE + 2
     out.append(
-        f'<text x="{_fmt(bx + bw / 2)}" y="{_fmt(by + cfg.font_size + 6)}" '
+        f'<text x="{_fmt(bx + bw / 2)}" y="{_fmt(by + FONT_SIZE + 6)}" '
         f'text-anchor="middle" font-weight="bold">'
         f"{html.escape(p.diagram.boundary_label, quote=False)}</text>")
     for node in p.diagram.ellipses:
@@ -386,13 +371,13 @@ def render_svg(p: PositionedDiagram) -> bytes:
         lines = p.ellipse_labels[node.id]
         n = len(lines)
         for i, text in enumerate(lines):
-            ty = cy + (i - (n - 1) / 2) * line_h + cfg.font_size / 3
+            ty = cy + (i - (n - 1) / 2) * line_h + FONT_SIZE / 3
             out.append(
                 f'<text x="{_fmt(cx)}" y="{_fmt(ty)}" text-anchor="middle">'
                 f"{html.escape(text, quote=False)}</text>")
     for actor in p.diagram.actors:
         cx, cy = p.actor_centers[actor.ident]
-        ty = cy + cfg.actor_h / 2 + cfg.font_size + 2
+        ty = cy + ACTOR_H / 2 + FONT_SIZE + 2
         out.append(
             f'<text x="{_fmt(cx)}" y="{_fmt(ty)}" text-anchor="middle">'
             f"{html.escape(actor.name, quote=False)}</text>")
@@ -404,7 +389,7 @@ def render_svg(p: PositionedDiagram) -> bytes:
         word = "include" if edge.kind is EdgeKind.INCLUDE else "extend"
         out.append(
             f'<text x="{_fmt(mx)}" y="{_fmt(my - 4)}" text-anchor="middle" '
-            f'font-style="italic" font-size="{_fmt(cfg.font_size - 2)}">'
+            f'font-style="italic" font-size="{_fmt(FONT_SIZE - 2)}">'
             f"«{word}»</text>")
 
     out.append("</svg>")

@@ -26,7 +26,9 @@ Strings come in two forms:
   common leading whitespace of the non-blank lines is stripped.
 
 Lexing never raises; bad input is reported through :class:`ParseError`
-records so a caller can show every problem in a file at once.
+records so a caller can show every problem in a file at once.  Text that
+is not UTF-8 (see :func:`read_ucdl`) yields no tokens and one
+``lex.not_utf8`` error at its first bad byte.
 """
 
 from __future__ import annotations
@@ -222,6 +224,15 @@ _new = tuple.__new__
 
 def lex(source: str) -> tuple[list[Token], list[ParseError]]:
     """Tokenize ``source``; always ends with an EOF token."""
+    try:
+        source.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        # No token of a text that was not decoded is trusted.
+        line = source.count("\n", 0, exc.start) + 1
+        col = exc.start - source.rfind("\n", 0, exc.start)
+        return ([Token(TokenKind.EOF, "", None, SourceSpan(line, col, 0))],
+                [ParseError(SourceSpan(line, col, 1), "text is not valid UTF-8",
+                            code="lex.not_utf8")])
     tokens: list[Token] = []
     errors: list[ParseError] = []
     emit = tokens.append
@@ -284,6 +295,13 @@ def lex(source: str) -> tuple[list[Token], list[ParseError]]:
     emit(Token(TokenKind.EOF, "", None,
                SourceSpan(line, pos - line_start + 1, 0)))
     return tokens, errors
+
+
+def read_ucdl(path: str | os.PathLike) -> str:
+    """Text of a UCDL file.  Bytes that are not UTF-8 stay in it as
+    surrogates (``errors="surrogateescape"``), for :func:`lex` to report."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
+        return f.read()
 
 
 def escape_string(value: str) -> str:

@@ -56,14 +56,10 @@ from .model import (
 _USECASE_KW = "usecase"
 
 _PROSE_KEYS = {
-    "intended_purpose": "intended_purpose",
-    "context_of_use": "context_of_use",
-    "trigger": "trigger",
-    "success_guarantee": "success_guarantee",
-    "minimal_guarantee": "minimal_guarantee",
+    "intended_purpose", "context_of_use", "trigger", "success_guarantee",
+    "minimal_guarantee",
 }
 _STRING_LIST_KEYS = {"inputs", "outputs", "preconditions"}
-_TAG_LIST_KEYS = {"affective_capabilities"}
 _BLOCK_KEYS = {
     "user", "target_persons", "secondary_actors", "functions", "scenario",
     "extension", "misuse",
@@ -78,59 +74,33 @@ class _Panic(Exception):
     """Internal signal: abandon the current block and resynchronize."""
 
 
+# The fields ``UseCase`` requires, at their empty values; every other field
+# left out of a block takes its default from ``UseCase`` itself.
+_REQUIRED_EMPTY = {
+    "id": "",
+    "intended_purpose": "",
+    "user": Actor("", ActorKind.HUMAN, ActorRole.USER),
+    "application_areas": (),
+    "inputs": (),
+    "outputs": (),
+    "system_functions": (),
+    "main_scenario": (),
+}
+
+
 class _State:
-    """Mutable collection bucket for one ``usecase`` block."""
+    """Mutable collection bucket for one ``usecase`` block: ``UseCase``
+    keyword arguments, plus the two blocks that may repeat."""
 
     def __init__(self, title: str):
-        self.title = title
         self.seen: set[str] = set()
-        self.id = ""
-        self.intended_purpose = ""
-        self.level = GoalLevel.USER_GOAL
-        self.safety_component = False
-        self.affective_capabilities: list[str] = []
-        self.user = Actor("", ActorKind.HUMAN, ActorRole.USER)
-        self.target_persons: list[Actor] = []
-        self.secondary_actors: list[Actor] = []
-        self.context_of_use = ""
-        self.application_areas: list[ApplicationAreaRef] = []
-        self.misuses: list[Misuse] = []
-        self.inputs: list[str] = []
-        self.outputs: list[str] = []
-        self.preconditions: list[str] = []
-        self.trigger = ""
-        self.success_guarantee = ""
-        self.minimal_guarantee = ""
-        self.functions: list[SystemFunction] = []
-        self.associations: list[Association] = []
-        self.scenario: list[ScenarioStep] = []
+        self.fields: dict[str, object] = dict(_REQUIRED_EMPTY, title=title)
         self.extensions: list[Extension] = []
+        self.misuses: list[Misuse] = []
 
     def build(self) -> UseCase:
-        return UseCase(
-            id=self.id,
-            title=self.title,
-            intended_purpose=self.intended_purpose,
-            user=self.user,
-            application_areas=tuple(self.application_areas),
-            inputs=tuple(self.inputs),
-            outputs=tuple(self.outputs),
-            system_functions=tuple(self.functions),
-            main_scenario=tuple(self.scenario),
-            safety_component=self.safety_component,
-            affective_capabilities=tuple(self.affective_capabilities),
-            target_persons=tuple(self.target_persons),
-            secondary_actors=tuple(self.secondary_actors),
-            context_of_use=self.context_of_use,
-            misuses=tuple(self.misuses),
-            level=self.level,
-            preconditions=tuple(self.preconditions),
-            trigger=self.trigger,
-            success_guarantee=self.success_guarantee,
-            minimal_guarantee=self.minimal_guarantee,
-            extensions=tuple(self.extensions),
-            associations=tuple(self.associations),
-        )
+        return UseCase(**self.fields, extensions=tuple(self.extensions),
+                       misuses=tuple(self.misuses))
 
 
 def _describe(tok: Token) -> str:
@@ -307,62 +277,49 @@ class _Parser:
     def parse_keyed_value(self, key_tok: Token, state: _State) -> None:
         key = key_tok.text
         fresh = self.mark_seen(key_tok, state)
+        tok = self.cur()
         if key == "id":
             value = self.parse_word_or_string("use case id")
-            if fresh:
-                state.id = value
         elif key in _PROSE_KEYS:
-            value = self.expect(TokenKind.STRING, f"string value for {key!r}")
-            if fresh:
-                setattr(state, _PROSE_KEYS[key], str(value.value))
+            value = str(self.expect(TokenKind.STRING,
+                                    f"string value for {key!r}").value)
         elif key == "safety_component":
-            tok = self.cur()
-            if tok.kind is TokenKind.IDENT and tok.text in ("true", "false"):
-                self.advance()
-                if fresh:
-                    state.safety_component = tok.text == "true"
-            else:
+            if not (tok.kind is TokenKind.IDENT and tok.text in ("true", "false")):
                 self.error(
                     f"expected true or false for 'safety_component', "
                     f"found {_describe(tok)}",
                     tok.span, code="field.value")
                 self.skip_value()
+                return
+            self.advance()
+            value = tok.text == "true"
         elif key == "level":
-            tok = self.cur()
-            if tok.kind is TokenKind.IDENT and tok.text in _LEVELS:
-                self.advance()
-                if fresh:
-                    state.level = _LEVELS[tok.text]
-            else:
+            if not (tok.kind is TokenKind.IDENT and tok.text in _LEVELS):
                 self.error(
                     f"expected one of {sorted(_LEVELS)} for 'level', "
                     f"found {_describe(tok)}",
                     tok.span, code="field.value")
                 self.skip_value()
+                return
+            self.advance()
+            value = _LEVELS[tok.text]
         elif key == "application_areas":
-            items = self.parse_list(self.parse_area_item, "application area")
-            if fresh:
-                state.application_areas = items
-        elif key in _TAG_LIST_KEYS:
-            items = self.parse_list(
+            value = self.parse_list(self.parse_area_item, "application area")
+        elif key == "affective_capabilities":
+            value = self.parse_list(
                 lambda: self.parse_word_or_string("capability tag"), "tag")
-            if fresh:
-                state.affective_capabilities = items
         elif key in _STRING_LIST_KEYS:
-            items = self.parse_list(
-                lambda: self.parse_text_item(key), "string")
-            if fresh:
-                setattr(state, key, items)
+            value = self.parse_list(lambda: self.parse_text_item(key), "string")
         elif key == "associations":
-            items = self.parse_list(self.parse_association_item, "association")
-            if fresh:
-                state.associations = items
-        elif key == "schema_version":
-            self.skip_value()
+            value = self.parse_list(self.parse_association_item, "association")
         else:
-            self.error(f"unknown field {key!r}", key_tok.span,
-                       code="field.unknown")
+            if key != "schema_version":
+                self.error(f"unknown field {key!r}", key_tok.span,
+                           code="field.unknown")
             self.skip_value()
+            return
+        if fresh:
+            state.fields[key] = value
 
     # -- value shapes ------------------------------------------------------
 
@@ -390,7 +347,7 @@ class _Parser:
                    expected=("string",))
         raise _Panic
 
-    def parse_list(self, item_parser, what: str) -> list:
+    def parse_list(self, item_parser, what: str) -> tuple:
         self.expect(TokenKind.LBRACKET, "'['")
         items = []
         if not self.at(TokenKind.RBRACKET):
@@ -401,7 +358,7 @@ class _Parser:
                     break           # tolerate a trailing comma
                 items.append(item_parser())
         self.expect(TokenKind.RBRACKET, "']'")
-        return items
+        return tuple(items)
 
     def parse_area_item(self) -> ApplicationAreaRef:
         tok = self.cur()
@@ -473,7 +430,7 @@ class _Parser:
         fresh = self.mark_seen(key, state)
         actor = self.parse_actor_body(ActorRole.USER)
         if fresh:
-            state.user = actor
+            state.fields["user"] = actor
 
     def parse_persons(self, state: _State) -> None:
         key = self.advance()
@@ -494,10 +451,7 @@ class _Parser:
             actors.append(self.parse_actor_body(role))
         self.advance()
         if fresh:
-            if role is ActorRole.TARGET_PERSON:
-                state.target_persons = actors
-            else:
-                state.secondary_actors = actors
+            state.fields[key.text] = tuple(actors)
 
     def parse_functions(self, state: _State) -> None:
         key = self.advance()
@@ -520,9 +474,9 @@ class _Parser:
             self.advance()
             self.expect(TokenKind.COLON, "':'")
             if name.kind is TokenKind.IDENT and fn_id in ("includes", "extends"):
-                refs = tuple(self.parse_list(
+                refs = self.parse_list(
                     lambda: self.parse_word_or_string("function id"),
-                    "function id"))
+                    "function id")
                 if not functions:
                     self.error(
                         f"{name.text!r} annotation with no preceding function",
@@ -547,7 +501,7 @@ class _Parser:
                 functions.append(SystemFunction(fn_id, str(label.value)))
         self.advance()
         if fresh:
-            state.functions = functions
+            state.fields["system_functions"] = tuple(functions)
 
     def parse_step(self) -> ScenarioStep:
         index = self.expect(TokenKind.INT, "step index")
@@ -587,7 +541,7 @@ class _Parser:
         fresh = self.mark_seen(key, state)
         steps = self.parse_step_block("scenario")
         if fresh:
-            state.scenario = steps
+            state.fields["main_scenario"] = tuple(steps)
 
     def parse_extension(self, state: _State) -> None:
         self.advance()

@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache
 from importlib import resources
 from typing import Optional
 
-from .lexer import ParseError, Token, TokenKind, lex
+from .lexer import TokenKind, lex
 from .model import (
     ApplicationAreaRef,
     Diagnostic,
@@ -36,6 +36,7 @@ from .model import (
     UseCase,
     require_valid,
 )
+from .parser import _Panic, _Parser
 
 _BUILTIN_RESOURCE = "aiact_taxonomy.ucdl"
 
@@ -145,49 +146,35 @@ def load_taxonomy(text: str) -> Taxonomy:
     tokens, lex_errors = lex(text)
     if lex_errors:
         raise TaxonomyError("malformed taxonomy file", tuple(lex_errors))
-    version, entries = _TaxonomyReader(tokens).run()
+    reader = _TaxonomyReader(tokens)
+    try:
+        version, entries = reader.read()
+    except _Panic:
+        raise TaxonomyError("malformed taxonomy file",
+                            tuple(reader.errors)) from None
     return Taxonomy(version, tuple(entries))
 
 
-class _TaxonomyReader:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
-        self.errors: list[ParseError] = []
-
-    def cur(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind is not TokenKind.EOF:
-            self.pos += 1
-        return tok
+class _TaxonomyReader(_Parser):
+    """The taxonomy grammar, read on the UCDL parser's token cursor; the
+    first error ends the read."""
 
     def fail(self, message: str) -> None:
-        self.errors.append(ParseError(self.cur().span, message))
-        raise TaxonomyError("malformed taxonomy file", tuple(self.errors))
-
-    def expect(self, kind: TokenKind, what: str) -> Token:
-        if self.cur().kind is kind:
-            return self.advance()
-        self.fail(f"expected {what}")
-        raise AssertionError  # unreachable
+        self.error(message)
+        raise _Panic
 
     def expect_word(self, text: str) -> None:
-        tok = self.cur()
-        if tok.kind is TokenKind.IDENT and tok.text == text:
-            self.advance()
-            return
-        self.fail(f"expected '{text}'")
+        if not self.at_word(text):
+            self.fail(f"expected '{text}'")
+        self.advance()
 
-    def run(self) -> tuple[str, list[TaxonomyEntry]]:
+    def read(self) -> tuple[str, list[TaxonomyEntry]]:
         self.expect_word("version")
         self.expect(TokenKind.COLON, "':'")
         version = str(self.expect(TokenKind.STRING, "version string").value)
         entries: list[TaxonomyEntry] = []
         seen: set[str] = set()
-        while self.cur().kind is not TokenKind.EOF:
+        while not self.at(TokenKind.EOF):
             self.expect_word("entry")
             entry = self.read_entry()
             if entry.area_id in seen:
@@ -206,7 +193,7 @@ class _TaxonomyReader:
         sub_use = ""
         keywords: tuple[str, ...] = ()
         seen: set[str] = set()
-        while self.cur().kind is not TokenKind.RBRACE:
+        while not self.at(TokenKind.RBRACE):
             key = self.expect(TokenKind.IDENT, "entry field").text
             self.expect(TokenKind.COLON, "':'")
             if key in seen:
@@ -234,13 +221,13 @@ class _TaxonomyReader:
     def read_keywords(self, area_id: str) -> tuple[str, ...]:
         self.expect(TokenKind.LBRACKET, "'['")
         words: list[str] = []
-        while self.cur().kind is not TokenKind.RBRACKET:
+        while not self.at(TokenKind.RBRACKET):
             word = str(self.expect(TokenKind.STRING, "keyword string").value)
             if word != word.lower() or not word.strip():
                 self.fail(f"keyword {word!r} in {area_id!r} must be "
                           "non-empty lowercase")
             words.append(word)
-            if self.cur().kind is TokenKind.COMMA:
+            if self.at(TokenKind.COMMA):
                 self.advance()
         self.advance()
         return tuple(words)

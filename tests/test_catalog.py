@@ -122,6 +122,18 @@ def test_non_decimal_digit_does_not_abort_build():
         (d.code, d.location) for d in diagnostics]
 
 
+def test_non_utf8_file_does_not_abort_build(tmp_path):
+    (tmp_path / "bad.ucdl").write_bytes(
+        b"# r\xe9sum\xe9\n" + serialize_canonical(u(id="lost")).encode())
+    (tmp_path / "good.ucdl").write_text(serialize_canonical(u()),
+                                        encoding="utf-8")
+    cat, diagnostics = build_catalog(load_sources(tmp_path), TAX)
+    assert cat.ids() == ["scan-1"]
+    assert [(d.code, d.location) for d in diagnostics] == [
+        ("parse.lex.not_utf8", "bad.ucdl:1:4")]
+    export_json(cat)
+
+
 def test_overlong_number_does_not_abort_build():
     cat, diagnostics = build_catalog(
         [("bad.ucdl", 'usecase "T" { id: a }\n' + "1" * 5000),
@@ -389,11 +401,26 @@ def test_load_names_the_bad_entry(field, value):
 
 
 # Mutations of the golden snapshot's entries, each with the error it must
-# raise; wrong-typed fields fail inside validation.
+# raise; a wrong-typed field that validation reads fails inside validation.
 BAD_GOLDEN_ENTRIES = {
     "title-3": (lambda es: es[0].update(title=3), "entry 0: "),
     "area-id-3": (lambda es: es[0]["application_areas"][0].update(area_id=3),
                   "entry 0: "),
+    "capabilities-3": (lambda es: es[0].update(affective_capabilities=[3]),
+                       "entry 0: affective_capabilities must be"),
+    "inputs-3": (lambda es: es[0].update(inputs=[3]),
+                 "entry 0: inputs must be"),
+    "outputs-string": (lambda es: es[0].update(outputs="camera"),
+                       "entry 0: outputs must be"),
+    "trigger-3": (lambda es: es[0].update(trigger=3),
+                  "entry 0: trigger must be"),
+    "source-path-3": (lambda es: es[0].update(source_path=3),
+                      "entry 0: source_path must be"),
+    "label-3": (lambda es: es[0]["system_functions"][0].update(label=3),
+                "entry 0: system_functions label must be"),
+    "safety-component-string": (
+        lambda es: es[0].update(safety_component="yes"),
+        "entry 0: safety_component must be"),
     "empty-scenario": (lambda es: es[0].update(main_scenario=[]),
                        r"entry 0: .*\[scenario\.empty\]"),
     "duplicate": (lambda es: es.append(es[1]),

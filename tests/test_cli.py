@@ -140,6 +140,33 @@ def test_validate_non_decimal_digit_is_parse_error(tmp_path):
     assert f"{bad}:2:1: error: unexpected character '²'" in err.splitlines()
 
 
+def test_non_utf8_file_is_parse_error(tmp_path):
+    src_dir = tmp_path / "src"
+    src_dir.mkdir()
+    bad = src_dir / "bad.ucdl"
+    bad.write_bytes(b"# r\xe9sum\xe9\n" + Path(DRIVER).read_bytes())
+    (src_dir / "good.ucdl").write_bytes(Path(SMART_CAMERA).read_bytes())
+    line = f"{bad}:1:4: error: text is not valid UTF-8"
+
+    code, out, err = cli("validate", str(bad), SMART_CAMERA)
+    assert code == ExitStatus.PARSE_ERROR
+    assert err.splitlines() == [line]
+    assert out == "2 file(s), 1 use case(s), 1 error(s), 0 warning(s)\n"
+
+    code, out, err = cli("table", str(bad))
+    assert (code, out, err.splitlines()) == (ExitStatus.PARSE_ERROR, "", [line])
+
+    out_file = tmp_path / "c.json"
+    code, out, err = cli("catalog", "build", str(src_dir), "--out", str(out_file))
+    assert code == ExitStatus.PARSE_ERROR
+    assert "bad.ucdl:1:4: error: [parse.lex.not_utf8] " in err
+    assert out == f"wrote 1 use case(s) to {out_file}\n"
+
+    code, _, err = cli("classify", SMART_CAMERA, "--taxonomy", str(bad))
+    assert code == ExitStatus.USAGE
+    assert err.startswith("ucdoc: error: malformed taxonomy file: line 1, column 4")
+
+
 def test_validate_overlong_number_is_parse_error(tmp_path):
     bad = tmp_path / "long.ucdl"
     bad.write_text('usecase "T" { id: a }\n' + "1" * 5000, encoding="utf-8")
@@ -455,11 +482,12 @@ def test_catalog_query_unknown_area(built_catalog):
 
 def test_catalog_commands_reject_bad_json(tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"schema": "nope"}', encoding="utf-8")
-    for sub in ("stats", "query"):
-        code, _, err = cli("catalog", sub, str(bad))
-        assert code == ExitStatus.PARSE_ERROR == 2
-        assert err.startswith("ucdoc: error:")
+    for data in (b'{"schema": "nope"}', b'{"schema": "\xe9"}'):
+        bad.write_bytes(data)
+        for sub in ("stats", "query"):
+            code, _, err = cli("catalog", sub, str(bad))
+            assert code == ExitStatus.PARSE_ERROR == 2
+            assert err.startswith("ucdoc: error:")
 
 
 def test_catalog_stats_rejects_non_string_risk_level(tmp_path):

@@ -10,14 +10,21 @@ import pytest
 from support import make_use_case
 from ucdoc import (
     EdgeKind,
-    LayoutConfig,
     build_diagram,
     canonicalize,
     layout,
     render_svg,
     render_textual,
 )
-from ucdoc.diagram import Side
+from ucdoc.diagram import (
+    ACTOR_H,
+    ACTOR_W,
+    ELLIPSE_H,
+    ELLIPSE_W,
+    GAP,
+    PADDING,
+    Side,
+)
 from ucdoc.model import ValidationFailedError
 from test_model import base_use_case
 from test_parser import MINIMAL, parse_one
@@ -25,14 +32,13 @@ from test_parser import MINIMAL, parse_one
 
 def boxes(p):
     """Bounding boxes of every node: (name, x0, y0, x1, y1)."""
-    cfg = p.config
     out = []
     for ident, (cx, cy) in p.actor_centers.items():
-        out.append((f"actor:{ident}", cx - cfg.actor_w / 2, cy - cfg.actor_h / 2,
-                    cx + cfg.actor_w / 2, cy + cfg.actor_h / 2))
+        out.append((f"actor:{ident}", cx - ACTOR_W / 2, cy - ACTOR_H / 2,
+                    cx + ACTOR_W / 2, cy + ACTOR_H / 2))
     for fid, (cx, cy) in p.ellipse_centers.items():
-        out.append((f"ellipse:{fid}", cx - cfg.ellipse_w / 2, cy - cfg.ellipse_h / 2,
-                    cx + cfg.ellipse_w / 2, cy + cfg.ellipse_h / 2))
+        out.append((f"ellipse:{fid}", cx - ELLIPSE_W / 2, cy - ELLIPSE_H / 2,
+                    cx + ELLIPSE_W / 2, cy + ELLIPSE_H / 2))
     return out
 
 
@@ -108,20 +114,18 @@ def test_stacking_formula_ten_ellipses():
     src = MINIMAL.replace('functions { f: "F" }', f'functions {{ {functions} }}')
     src = src.replace('scenario { 1 U: "does" }', f'scenario {{ {steps} }}')
     p = layout(build_diagram(parse_one(src)))
-    cfg = p.config
     _, by, _, _ = p.boundary
     for i in range(10):
         cx, cy = p.ellipse_centers[f"f{i}"]
-        expected = by + cfg.padding + i * (cfg.ellipse_h + cfg.gap) + cfg.ellipse_h / 2
+        expected = by + PADDING + i * (ELLIPSE_H + GAP) + ELLIPSE_H / 2
         assert cy == pytest.approx(expected)
 
 
 def test_boundary_min_size_single_ellipse():
     p = layout(build_diagram(parse_one(MINIMAL)))
-    cfg = p.config
     _, _, bw, bh = p.boundary
-    assert bw == pytest.approx(cfg.ellipse_w + 2 * cfg.padding)
-    assert bh == pytest.approx(cfg.ellipse_h + 2 * cfg.padding)
+    assert bw == pytest.approx(ELLIPSE_W + 2 * PADDING)
+    assert bh == pytest.approx(ELLIPSE_H + 2 * PADDING)
 
 
 def test_layout_is_deterministic():
@@ -130,28 +134,11 @@ def test_layout_is_deterministic():
     assert layout(d) == layout(d)
 
 
-def test_layout_config_must_be_positive():
-    with pytest.raises(ValueError):
-        LayoutConfig(gap=0)
-    with pytest.raises(ValueError):
-        LayoutConfig(ellipse_w=-1)
-
-
 def test_geometry_invariants_random(subtests=None):
     rng = random.Random(314)
     for _ in range(100):
         uc = make_use_case(rng)
         assert_geometry(layout(build_diagram(uc)))
-
-
-def test_custom_config_geometry():
-    rng = random.Random(315)
-    cfg = LayoutConfig(ellipse_w=90, ellipse_h=36, actor_w=24, actor_h=48,
-                       gap=10, padding=12, column_gap=30, font_size=8)
-    for _ in range(25):
-        p = layout(build_diagram(make_use_case(rng)), cfg)
-        assert p.config == cfg
-        assert_geometry(p)
 
 
 # ---------------------------------------------------------------------------

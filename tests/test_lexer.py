@@ -108,6 +108,16 @@ def test_number_beyond_int_string_limit_is_an_error():
     assert "lex.number_too_long" in [e.code for e in errors]
 
 
+def test_text_that_is_not_utf8_is_one_error():
+    # "\udce9" is the byte 0xe9 as read with errors="surrogateescape".
+    source = 'usecase "T" { id: a }\n# r\udce9sum\n'
+    tokens, errors = lex(source)
+    assert [t.kind for t in tokens] == [TokenKind.EOF]
+    assert [(e.code, tuple(e.span)) for e in errors] == [
+        ("lex.not_utf8", (2, 4, 1))]
+    assert parse_document(source) == ([], errors)
+
+
 def test_decimal_digits_beyond_ascii():
     tokens, errors = lex("٣ ٣a")
     assert errors == []

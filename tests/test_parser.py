@@ -4,11 +4,15 @@ import random
 
 from support import make_use_case
 from ucdoc import (
+    Actor,
     ActorKind,
+    ActorRole,
     GoalLevel,
+    UseCase,
     canonicalize,
     parse_document,
     serialize_canonical,
+    validate_use_case,
 )
 
 MINIMAL = (
@@ -42,6 +46,19 @@ def test_minimal_document():
 def test_empty_document():
     assert parse_document("") == ([], [])
     assert parse_document("# only a comment\n") == ([], [])
+
+
+def test_empty_block_builds_required_empty_values():
+    use_cases, errors = parse_document('usecase "t" {}')
+    assert errors == []
+    assert use_cases == [UseCase(
+        id="", title="t", intended_purpose="",
+        user=Actor("", ActorKind.HUMAN, ActorRole.USER),
+        application_areas=(), inputs=(), outputs=(), system_functions=(),
+        main_scenario=())]
+    assert sorted(d.code for d in validate_use_case(use_cases[0])) == [
+        "areas.empty", "functions.empty", "id.missing", "inputs.empty",
+        "outputs.empty", "purpose.empty", "scenario.empty", "user.missing"]
 
 
 def test_unclosed_brace_single_error():

@@ -295,17 +295,20 @@ def test_load_custom_taxonomy():
     assert classify(uc, tax).level is RiskLevel.HIGH
 
 
+# Each mutation returns the broken text and the span of its one error.
 @pytest.mark.parametrize("mutation", [
-    lambda t: t.replace('version: "test-1"', ""),            # missing version
-    lambda t: t.replace("high_risk", "catastrophic"),        # unknown tier
-    lambda t: t.replace('area: "Everything"', 'area: ""'),   # empty label
-    lambda t: t + t.split("\n", 2)[2],                       # duplicate id
-    lambda t: t.replace('["everything"]', '["EVERYTHING"]'),  # uppercase keyword
-    lambda t: 'version: "v"\n',                              # no entries
+    lambda t: (t.replace('version: "test-1"', ""), (3, 1, 5)),  # missing version
+    lambda t: (t.replace("high_risk", "catastrophic"), (5, 3, 4)),  # unknown tier
+    lambda t: (t.replace('area: "Everything"', 'area: ""'), (9, 1, 0)),  # empty label
+    lambda t: (t + t.split("\n", 2)[2], (15, 1, 0)),  # duplicate id
+    lambda t: (t.replace('["everything"]', '["EVERYTHING"]'), (7, 26, 1)),  # uppercase
+    lambda t: ('version: "v"\n', (2, 1, 0)),  # no entries
 ])
 def test_bad_taxonomy_is_rejected(mutation):
-    with pytest.raises(TaxonomyError):
-        load_taxonomy(mutation(CUSTOM))
+    text, span = mutation(CUSTOM)
+    with pytest.raises(TaxonomyError) as info:
+        load_taxonomy(text)
+    assert [tuple(e.span) for e in info.value.errors] == [span]
 
 
 # ---------------------------------------------------------------------------
