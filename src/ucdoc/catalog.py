@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from .model import (
+    GENERATED_FIELDS,
     ActorKind,
     CatalogFormatError,
     Diagnostic,
@@ -46,8 +47,8 @@ from .risk import (
 
 SCHEMA = "ucdoc-catalog/1"
 
-_GENERATED_FIELDS = (
-    "risk_level", "risk_matched", "risk_misuse_flags", "risk_rationale")
+_TOP_LEVEL_KEYS = frozenset(
+    ("schema", "taxonomy_version", "generated_fields", "entries"))
 
 
 @dataclass(frozen=True)
@@ -221,7 +222,7 @@ def export_json(cat: Catalog) -> bytes:
     doc = {
         "schema": SCHEMA,
         "taxonomy_version": cat.taxonomy_version,
-        "generated_fields": list(_GENERATED_FIELDS),
+        "generated_fields": list(GENERATED_FIELDS),
         "entries": [
             {
                 "source_path": entry.source_path,
@@ -255,37 +256,14 @@ def _assessment_from_dict(index: int, entry: dict) -> RiskAssessment:
     return RiskAssessment(level, matched, flags, rationale)
 
 
-# Authored fields that validation does not read, so their types are checked
-# on load: ``stats`` sorts the tags, and every field goes back into exports.
-_STRING_LIST_FIELDS = ("inputs", "outputs", "preconditions",
-                       "affective_capabilities")
-_STRING_FIELDS = ("source_path", "context_of_use", "trigger",
-                  "success_guarantee", "minimal_guarantee")
-
-
-def _check_unvalidated_types(raw: dict, uc: UseCase) -> None:
-    for key in _STRING_LIST_FIELDS:
-        value = raw.get(key, [])
-        if not (isinstance(value, list)
-                and all(isinstance(item, str) for item in value)):
-            raise TypeError(f"{key} must be a list of strings, not {value!r}")
-    texts = [(key, raw.get(key, "")) for key in _STRING_FIELDS]
-    texts += [("system_functions label", fn.label) for fn in uc.system_functions]
-    for key, value in texts:
-        if not isinstance(value, str):
-            raise TypeError(f"{key} must be a string, not {value!r}")
-    if not isinstance(uc.safety_component, bool):
-        raise TypeError("safety_component must be true or false, "
-                        f"not {uc.safety_component!r}")
-
-
 def load_catalog_json(data: bytes | str, tax: Taxonomy) -> Catalog:
     """Load an exported snapshot; stored assessments are kept verbatim.
 
     ``tax`` backs area-id validation in later queries; entries are *not*
     reclassified, so the snapshot remains faithful to its build.  Raises
-    :class:`CatalogFormatError`, naming the entry index, for an entry that
-    does not follow the schema, fails validation or repeats an earlier id.
+    :class:`CatalogFormatError` for an unknown key or a wrong-typed value at
+    any level, naming the entry index and field path, and for an entry that
+    fails validation or repeats an earlier id.
     """
     try:
         doc = json.loads(data)
@@ -295,31 +273,38 @@ def load_catalog_json(data: bytes | str, tax: Taxonomy) -> Catalog:
         raise CatalogFormatError(
             f"unsupported catalog schema {doc.get('schema')!r}"
             if isinstance(doc, dict) else "top-level JSON value must be an object")
+    unknown = doc.keys() - _TOP_LEVEL_KEYS
+    if unknown:
+        raise CatalogFormatError(f"unknown top-level key {min(unknown)!r}")
+    version = doc.get("taxonomy_version", tax.version)
     raw_entries = doc.get("entries", [])
-    if not isinstance(raw_entries, list):
-        raise CatalogFormatError("entries must be a list")
+    for key, value, kind in (("taxonomy_version", version, str),
+                             ("entries", raw_entries, list)):
+        if type(value) is not kind:
+            raise CatalogFormatError(
+                f"{key}: expected {kind.__name__}, got {type(value).__name__}")
     entries = []
     first_index: dict[str, int] = {}
     for i, raw in enumerate(raw_entries):
         try:
             uc = use_case_from_dict(raw)
-            if not isinstance(uc.id, str):  # entries are sorted by id below
-                raise TypeError(f"id must be a string, not {uc.id!r}")
-            _check_unvalidated_types(raw, uc)
-            # A wrong-typed field (a title of 3) fails inside validation.
+            source_path = raw.get("source_path", "")
+            if type(source_path) is not str:
+                raise CatalogFormatError(
+                    f"source_path: expected str, got {type(source_path).__name__}")
             problems = validate_use_case(uc)
             if problems:
-                raise ValueError("; ".join(
-                    f"[{d.code}] {d.message}" for d in problems))
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise CatalogFormatError("; ".join(
+                    f"{d.location}: [{d.code}] {d.message}" for d in problems))
+        except CatalogFormatError as exc:
             raise CatalogFormatError(
-                f"bad use-case fields in entry {i}: {exc}") from exc
+                f"bad use-case fields in entry {i}: {exc}") from None
         if uc.id in first_index:
             raise CatalogFormatError(
                 f"duplicate id {uc.id!r} in entry {i} "
                 f"(first in entry {first_index[uc.id]})")
         first_index[uc.id] = i
         entries.append(CatalogEntry(
-            uc, _assessment_from_dict(i, raw), raw.get("source_path", "")))
+            uc, _assessment_from_dict(i, raw), source_path))
     entries.sort(key=lambda e: e.use_case.id)
-    return Catalog(tuple(entries), tax, doc.get("taxonomy_version", tax.version))
+    return Catalog(tuple(entries), tax, version)

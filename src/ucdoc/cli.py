@@ -69,11 +69,12 @@ class _ArgumentParser(argparse.ArgumentParser):
 # shared plumbing
 
 
-def _read_source(path: str, stdin: Optional[str]) -> tuple[str, str]:
+def _read_source(path: str,
+                 stdin: Optional[str | TextIO]) -> tuple[str, str]:
     if path == "-":
         if stdin is None:
             raise _UsageError("no data on stdin")
-        return "<stdin>", stdin
+        return "<stdin>", stdin if isinstance(stdin, str) else stdin.read()
     return path, read_ucdl(path)
 
 
@@ -383,9 +384,10 @@ def build_arg_parser() -> _ArgumentParser:
     return parser
 
 
-def run(argv: list[str], stdin: Optional[str] = None,
+def run(argv: list[str], stdin: Optional[str | TextIO] = None,
         stdout: Optional[TextIO] = None,
         stderr: Optional[TextIO] = None) -> int:
+    """Run one command; ``stdin`` is the text, or the stream, read for ``-``."""
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
     parser = build_arg_parser()
@@ -407,7 +409,11 @@ def run(argv: list[str], stdin: Optional[str] = None,
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    stdin = sys.stdin  # None when the process has no standard input
+    if stdin is not None:
+        # Read only for a path of "-", decoded as read_ucdl decodes a file.
+        stdin.reconfigure(encoding="utf-8-sig", errors="surrogateescape")
+    sys.exit(run(sys.argv[1:], stdin=stdin))
 
 
 if __name__ == "__main__":

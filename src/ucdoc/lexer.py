@@ -298,9 +298,10 @@ def lex(source: str) -> tuple[list[Token], list[ParseError]]:
 
 
 def read_ucdl(path: str | os.PathLike) -> str:
-    """Text of a UCDL file.  Bytes that are not UTF-8 stay in it as
-    surrogates (``errors="surrogateescape"``), for :func:`lex` to report."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as f:
+    """Text of a UCDL file, without a leading UTF-8 byte-order mark.  Bytes
+    that are not UTF-8 stay in it as surrogates (``errors="surrogateescape"``),
+    for :func:`lex` to report."""
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as f:
         return f.read()
 
 

@@ -53,9 +53,12 @@ assoc.unknown_function      association names an unknown function
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from enum import Enum, IntEnum
-from typing import TYPE_CHECKING, Optional
+from functools import cached_property, lru_cache
+from operator import attrgetter
+from typing import (
+    TYPE_CHECKING, Optional, Union, get_args, get_origin, get_type_hints)
 
 if TYPE_CHECKING:
     from .lexer import ParseError
@@ -63,9 +66,10 @@ if TYPE_CHECKING:
 SYSTEM_ACTOR = "system"
 OTHER_AREA = "other"
 
-_SLUG_RE = re.compile(r"^[a-z0-9_-]+$")
-_AREA_ID_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)*$")
-_BRANCH_RE = re.compile(r"^[1-9][0-9]*[a-z]$")
+# Used with ``fullmatch``: ``match`` with ``$`` would accept a trailing newline.
+_SLUG_RE = re.compile(r"[a-z0-9_-]+")
+_AREA_ID_RE = re.compile(r"[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)*")
+_BRANCH_RE = re.compile(r"[1-9][0-9]*[a-z]")
 
 
 class RiskLevel(IntEnum):
@@ -224,30 +228,39 @@ class Association:
     function: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class UseCase:
+    """One documented use case.  The fields are in the order the catalogue
+    JSON writes them (see :func:`use_case_to_dict`)."""
+
     id: str
     title: str
     intended_purpose: str
-    user: Actor
-    application_areas: tuple[ApplicationAreaRef, ...]
-    inputs: tuple[str, ...]
-    outputs: tuple[str, ...]
-    system_functions: tuple[SystemFunction, ...]
-    main_scenario: tuple[ScenarioStep, ...]
+    level: GoalLevel = GoalLevel.USER_GOAL
     safety_component: bool = False
     affective_capabilities: tuple[str, ...] = ()
+    user: Actor
     target_persons: tuple[Actor, ...] = ()
     secondary_actors: tuple[Actor, ...] = ()
     context_of_use: str = ""
+    application_areas: tuple[ApplicationAreaRef, ...]
     misuses: tuple[Misuse, ...] = ()
-    level: GoalLevel = GoalLevel.USER_GOAL
+    inputs: tuple[str, ...]
+    outputs: tuple[str, ...]
     preconditions: tuple[str, ...] = ()
     trigger: str = ""
     success_guarantee: str = ""
     minimal_guarantee: str = ""
-    extensions: tuple[Extension, ...] = ()
+    system_functions: tuple[SystemFunction, ...]
     associations: tuple[Association, ...] = ()
+    main_scenario: tuple[ScenarioStep, ...]
+    extensions: tuple[Extension, ...] = ()
+
+    @cached_property
+    def _diagnostics(self) -> tuple[Diagnostic, ...]:
+        # Stored in the instance __dict__, outside the fields, so == and
+        # hash do not see it; the value fields never change after __init__.
+        return tuple(_validate(self))
 
     def all_actors(self) -> tuple[Actor, ...]:
         head = (self.user,) if self.user is not None else ()
@@ -274,31 +287,6 @@ def _error(code: str, message: str, location: str) -> Diagnostic:
     return Diagnostic(Severity.ERROR, code, message, location)
 
 
-def _check_actor(actor: Actor, expected_role: ActorRole, location: str,
-                 diags: list[Diagnostic]) -> None:
-    if actor.role is not expected_role:
-        diags.append(_error(
-            "actor.role",
-            f"actor {actor.name!r} has role {actor.role.value!r}, "
-            f"expected {expected_role.value!r}",
-            location))
-    if not actor.name.strip():
-        code = "user.missing" if expected_role is ActorRole.USER else "actor.name_empty"
-        diags.append(_error(code, "actor has no name", location))
-    elif not actor_ident(actor.name):
-        diags.append(_error(
-            "actor.ident_empty",
-            f"actor name {actor.name!r} contains no [a-z0-9] characters and "
-            "cannot be referenced from scenario steps",
-            location))
-    elif actor_ident(actor.name) == SYSTEM_ACTOR:
-        diags.append(_error(
-            "actor.reserved_name",
-            f"actor name {actor.name!r} collides with the reserved "
-            f"{SYSTEM_ACTOR!r} step actor",
-            location))
-
-
 def _check_area_ref(ref: ApplicationAreaRef, location: str,
                     diags: list[Diagnostic]) -> None:
     if ref.is_other:
@@ -308,7 +296,7 @@ def _check_area_ref(ref: ApplicationAreaRef, location: str,
                 "area 'other' requires a free-text label",
                 location))
     else:
-        if not _AREA_ID_RE.match(ref.area_id):
+        if not _AREA_ID_RE.fullmatch(ref.area_id):
             diags.append(_error(
                 "areas.format",
                 f"area id {ref.area_id!r} is not a dotted identifier",
@@ -347,17 +335,12 @@ def _check_steps(steps: tuple[ScenarioStep, ...], location: str,
                 f"{here}.function"))
 
 
-def validate_use_case(uc: UseCase) -> list[Diagnostic]:
-    """Check every semantic invariant; empty result means the record is valid.
-
-    Never raises: all violations come back as error diagnostics, sorted by
-    field path then code so output is stable.
-    """
+def _validate(uc: UseCase) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
 
     if not uc.id:
         diags.append(_error("id.missing", "use case has no id", "id"))
-    elif not _SLUG_RE.match(uc.id):
+    elif not _SLUG_RE.fullmatch(uc.id):
         diags.append(_error(
             "id.format", f"id {uc.id!r} must match [a-z0-9_-]+", "id"))
     if not uc.title.strip():
@@ -368,27 +351,41 @@ def validate_use_case(uc: UseCase) -> list[Diagnostic]:
 
     if uc.user is None:
         diags.append(_error("user.missing", "use case has no user actor", "user"))
-    else:
-        _check_actor(uc.user, ActorRole.USER, "user", diags)
-    for i, actor in enumerate(uc.target_persons):
-        _check_actor(actor, ActorRole.TARGET_PERSON, f"target_persons[{i}]", diags)
-    for i, actor in enumerate(uc.secondary_actors):
-        _check_actor(actor, ActorRole.SECONDARY, f"secondary_actors[{i}]", diags)
-
     # An actor may appear under several roles (e.g. the driver is both user
     # and target person) but must keep one kind, and identifiers must be
     # unique within each role list.
     kind_by_ident: dict[str, ActorKind] = {}
-    for group, location in ((
-            (uc.user,) if uc.user is not None else (), "user"),
-            (uc.target_persons, "target_persons"),
-            (uc.secondary_actors, "secondary_actors")):
+    for group, location, role in (
+            ((uc.user,) if uc.user is not None else (), "user", ActorRole.USER),
+            (uc.target_persons, "target_persons", ActorRole.TARGET_PERSON),
+            (uc.secondary_actors, "secondary_actors", ActorRole.SECONDARY)):
         seen: set[str] = set()
         for i, actor in enumerate(group):
-            ident = actor_ident(actor.name)
-            if not ident:
-                continue
             here = location if location == "user" else f"{location}[{i}]"
+            if actor.role is not role:
+                diags.append(_error(
+                    "actor.role",
+                    f"actor {actor.name!r} has role {actor.role.value!r}, "
+                    f"expected {role.value!r}",
+                    here))
+            ident = actor_ident(actor.name)
+            if not actor.name.strip():
+                code = "user.missing" if role is ActorRole.USER else "actor.name_empty"
+                diags.append(_error(code, "actor has no name", here))
+                continue
+            if not ident:
+                diags.append(_error(
+                    "actor.ident_empty",
+                    f"actor name {actor.name!r} contains no [a-z0-9] characters "
+                    "and cannot be referenced from scenario steps",
+                    here))
+                continue
+            if ident == SYSTEM_ACTOR:
+                diags.append(_error(
+                    "actor.reserved_name",
+                    f"actor name {actor.name!r} collides with the reserved "
+                    f"{SYSTEM_ACTOR!r} step actor",
+                    here))
             if ident in seen:
                 diags.append(_error(
                     "actors.duplicate_name",
@@ -432,7 +429,7 @@ def validate_use_case(uc: UseCase) -> list[Diagnostic]:
     seen_fn: set[str] = set()
     for i, fn in enumerate(uc.system_functions):
         here = f"system_functions[{i}]"
-        if not _SLUG_RE.match(fn.id or ""):
+        if not _SLUG_RE.fullmatch(fn.id or ""):
             diags.append(_error(
                 "functions.id_format",
                 f"function id {fn.id!r} must match [a-z0-9_-]+", here))
@@ -468,7 +465,7 @@ def validate_use_case(uc: UseCase) -> list[Diagnostic]:
     seen_branches: set[str] = set()
     for i, ext in enumerate(uc.extensions):
         here = f"extensions[{i}]"
-        if not _BRANCH_RE.match(ext.branch_id):
+        if not _BRANCH_RE.fullmatch(ext.branch_id):
             diags.append(_error(
                 "extension.branch_format",
                 f"branch id {ext.branch_id!r} must be a step index followed "
@@ -509,24 +506,20 @@ def validate_use_case(uc: UseCase) -> list[Diagnostic]:
     return diags
 
 
+def validate_use_case(uc: UseCase) -> list[Diagnostic]:
+    """Check every semantic invariant; empty result means the record is valid.
+
+    Never raises: all violations come back as error diagnostics, sorted by
+    field path then code so output is stable.  The check runs once per
+    instance; later calls, and :func:`require_valid`, reuse its result.
+    """
+    return list(uc._diagnostics)
+
+
 def require_valid(uc: UseCase) -> None:
     """Raise :class:`ValidationFailedError` unless ``uc`` is valid."""
-    diags = validate_use_case(uc)
-    if diags:
-        raise ValidationFailedError(diags)
-
-
-def _strip_actor(actor: Actor) -> Actor:
-    return replace(actor, name=actor.name.strip())
-
-
-def _strip_area(ref: ApplicationAreaRef) -> ApplicationAreaRef:
-    label = ref.free_label.strip() if ref.free_label is not None else None
-    return ApplicationAreaRef(ref.area_id.strip(), label)
-
-
-def _strip_step(step: ScenarioStep) -> ScenarioStep:
-    return replace(step, action=step.action.strip())
+    if uc._diagnostics:
+        raise ValidationFailedError(uc._diagnostics)
 
 
 def canonicalize(uc: UseCase) -> UseCase:
@@ -537,145 +530,144 @@ def canonicalize(uc: UseCase) -> UseCase:
     is left untouched.  Idempotent, and rejects invalid input.
     """
     require_valid(uc)
-    areas = tuple(sorted(
-        (_strip_area(r) for r in uc.application_areas),
-        key=lambda r: (r.area_id, r.free_label or "")))
-    return replace(
-        uc,
-        title=uc.title.strip(),
-        intended_purpose=uc.intended_purpose.strip(),
-        context_of_use=uc.context_of_use.strip(),
-        trigger=uc.trigger.strip(),
-        success_guarantee=uc.success_guarantee.strip(),
-        minimal_guarantee=uc.minimal_guarantee.strip(),
-        affective_capabilities=tuple(sorted(t.strip() for t in uc.affective_capabilities)),
-        user=_strip_actor(uc.user),
-        target_persons=tuple(_strip_actor(a) for a in uc.target_persons),
-        secondary_actors=tuple(_strip_actor(a) for a in uc.secondary_actors),
-        application_areas=areas,
-        misuses=tuple(
-            Misuse(m.description.strip(),
-                   _strip_area(m.area_ref) if m.area_ref else None)
-            for m in uc.misuses),
-        inputs=tuple(s.strip() for s in uc.inputs),
-        outputs=tuple(s.strip() for s in uc.outputs),
-        preconditions=tuple(s.strip() for s in uc.preconditions),
-        system_functions=tuple(
-            replace(f, label=f.label.strip()) for f in uc.system_functions),
-        main_scenario=tuple(_strip_step(s) for s in uc.main_scenario),
-        extensions=tuple(
-            Extension(e.branch_id, e.condition.strip(),
-                      tuple(_strip_step(s) for s in e.steps))
-            for e in uc.extensions),
-    )
+    trimmed = _convert(UseCase)[2](uc)
+    canonical = replace(
+        trimmed,
+        application_areas=tuple(sorted(
+            trimmed.application_areas,
+            key=lambda r: (r.area_id, r.free_label or ""))),
+        affective_capabilities=tuple(sorted(trimmed.affective_capabilities)))
+    # Valid ids and references hold no whitespace, so trimming and sorting
+    # keep the use case valid.
+    canonical.__dict__["_diagnostics"] = ()
+    return canonical
 
 
-def _actor_to_dict(actor: Actor) -> dict:
-    return {"name": actor.name, "kind": actor.kind.value, "role": actor.role.value}
+# ---------------------------------------------------------------------------
+# plain-data form
+#
+# One walk over each dataclass's fields and type hints, compiled into
+# closures on first use, gives the JSON codec and the trimming in
+# :func:`canonicalize`.  The JSON keys are the field names in field order; a
+# field holding None is left out, and ``Misuse.area_ref`` is written ``area``.
+
+_JSON_KEYS = {"area_ref": "area"}
+
+# The keys a catalogue entry holds beside the use-case fields.
+GENERATED_FIELDS = (
+    "risk_level", "risk_matched", "risk_misuse_flags", "risk_rationale")
+_ENTRY_KEYS = frozenset(("source_path",) + GENERATED_FIELDS)
 
 
-def _actor_from_dict(d: dict, role: ActorRole) -> Actor:
-    return Actor(d["name"], ActorKind(d["kind"]), role)
+class _BadValue(Exception):
+    path = ""  # where the value sits, such as ".main_scenario[0].index"
 
 
-def _area_to_dict(ref: ApplicationAreaRef) -> dict:
-    d: dict = {"area_id": ref.area_id}
-    if ref.free_label is not None:
-        d["free_label"] = ref.free_label
-    return d
+def _expected(what: str, value: object) -> _BadValue:
+    return _BadValue(f"expected {what}, got {type(value).__name__}")
 
 
-def _area_from_dict(d: dict) -> ApplicationAreaRef:
-    return ApplicationAreaRef(d["area_id"], d.get("free_label"))
+@lru_cache(maxsize=None)
+def _convert(tp) -> tuple:
+    """``(encode, decode, trim)`` for type ``tp``; None stands for identity.
+
+    ``decode`` checks types exactly (a bool is not an int).
+    """
+    if get_origin(tp) is Union:  # Optional[T]; the JSON never holds null
+        return _convert(next(a for a in get_args(tp) if a is not type(None)))
+    if get_origin(tp) is tuple:  # tuple[T, ...], a JSON list
+        encode, decode, trim = _convert(get_args(tp)[0])
+
+        def decode_list(v):
+            if type(v) is not list:
+                raise _expected("list", v)
+            items = []
+            try:
+                for item in v:
+                    items.append(decode(item))
+            except _BadValue as exc:
+                exc.path = f"[{len(items)}]{exc.path}"
+                raise
+            return tuple(items)
+
+        return ((lambda v: [encode(x) for x in v]) if encode else list,
+                decode_list, trim and (lambda v: tuple([trim(x) for x in v])))
+    if is_dataclass(tp):
+        return _convert_dataclass(tp)
+    if issubclass(tp, Enum):
+        def decode_enum(v):
+            try:
+                return tp(v)
+            except ValueError:
+                values = [m.value for m in tp]
+                raise _BadValue(f"expected one of {values}, got {v!r}") from None
+
+        return attrgetter("value"), decode_enum, None
+
+    def decode_plain(v):  # str, int or bool
+        if type(v) is not tp:
+            raise _expected(tp.__name__, v)
+        return v
+
+    return None, decode_plain, str.strip if tp is str else None
 
 
-def _step_to_dict(step: ScenarioStep) -> dict:
-    d: dict = {"index": step.index, "actor": step.actor, "action": step.action}
-    if step.function is not None:
-        d["function"] = step.function
-    return d
+def _convert_dataclass(cls) -> tuple:
+    hints = get_type_hints(cls)
+    specs = [(f.name, _JSON_KEYS.get(f.name, f.name), f.default is MISSING,
+              *_convert(hints[f.name])) for f in fields(cls)]
+    names = [name for name, *_ in specs]
+    # attrgetter of a single name returns the bare value, not a 1-tuple.
+    values = (attrgetter(*names) if len(names) > 1
+              else lambda obj: (getattr(obj, names[0]),))
+    known = frozenset(key for _, key, *_ in specs)
 
+    def encode(obj):
+        d = {}
+        for (_, key, _, enc, _, _), v in zip(specs, values(obj)):
+            if v is not None:
+                d[key] = enc(v) if enc else v
+        return d
 
-def _step_from_dict(d: dict) -> ScenarioStep:
-    return ScenarioStep(d["index"], d["actor"], d["action"], d.get("function"))
+    def decode(raw, extra_keys=frozenset()):
+        if type(raw) is not dict:
+            raise _expected("object", raw)
+        kwargs = {}
+        try:
+            for name, key, need, _, dec, _ in specs:
+                if key in raw:
+                    kwargs[name] = dec(raw[key])
+                elif need:
+                    raise _BadValue("missing key")
+            if len(kwargs) < len(raw) and raw.keys() - known - extra_keys:
+                key = min(raw.keys() - known - extra_keys)
+                raise _BadValue("unknown key")
+        except _BadValue as exc:
+            exc.path = f".{key}{exc.path}"
+            raise
+        return cls(**kwargs)
+
+    def trim(obj):
+        return cls(**{name: t(v) if t and v is not None else v
+                      for (name, _, _, _, _, t), v in zip(specs, values(obj))})
+
+    return encode, decode, trim
 
 
 def use_case_to_dict(uc: UseCase) -> dict:
-    """Plain-data mirror of a use case, with fixed key order for exports."""
-    return {
-        "id": uc.id,
-        "title": uc.title,
-        "intended_purpose": uc.intended_purpose,
-        "level": uc.level.value,
-        "safety_component": uc.safety_component,
-        "affective_capabilities": list(uc.affective_capabilities),
-        "user": _actor_to_dict(uc.user),
-        "target_persons": [_actor_to_dict(a) for a in uc.target_persons],
-        "secondary_actors": [_actor_to_dict(a) for a in uc.secondary_actors],
-        "context_of_use": uc.context_of_use,
-        "application_areas": [_area_to_dict(r) for r in uc.application_areas],
-        "misuses": [
-            {"description": m.description,
-             **({"area": _area_to_dict(m.area_ref)} if m.area_ref else {})}
-            for m in uc.misuses],
-        "inputs": list(uc.inputs),
-        "outputs": list(uc.outputs),
-        "preconditions": list(uc.preconditions),
-        "trigger": uc.trigger,
-        "success_guarantee": uc.success_guarantee,
-        "minimal_guarantee": uc.minimal_guarantee,
-        "system_functions": [
-            {"id": f.id, "label": f.label,
-             "includes": list(f.includes), "extends": list(f.extends)}
-            for f in uc.system_functions],
-        "associations": [
-            {"actor": a.actor, "function": a.function} for a in uc.associations],
-        "main_scenario": [_step_to_dict(s) for s in uc.main_scenario],
-        "extensions": [
-            {"branch_id": e.branch_id, "condition": e.condition,
-             "steps": [_step_to_dict(s) for s in e.steps]}
-            for e in uc.extensions],
-    }
+    """Plain-data mirror of a use case, keys in field order, for exports."""
+    return _convert(UseCase)[0](uc)
 
 
 def use_case_from_dict(d: dict) -> UseCase:
-    """Inverse of :func:`use_case_to_dict`."""
-    return UseCase(
-        id=d["id"],
-        title=d["title"],
-        intended_purpose=d["intended_purpose"],
-        user=_actor_from_dict(d["user"], ActorRole.USER),
-        application_areas=tuple(_area_from_dict(r) for r in d["application_areas"]),
-        inputs=tuple(d["inputs"]),
-        outputs=tuple(d["outputs"]),
-        system_functions=tuple(
-            SystemFunction(f["id"], f["label"],
-                           tuple(f.get("includes", ())), tuple(f.get("extends", ())))
-            for f in d["system_functions"]),
-        main_scenario=tuple(_step_from_dict(s) for s in d["main_scenario"]),
-        safety_component=d.get("safety_component", False),
-        affective_capabilities=tuple(d.get("affective_capabilities", ())),
-        target_persons=tuple(
-            _actor_from_dict(a, ActorRole.TARGET_PERSON)
-            for a in d.get("target_persons", ())),
-        secondary_actors=tuple(
-            _actor_from_dict(a, ActorRole.SECONDARY)
-            for a in d.get("secondary_actors", ())),
-        context_of_use=d.get("context_of_use", ""),
-        misuses=tuple(
-            Misuse(m["description"],
-                   _area_from_dict(m["area"]) if "area" in m else None)
-            for m in d.get("misuses", ())),
-        level=GoalLevel(d.get("level", GoalLevel.USER_GOAL.value)),
-        preconditions=tuple(d.get("preconditions", ())),
-        trigger=d.get("trigger", ""),
-        success_guarantee=d.get("success_guarantee", ""),
-        minimal_guarantee=d.get("minimal_guarantee", ""),
-        extensions=tuple(
-            Extension(e["branch_id"], e["condition"],
-                      tuple(_step_from_dict(s) for s in e.get("steps", ())))
-            for e in d.get("extensions", ())),
-        associations=tuple(
-            Association(a["actor"], a["function"])
-            for a in d.get("associations", ())),
-    )
+    """Inverse of :func:`use_case_to_dict`, checking the type of every value.
+
+    Raises :class:`CatalogFormatError` naming the field path of a missing,
+    unknown or wrong-typed value.  A catalogue entry's own keys
+    (``source_path`` and the generated risk fields) are let through unread.
+    """
+    try:
+        return _convert(UseCase)[1](d, _ENTRY_KEYS)
+    except _BadValue as exc:
+        raise CatalogFormatError(
+            f"{exc.path[1:]}: {exc}" if exc.path else str(exc)) from None

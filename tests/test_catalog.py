@@ -384,10 +384,19 @@ def test_round_trip_random_catalogs():
     b'{"schema": "ucdoc-catalog/1", "entries": [{"id": "x"}]}',
     b'{"schema": "ucdoc-catalog/1", "entries": [{"risk_level": "Bogus"}]}',
     b'{"schema": "ucdoc-catalog/1", "entries": 3}',
+    b'{"schema": "ucdoc-catalog/1", "entries": [], "extra": 1}',
+    b'{"schema": "ucdoc-catalog/1", "taxonomy_version": 3, "entries": []}',
 ])
 def test_load_rejects_malformed_snapshots(payload):
     with pytest.raises(CatalogFormatError):
         load_catalog_json(payload, TAX)
+
+
+# The use-case codec names the field path; the risk codec its own fields.
+BAD_ENTRY_MESSAGES = {
+    "id": "entry 1: id: expected str, got int",
+    "risk_level": "entry 1: risk_level must be",
+}
 
 
 @pytest.mark.parametrize("field, value", [("id", 3), ("risk_level", 3)])
@@ -396,35 +405,57 @@ def test_load_names_the_bad_entry(field, value):
         [(f"{i}.ucdl", serialize_canonical(u(id=f"uc-{i}"))) for i in range(3)],
         TAX)[0]))
     doc["entries"][1][field] = value
-    with pytest.raises(CatalogFormatError, match=f"entry 1: {field} must be"):
+    with pytest.raises(CatalogFormatError, match=BAD_ENTRY_MESSAGES[field]):
         load_catalog_json(json.dumps(doc), TAX)
 
 
+def _set_step_key(es, key, value):
+    es[0]["main_scenario"][0][key] = value
+
+
 # Mutations of the golden snapshot's entries, each with the error it must
-# raise; a wrong-typed field that validation reads fails inside validation.
+# raise: the decoder names the field path of a wrong-typed, unknown or
+# missing value, and validation findings carry their field path too.
 BAD_GOLDEN_ENTRIES = {
-    "title-3": (lambda es: es[0].update(title=3), "entry 0: "),
+    "title-3": (lambda es: es[0].update(title=3),
+                "entry 0: title: expected str, got int"),
     "area-id-3": (lambda es: es[0]["application_areas"][0].update(area_id=3),
-                  "entry 0: "),
+                  r"entry 0: application_areas\[0\]\.area_id: expected str"),
     "capabilities-3": (lambda es: es[0].update(affective_capabilities=[3]),
-                       "entry 0: affective_capabilities must be"),
+                       r"entry 0: affective_capabilities\[0\]: expected str"),
     "inputs-3": (lambda es: es[0].update(inputs=[3]),
-                 "entry 0: inputs must be"),
+                 r"entry 0: inputs\[0\]: expected str, got int"),
     "outputs-string": (lambda es: es[0].update(outputs="camera"),
-                       "entry 0: outputs must be"),
+                       "entry 0: outputs: expected list, got str"),
     "trigger-3": (lambda es: es[0].update(trigger=3),
-                  "entry 0: trigger must be"),
+                  "entry 0: trigger: expected str, got int"),
     "source-path-3": (lambda es: es[0].update(source_path=3),
-                      "entry 0: source_path must be"),
+                      "entry 0: source_path: expected str, got int"),
     "label-3": (lambda es: es[0]["system_functions"][0].update(label=3),
-                "entry 0: system_functions label must be"),
+                r"entry 0: system_functions\[0\]\.label: expected str"),
     "safety-component-string": (
         lambda es: es[0].update(safety_component="yes"),
-        "entry 0: safety_component must be"),
+        "entry 0: safety_component: expected bool, got str"),
     "empty-scenario": (lambda es: es[0].update(main_scenario=[]),
-                       r"entry 0: .*\[scenario\.empty\]"),
+                       r"entry 0: .*main_scenario: \[scenario\.empty\]"),
     "duplicate": (lambda es: es.append(es[1]),
                   "duplicate id 'driver-attention-monitoring' in entry 3"),
+    "index-true": (lambda es: _set_step_key(es, "index", True),
+                   r"entry 0: main_scenario\[0\]\.index: expected int, got bool"),
+    "unknown-entry-key": (lambda es: es[0].update(notes="x"),
+                          "entry 0: notes: unknown key"),
+    "unknown-step-key": (lambda es: _set_step_key(es, "note", "x"),
+                         r"entry 0: main_scenario\[0\]\.note: unknown key"),
+    "missing-title": (lambda es: es[0].pop("title"),
+                      "entry 0: title: missing key"),
+    "role-mismatch": (
+        lambda es: es[0]["target_persons"][0].update(role="user"),
+        r"entry 0: target_persons\[0\]: \[actor\.role\]"),
+    "kind-robot": (lambda es: es[0]["user"].update(kind="robot"),
+                   r"entry 0: user\.kind: expected one of \['human'"),
+    "free-label-3": (
+        lambda es: es[0]["application_areas"][0].update(free_label=3),
+        r"entry 0: application_areas\[0\]\.free_label: expected str, got int"),
 }
 
 

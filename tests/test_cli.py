@@ -9,10 +9,12 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import ucdoc
+from ucdoc import model
 from conftest import FIXTURES_DIR, GOLDEN_DIR
 from test_catalog import BAD_GOLDEN_ENTRIES, mutated_golden_catalog
 from ucdoc.cli import ExitStatus, run
@@ -119,6 +121,22 @@ def test_validate_stdin():
     code, out, err = cli("validate", "-", stdin=text)
     assert code == 0
     assert out.startswith("1 file(s), 1 use case(s)")
+
+
+def test_validate_skips_byte_order_mark(tmp_path):
+    path = tmp_path / "camera.ucdl"
+    path.write_bytes(b"\xef\xbb\xbf" + Path(SMART_CAMERA).read_bytes())
+    code, out, err = cli("validate", str(path))
+    assert (code, err) == (0, "")
+    assert out == "1 file(s), 1 use case(s), 0 error(s), 0 warning(s)\n"
+
+
+def test_table_validates_the_use_case_once():
+    with mock.patch.object(model, "_validate", wraps=model._validate) as walk:
+        code, out, _ = cli("table", "--format", "html", "--with-risk",
+                           "--with-diagram", SMART_CAMERA)
+    assert code == 0 and "<svg" in out
+    assert walk.call_count == 1
 
 
 def test_validate_parse_error(tmp_path):
@@ -509,7 +527,7 @@ def test_catalog_stats_rejects_non_string_id(tmp_path):
     code, out, err = cli("catalog", "stats", str(bad))
     assert code == ExitStatus.PARSE_ERROR
     assert out == ""
-    assert err.startswith("ucdoc: error:") and "entry 0: id must be" in err
+    assert err.startswith("ucdoc: error:") and "entry 0: id: expected str, got int" in err
 
 
 @pytest.mark.parametrize("name", list(BAD_GOLDEN_ENTRIES))
@@ -595,3 +613,37 @@ def test_lazy_package_namespace():
     assert set(ucdoc.__all__) <= namespace.keys()
     with pytest.raises(AttributeError, match="no_such_name"):
         ucdoc.no_such_name
+
+
+# ---------------------------------------------------------------------------
+# the console entry point
+
+
+def console(*argv: str, **kwargs) -> subprocess.Popen:
+    """``python -m ucdoc.cli`` in a new process, with the package on the path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, "-m", "ucdoc.cli", *argv],
+                            env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, **kwargs)
+
+
+@pytest.mark.parametrize("prefix", [b"", b"\xef\xbb\xbf"],
+                         ids=["plain", "byte-order-mark"])
+def test_console_reads_stdin_for_dash(prefix):
+    proc = console("validate", "-", stdin=subprocess.PIPE)
+    out, err = proc.communicate(prefix + Path(SMART_CAMERA).read_bytes(),
+                                timeout=60)
+    assert (proc.returncode, err) == (0, b"")
+    assert out == b"1 file(s), 1 use case(s), 0 error(s), 0 warning(s)\n"
+
+
+def test_console_without_dash_leaves_stdin_alone():
+    # stdin stays open, as at a terminal; reading it would block.
+    proc = console("validate", SMART_CAMERA, stdin=subprocess.PIPE)
+    try:
+        assert proc.wait(timeout=60) == 0
+    finally:
+        proc.kill()
+        proc.communicate()

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from support import make_use_case
 from ucdoc import (
@@ -25,6 +27,7 @@ from ucdoc import (
     use_case_to_dict,
     validate_use_case,
 )
+from ucdoc import model
 
 
 def base_use_case() -> UseCase:
@@ -129,6 +132,21 @@ def test_single_violation_detected(mutant, expected):
     assert expected in found, f"expected {expected} in {found}"
 
 
+# A pattern that ends in ``$`` also matches before a trailing newline, so
+# the checks use ``fullmatch``; a bad branch id used to crash validation.
+@pytest.mark.parametrize("mutant,expected", [
+    (u(id="scan-1\n"), "id.format"),
+    (u(application_areas=(ApplicationAreaRef("media.analytics\n"),)),
+     "areas.format"),
+    (u(system_functions=(SystemFunction("scan\n", "Scan"),)),
+     "functions.id_format"),
+    (u(extensions=(Extension("1a\n", "c", (ScenarioStep(1, "system", "a"),)),)),
+     "extension.branch_format"),
+], ids=["id", "area", "function", "branch"])
+def test_trailing_newline_is_rejected(mutant, expected):
+    assert expected in codes(mutant)
+
+
 def test_extension_steps_checked_like_main_steps():
     bad = u(extensions=(
         Extension("1a", "cond", (ScenarioStep(1, "ghost", "a"),)),))
@@ -219,3 +237,48 @@ def test_dict_key_order_is_stable():
     keys = list(use_case_to_dict(base_use_case()).keys())
     assert keys[0] == "id"
     assert keys == list(use_case_to_dict(make_use_case(random.Random(7))).keys())
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.from_type(UseCase))
+def test_dict_round_trip_any_typed_use_case(uc):
+    data = json.loads(json.dumps(use_case_to_dict(uc)))
+    assert use_case_from_dict(data) == uc
+
+
+_PAD = st.sampled_from(["", " ", "\t", "\n ", " \r\n"])
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(st.randoms(use_true_random=False), st.data())
+def test_canonical_form_of_a_valid_use_case_is_valid(rng, data):
+    uc = make_use_case(rng)
+
+    def pad(text: str) -> str:
+        return data.draw(_PAD) + text + data.draw(_PAD)
+
+    messy = replace(
+        uc,
+        title=pad(uc.title),
+        intended_purpose=pad(uc.intended_purpose),
+        user=replace(uc.user, name=pad(uc.user.name)),
+        inputs=tuple(pad(s) for s in uc.inputs),
+        affective_capabilities=tuple(
+            pad(s) for s in reversed(uc.affective_capabilities)),
+        application_areas=tuple(reversed(uc.application_areas)),
+        main_scenario=tuple(replace(s, action=pad(s.action))
+                            for s in uc.main_scenario))
+    assert validate_use_case(messy) == []
+    canonical = canonicalize(messy)
+    assert canonical == uc
+    # The walk itself, not the result canonicalize stores on its output.
+    assert model._validate(canonical) == []
+
+
+def test_validation_runs_once_per_instance():
+    uc = base_use_case()
+    first = validate_use_case(uc)
+    first.append("caller's own list")
+    assert validate_use_case(uc) == []
+    assert uc._diagnostics == ()
+    assert uc == base_use_case() and hash(uc) == hash(base_use_case())
