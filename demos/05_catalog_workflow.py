@@ -39,7 +39,7 @@ TAX = builtin_taxonomy()
 catalog, diagnostics = build_catalog(load_sources(FIXTURES), TAX)
 print("entries:", catalog.ids())
 for diag in diagnostics:
-    print(f"  {diag.severity.value}: [{diag.code}] {diag.location}")
+    print("  " + diag.render())
 
 # ---------------------------------------------------------------------------
 # Query: conjunctive filters over level, area, capability, actor kind,

@@ -16,13 +16,13 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "model": [
         "Actor", "ActorKind", "ActorRole", "ApplicationAreaRef",
-        "Association", "CatalogFormatError", "Diagnostic", "Extension",
+        "Association", "CatalogFormatError", "Extension",
         "GoalLevel", "Misuse", "QueryError", "RiskLevel", "ScenarioStep",
-        "Severity", "SystemFunction", "TaxonomyError", "UseCase",
+        "SystemFunction", "TaxonomyError", "UseCase",
         "ValidationFailedError", "canonicalize", "require_valid",
         "use_case_from_dict", "use_case_to_dict", "validate_use_case",
     ],
-    "lexer": ["ParseError", "SourceSpan"],
+    "lexer": ["Diagnostic", "Severity", "SourceSpan"],
     "parser": ["parse_document"],
     "serializer": ["serialize_canonical", "serialize_document"],
     "risk": [

@@ -3,8 +3,8 @@
 A catalog is built from ``.ucdl`` sources: every file is parsed and
 validated, valid use cases are classified once at build time, and the
 resulting entries are kept sorted by id.  Problems never abort the build;
-they accumulate as diagnostics (parse errors carry a ``parse.`` code prefix
-and a ``path:line:column`` location).
+they accumulate as diagnostics that name their file (parse errors also
+carry a ``parse.`` code prefix).
 
 The JSON export (schema ``ucdoc-catalog/1``) is a self-contained snapshot:
 it records the taxonomy version and the generated risk fields next to the
@@ -15,7 +15,7 @@ file tested byte for byte.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -28,6 +28,7 @@ from .model import (
     RiskLevel,
     Severity,
     UseCase,
+    _from_dict,
     use_case_from_dict,
     use_case_to_dict,
     validate_use_case,
@@ -35,11 +36,8 @@ from .model import (
 from .lexer import read_ucdl
 from .parser import parse_document
 from .risk import (
-    AreaMatch,
-    MisuseFlag,
     RiskAssessment,
     Taxonomy,
-    Tier,
     assessment_to_dict,
     classify,
     misuse_diagnostics,
@@ -118,29 +116,23 @@ def build_catalog(sources: Iterable[tuple[str, str]],
     by_id: dict[str, CatalogEntry] = {}
     for path, text in sources:
         use_cases, errors = parse_document(text)
-        diagnostics.extend(
-            Diagnostic(Severity.ERROR, f"parse.{err.code}", err.detail(),
-                       f"{path}:{err.span.line}:{err.span.column}")
-            for err in errors)
+        diagnostics.extend(replace(e, code=f"parse.{e.code}", file=path)
+                           for e in errors)
         for uc in use_cases:
             problems = validate_use_case(uc)
             if problems:
-                diagnostics.extend(
-                    Diagnostic(d.severity, d.code, d.message,
-                               f"{path}:{d.location}" if d.location else path)
-                    for d in problems)
+                diagnostics.extend(replace(d, file=path) for d in problems)
                 continue
             if uc.id in by_id:
                 first = by_id[uc.id].source_path
                 diagnostics.append(Diagnostic(
                     Severity.ERROR, "catalog.duplicate_id",
                     f"use case id {uc.id!r} already defined in {first}",
-                    path))
+                    file=path))
                 continue
             assessment = classify(uc, tax)
-            diagnostics.extend(
-                Diagnostic(d.severity, d.code, d.message, path)
-                for d in misuse_diagnostics(assessment))
+            diagnostics.extend(replace(d, file=path)
+                               for d in misuse_diagnostics(assessment))
             by_id[uc.id] = CatalogEntry(uc, assessment, path)
     entries = tuple(sorted(by_id.values(), key=lambda e: e.use_case.id))
     return Catalog(entries, tax, tax.version), diagnostics
@@ -236,24 +228,14 @@ def export_json(cat: Catalog) -> bytes:
 
 
 def _assessment_from_dict(index: int, entry: dict) -> RiskAssessment:
+    # The keys are the RiskAssessment field names with ``risk_`` in front.
     try:
-        name = entry["risk_level"]
-        if not isinstance(name, str):
-            raise TypeError(f"risk_level must be a string, not {name!r}")
-        level = RiskLevel[name.upper()]
-        matched = tuple(
-            AreaMatch(m["area_id"], Tier(m["tier"]),
-                      m["area_label"], m["sub_use_label"])
-            for m in entry.get("risk_matched", ()))
-        flags = tuple(
-            MisuseFlag(f["description"], f["area_id"], Tier(f["tier"]),
-                       f["area_label"], f["sub_use_label"])
-            for f in entry.get("risk_misuse_flags", ()))
-        rationale = tuple(entry.get("risk_rationale", ()))
-    except (KeyError, TypeError, ValueError) as exc:
+        return _from_dict(RiskAssessment, {
+            key.removeprefix("risk_"): entry[key]
+            for key in GENERATED_FIELDS if key in entry})
+    except CatalogFormatError as exc:
         raise CatalogFormatError(
-            f"bad risk fields in entry {index}: {exc}") from exc
-    return RiskAssessment(level, matched, flags, rationale)
+            f"bad risk fields in entry {index}: risk_{exc}") from None
 
 
 def load_catalog_json(data: bytes | str, tax: Taxonomy) -> Catalog:
@@ -278,8 +260,10 @@ def load_catalog_json(data: bytes | str, tax: Taxonomy) -> Catalog:
         raise CatalogFormatError(f"unknown top-level key {min(unknown)!r}")
     version = doc.get("taxonomy_version", tax.version)
     raw_entries = doc.get("entries", [])
-    for key, value, kind in (("taxonomy_version", version, str),
-                             ("entries", raw_entries, list)):
+    for key, value, kind in (
+            ("taxonomy_version", version, str),
+            ("generated_fields", doc.get("generated_fields", []), list),
+            ("entries", raw_entries, list)):
         if type(value) is not kind:
             raise CatalogFormatError(
                 f"{key}: expected {kind.__name__}, got {type(value).__name__}")

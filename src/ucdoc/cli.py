@@ -23,11 +23,12 @@ import argparse
 import contextlib
 import os
 import sys
+from dataclasses import replace
 from enum import IntEnum
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, TextIO
 
-from .lexer import ParseError, read_ucdl
+from .lexer import read_ucdl
 from .model import (
     CatalogFormatError,
     Diagnostic,
@@ -87,29 +88,18 @@ def _resolve_taxonomy(ns: argparse.Namespace) -> Taxonomy:
     return builtin_taxonomy()
 
 
-def _report_parse_errors(name: str, errors: list[ParseError],
-                         err: TextIO) -> None:
-    for e in errors:
-        err.write(f"{name}:{e.span.line}:{e.span.column}: error: "
-                  f"{e.detail()}\n")
-
-
-def _report_diagnostic(name: Optional[str], diag: Diagnostic,
-                       err: TextIO) -> None:
-    # ``name`` of None means the diagnostic location is already a full path.
-    if name is None:
-        where = diag.location or "<catalog>"
-    else:
-        where = f"{name}:{diag.location}" if diag.location else name
-    err.write(f"{where}: {diag.severity.value}: [{diag.code}] {diag.message}\n")
+def _report(name: Optional[str], diags: list[Diagnostic],
+            err: TextIO) -> None:
+    """One line per diagnostic; ``name`` is the file of those naming none."""
+    for d in diags:
+        err.write(replace(d, file=d.file or name).render() + "\n")
 
 
 def _check_use_case(name: str, uc: UseCase,
                     err: TextIO) -> tuple[ExitStatus, list[Diagnostic]]:
     """Report validation diagnostics; FINDINGS means ``uc`` is unusable."""
     diags = validate_use_case(uc)
-    for d in diags:
-        _report_diagnostic(name, d, err)
+    _report(name, diags, err)
     if any(d.severity is Severity.ERROR for d in diags):
         return ExitStatus.FINDINGS, diags
     return ExitStatus.OK, diags
@@ -119,7 +109,7 @@ def _single_use_case(name: str, text: str,
                      err: TextIO) -> tuple[Optional[UseCase], ExitStatus]:
     use_cases, errors = parse_document(text)
     if errors:
-        _report_parse_errors(name, errors, err)
+        _report(name, errors, err)
         return None, ExitStatus.PARSE_ERROR
     if len(use_cases) != 1:
         raise _UsageError(
@@ -139,7 +129,7 @@ def _cmd_validate(ns, stdin, out, err) -> ExitStatus:
         n_files += 1
         use_cases, errors = parse_document(text)
         if errors:
-            _report_parse_errors(name, errors, err)
+            _report(name, errors, err)
             n_errors += len(errors)
             code = max(code, ExitStatus.PARSE_ERROR)
         for uc in use_cases:
@@ -162,7 +152,7 @@ def _cmd_classify(ns, stdin, out, err) -> ExitStatus:
     use_cases, errors = parse_document(text)
     code = ExitStatus.OK
     if errors:
-        _report_parse_errors(name, errors, err)
+        _report(name, errors, err)
         code = ExitStatus.PARSE_ERROR
     assessed = []
     for uc in use_cases:
@@ -208,8 +198,7 @@ def _cmd_render(ns, stdin, out, err) -> ExitStatus:
         Path(ns.out).write_bytes(payload)
     else:
         Path(ns.out).write_text(render_textual(diagram), encoding="utf-8")
-    for w in warnings:
-        _report_diagnostic(name, w, err)
+    _report(name, warnings, err)
     if warnings and ns.strict:
         code = max(code, ExitStatus.FINDINGS)
     return code
@@ -254,8 +243,8 @@ def _cmd_catalog_build(ns, stdin, out, err) -> ExitStatus:
         raise _UsageError(f"not a directory: {ns.directory}")
     cat, diags = build_catalog(load_sources(root), tax)
     code = ExitStatus.OK
+    _report(None, diags, err)
     for d in diags:
-        _report_diagnostic(None, d, err)
         if d.code.startswith("parse."):
             code = max(code, ExitStatus.PARSE_ERROR)
         elif d.severity is Severity.ERROR:

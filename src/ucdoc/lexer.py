@@ -25,7 +25,7 @@ Strings come in two forms:
   blank line and a trailing whitespace-only line are dropped, then the
   common leading whitespace of the non-blank lines is stripped.
 
-Lexing never raises; bad input is reported through :class:`ParseError`
+Lexing never raises; bad input is reported through :class:`Diagnostic`
 records so a caller can show every problem in a file at once.  Text that
 is not UTF-8 (see :func:`read_ucdl`) yields no tokens and one
 ``lex.not_utf8`` error at its first bad byte.
@@ -37,7 +37,7 @@ import os
 import re
 from dataclasses import dataclass
 from enum import Enum, auto
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 
 class TokenKind(Enum):
@@ -64,28 +64,48 @@ class SourceSpan(NamedTuple):
     column: int
     length: int = 1
 
-    def __str__(self) -> str:
-        return f"line {self.line}, column {self.column}"
+
+class Severity(Enum):
+    ERROR = "error"
+    WARNING = "warning"
 
 
 @dataclass(frozen=True)
-class ParseError:
-    span: SourceSpan
-    message: str
-    expected: tuple[str, ...] = ()
-    code: str = "syntax"
+class Diagnostic:
+    """One finding of any stage, from the lexer to the catalogue.
 
-    def detail(self) -> str:
-        """The message plus its ``(expected X or Y)`` suffix, if any."""
-        if not self.expected:
-            return self.message
-        return f"{self.message} (expected {' or '.join(self.expected)})"
+    ``path`` is a field path such as ``main_scenario[2].actor``, ``span``
+    a source position and ``file`` the input it is in; ``expected`` lists
+    what a parser error wanted, also written out at the end of ``message``.
+    """
+
+    severity: Severity
+    code: str
+    message: str
+    path: Optional[str] = None
+    span: Optional[SourceSpan] = None
+    file: Optional[str] = None
+    expected: tuple[str, ...] = ()
+
+    @property
+    def location(self) -> Optional[str]:
+        """``file:line:column:path``, without the parts that are None."""
+        span = self.span and f"{self.span.line}:{self.span.column}"
+        return ":".join(filter(None, (self.file, span, self.path))) or None
+
+    def sort_key(self) -> tuple[str, str]:
+        return (self.location or "", self.code)
 
     def render(self) -> str:
-        return f"{self.span}: {self.detail()}"
+        """The report line ``location: severity: [code] message``."""
+        where = f"{self.location}: " if self.location else ""
+        return f"{where}{self.severity.value}: [{self.code}] {self.message}"
 
-    def sort_key(self) -> tuple[int, int]:
-        return (self.span.line, self.span.column)
+
+def _error(code: str, message: str, line: int, col: int,
+           length: int) -> Diagnostic:
+    return Diagnostic(Severity.ERROR, code, message,
+                      span=SourceSpan(line, col, length))
 
 
 class Token(NamedTuple):
@@ -185,34 +205,32 @@ def dedent_block(content: str) -> str:
 
 
 def _unescape(body: str, line: int, col: int,
-              errors: list[ParseError]) -> str:
+              errors: list[Diagnostic]) -> str:
     """Decode the escapes of a string body that starts at ``line``, ``col``."""
     def escape(m: re.Match) -> str:
         c = m.group(1)
         if c in _ESCAPES:
             return _ESCAPES[c]
-        errors.append(ParseError(
-            SourceSpan(line, col + m.start(), 2),
-            f"unknown escape sequence '\\{c}'", code="lex.bad_escape"))
+        errors.append(_error("lex.bad_escape",
+                             f"unknown escape sequence '\\{c}'",
+                             line, col + m.start(), 2))
         return c
     return _ESCAPE_RE.sub(escape, body)
 
 
 def _string_value(m: re.Match, line: int, col: int,
-                  errors: list[ParseError]) -> str:
+                  errors: list[Diagnostic]) -> str:
     """Value of the single-line string ``m`` that starts at ``line``, ``col``."""
     body = m.group("body")
     if "\\" in body:
         body = _unescape(body, line, col + 1, errors)
     length = m.end() - m.start()
     if m.group("dangle") is not None:
-        errors.append(ParseError(SourceSpan(line, col + length - 1, 1),
-                                 "dangling backslash in string",
-                                 code="lex.bad_escape"))
+        errors.append(_error("lex.bad_escape", "dangling backslash in string",
+                             line, col + length - 1, 1))
     if m.group("close") is None:
-        errors.append(ParseError(SourceSpan(line, col, length),
-                                 "unterminated string",
-                                 code="lex.unterminated_string"))
+        errors.append(_error("lex.unterminated_string", "unterminated string",
+                             line, col, length))
     return body
 
 
@@ -222,7 +240,7 @@ def _string_value(m: re.Match, line: int, col: int,
 _new = tuple.__new__
 
 
-def lex(source: str) -> tuple[list[Token], list[ParseError]]:
+def lex(source: str) -> tuple[list[Token], list[Diagnostic]]:
     """Tokenize ``source``; always ends with an EOF token."""
     try:
         source.encode("utf-8")
@@ -231,10 +249,9 @@ def lex(source: str) -> tuple[list[Token], list[ParseError]]:
         line = source.count("\n", 0, exc.start) + 1
         col = exc.start - source.rfind("\n", 0, exc.start)
         return ([Token(TokenKind.EOF, "", None, SourceSpan(line, col, 0))],
-                [ParseError(SourceSpan(line, col, 1), "text is not valid UTF-8",
-                            code="lex.not_utf8")])
+                [_error("lex.not_utf8", "text is not valid UTF-8", line, col, 1)])
     tokens: list[Token] = []
-    errors: list[ParseError] = []
+    errors: list[Diagnostic] = []
     emit = tokens.append
     match = _TOKEN_RE.match
     pos = 0
@@ -268,23 +285,23 @@ def lex(source: str) -> tuple[list[Token], list[ParseError]]:
                     kind, value = TokenKind.INT, int(text)
                 except ValueError:  # beyond sys.get_int_max_str_digits()
                     kind = None
-                    errors.append(ParseError(
-                        SourceSpan(line, col, end - pos),
+                    errors.append(_error(
+                        "lex.number_too_long",
                         f"number of {len(text)} digits is too long",
-                        code="lex.number_too_long"))
+                        line, col, end - pos))
         elif group == "arrow":
             kind, value = TokenKind.ARROW, None
         elif group == "triple":
             if m.group("tclose") is None:
-                errors.append(ParseError(SourceSpan(line, col, 3),
-                                         "unterminated triple-quoted string",
-                                         code="lex.unterminated_string"))
+                errors.append(_error("lex.unterminated_string",
+                                     "unterminated triple-quoted string",
+                                     line, col, 3))
             kind, value = TokenKind.STRING, dedent_block(m.group("tbody"))
         else:
             kind = None
-            errors.append(ParseError(SourceSpan(line, col, 1),
-                                     f"unexpected character {text!r}",
-                                     code="lex.invalid_char"))
+            errors.append(_error("lex.invalid_char",
+                                 f"unexpected character {text!r}",
+                                 line, col, 1))
         if kind is not None:
             emit(_new(Token, (kind, text, value,
                               _new(SourceSpan, (line, col, end - pos)))))

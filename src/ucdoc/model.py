@@ -57,11 +57,9 @@ from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from enum import Enum, IntEnum
 from functools import cached_property, lru_cache
 from operator import attrgetter
-from typing import (
-    TYPE_CHECKING, Optional, Union, get_args, get_origin, get_type_hints)
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
-if TYPE_CHECKING:
-    from .lexer import ParseError
+from .lexer import Diagnostic, Severity  # re-exported: the one finding record
 
 SYSTEM_ACTOR = "system"
 OTHER_AREA = "other"
@@ -105,22 +103,6 @@ class GoalLevel(Enum):
     SUBFUNCTION = "subfunction"
 
 
-class Severity(Enum):
-    ERROR = "error"
-    WARNING = "warning"
-
-
-@dataclass(frozen=True)
-class Diagnostic:
-    severity: Severity
-    code: str
-    message: str
-    location: Optional[str] = None
-
-    def sort_key(self) -> tuple[str, str]:
-        return (self.location or "", self.code)
-
-
 class ValidationFailedError(ValueError):
     """Raised by operations that require a valid use case."""
 
@@ -138,7 +120,7 @@ class ValidationFailedError(ValueError):
 class TaxonomyError(ValueError):
     """Raised when a taxonomy file cannot be loaded."""
 
-    def __init__(self, message: str, errors: tuple[ParseError, ...] = ()):
+    def __init__(self, message: str, errors: tuple[Diagnostic, ...] = ()):
         self.errors = errors
         if errors:
             message += ": " + "; ".join(e.render() for e in errors)
@@ -547,9 +529,9 @@ def canonicalize(uc: UseCase) -> UseCase:
 # plain-data form
 #
 # One walk over each dataclass's fields and type hints, compiled into
-# closures on first use, gives the JSON codec and the trimming in
-# :func:`canonicalize`.  The JSON keys are the field names in field order; a
-# field holding None is left out, and ``Misuse.area_ref`` is written ``area``.
+# closures on first use, gives the JSON codecs of use cases and risk
+# assessments and the trimming in :func:`canonicalize`.  The JSON keys are the
+# field names in field order; None is left out; ``Misuse.area_ref`` is ``area``.
 
 _JSON_KEYS = {"area_ref": "area"}
 
@@ -594,15 +576,16 @@ def _convert(tp) -> tuple:
                 decode_list, trim and (lambda v: tuple([trim(x) for x in v])))
     if is_dataclass(tp):
         return _convert_dataclass(tp)
-    if issubclass(tp, Enum):
-        def decode_enum(v):
-            try:
-                return tp(v)
-            except ValueError:
-                values = [m.value for m in tp]
-                raise _BadValue(f"expected one of {values}, got {v!r}") from None
+    if issubclass(tp, Enum):  # by value; a RiskLevel by its label
+        key = attrgetter("label" if tp is RiskLevel else "value")
+        members = {key(m): m for m in tp}
 
-        return attrgetter("value"), decode_enum, None
+        def decode_enum(v):
+            if type(v) is str and v in members:
+                return members[v]
+            raise _BadValue(f"expected one of {list(members)}, got {v!r}")
+
+        return key, decode_enum, None
 
     def decode_plain(v):  # str, int or bool
         if type(v) is not tp:
@@ -666,8 +649,12 @@ def use_case_from_dict(d: dict) -> UseCase:
     unknown or wrong-typed value.  A catalogue entry's own keys
     (``source_path`` and the generated risk fields) are let through unread.
     """
+    return _from_dict(UseCase, d, _ENTRY_KEYS)
+
+
+def _from_dict(cls, d: dict, extra_keys: frozenset = frozenset()):
     try:
-        return _convert(UseCase)[1](d, _ENTRY_KEYS)
+        return _convert(cls)[1](d, extra_keys)
     except _BadValue as exc:
         raise CatalogFormatError(
             f"{exc.path[1:]}: {exc}" if exc.path else str(exc)) from None

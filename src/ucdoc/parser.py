@@ -25,7 +25,7 @@ Grammar (EBNF; whitespace-insensitive between tokens, ``#`` line comments)::
 The use-case title is the header string; every other element is a field.
 ``schema_version`` is accepted and ignored so documents can carry a format
 marker.  Parsing never raises: every problem is collected as a
-:class:`~ucdoc.lexer.ParseError`, the parser re-synchronizes at the next
+:class:`~ucdoc.lexer.Diagnostic`, the parser re-synchronizes at the next
 top-level ``usecase`` keyword, and any use case whose block parsed without
 errors is still returned.  Semantic checks (missing fields, dangling
 references) are *not* parse errors; run
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .lexer import ParseError, SourceSpan, Token, TokenKind, lex
+from .lexer import Diagnostic, Severity, SourceSpan, Token, TokenKind, lex
 from .model import (
     Actor,
     ActorKind,
@@ -115,7 +115,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
-        self.errors: list[ParseError] = []
+        self.errors: list[Diagnostic] = []
         # (use case or None, block start, block end) per usecase block,
         # positions as (line, column) so lexer errors can be attributed
         self.results: list[tuple[Optional[UseCase], tuple[int, int], tuple[int, int]]] = []
@@ -144,8 +144,11 @@ class _Parser:
 
     def error(self, message: str, span: Optional[SourceSpan] = None,
               expected: tuple[str, ...] = (), code: str = "syntax") -> None:
-        self.errors.append(ParseError(span or self.cur().span, message,
-                                      expected, code))
+        if expected:
+            message += f" (expected {' or '.join(expected)})"
+        self.errors.append(Diagnostic(Severity.ERROR, code, message,
+                                      span=span or self.cur().span,
+                                      expected=expected))
 
     def expect(self, kind: TokenKind, what: str) -> Token:
         if self.at(kind):
@@ -587,7 +590,7 @@ class _Parser:
         state.misuses.append(Misuse(description, area))
 
 
-def parse_document(source: str) -> tuple[list[UseCase], list[ParseError]]:
+def parse_document(source: str) -> tuple[list[UseCase], list[Diagnostic]]:
     """Parse UCDL text into use cases plus every error found.
 
     Use cases from blocks containing any error (including tokenizer errors)
@@ -607,5 +610,5 @@ def parse_document(source: str) -> tuple[list[UseCase], list[ParseError]]:
         if not poisoned:
             use_cases.append(uc)
 
-    errors = sorted(parser.errors + lex_errors, key=ParseError.sort_key)
+    errors = sorted(parser.errors + lex_errors, key=lambda e: e.span[:2])
     return use_cases, errors

@@ -34,6 +34,7 @@ from .model import (
     Severity,
     TaxonomyError,
     UseCase,
+    _convert,
     require_valid,
 )
 from .parser import _Panic, _Parser
@@ -350,17 +351,6 @@ def misuse_diagnostics(assessment: RiskAssessment) -> list[Diagnostic]:
 
 
 def assessment_to_dict(assessment: RiskAssessment) -> dict:
-    """Plain-data mirror with fixed key order, for JSON outputs."""
-    return {
-        "risk_level": assessment.level.label,
-        "risk_matched": [
-            {"area_id": m.area_id, "tier": m.tier.value,
-             "area_label": m.area_label, "sub_use_label": m.sub_use_label}
-            for m in assessment.matched],
-        "risk_misuse_flags": [
-            {"description": f.description, "area_id": f.area_id,
-             "tier": f.tier.value, "area_label": f.area_label,
-             "sub_use_label": f.sub_use_label}
-            for f in assessment.misuse_flags],
-        "risk_rationale": list(assessment.rationale),
-    }
+    """Plain-data mirror for JSON outputs: ``risk_`` plus each field name."""
+    return {f"risk_{key}": value
+            for key, value in _convert(RiskAssessment)[0](assessment).items()}

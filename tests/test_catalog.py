@@ -386,16 +386,17 @@ def test_round_trip_random_catalogs():
     b'{"schema": "ucdoc-catalog/1", "entries": 3}',
     b'{"schema": "ucdoc-catalog/1", "entries": [], "extra": 1}',
     b'{"schema": "ucdoc-catalog/1", "taxonomy_version": 3, "entries": []}',
+    b'{"schema": "ucdoc-catalog/1", "generated_fields": 3, "entries": []}',
 ])
 def test_load_rejects_malformed_snapshots(payload):
     with pytest.raises(CatalogFormatError):
         load_catalog_json(payload, TAX)
 
 
-# The use-case codec names the field path; the risk codec its own fields.
+# The use-case and risk codecs both name the field path.
 BAD_ENTRY_MESSAGES = {
     "id": "entry 1: id: expected str, got int",
-    "risk_level": "entry 1: risk_level must be",
+    "risk_level": "entry 1: risk_level: expected one of",
 }
 
 
@@ -456,6 +457,19 @@ BAD_GOLDEN_ENTRIES = {
     "free-label-3": (
         lambda es: es[0]["application_areas"][0].update(free_label=3),
         r"entry 0: application_areas\[0\]\.free_label: expected str, got int"),
+    "rationale-string": (lambda es: es[0].update(risk_rationale="abc"),
+                         "entry 0: risk_rationale: expected list, got str"),
+    "flag-area-id-3": (
+        lambda es: es[0]["risk_misuse_flags"][0].update(area_id=3),
+        r"entry 0: risk_misuse_flags\[0\]\.area_id: expected str, got int"),
+    "unknown-flag-key": (
+        lambda es: es[0]["risk_misuse_flags"][0].update(note="x"),
+        r"entry 0: risk_misuse_flags\[0\]\.note: unknown key"),
+    "risk-level-lowercase": (
+        lambda es: es[0].update(risk_level="high"),
+        r"entry 0: risk_level: expected one of \['Minimal'.*got 'high'"),
+    "missing-risk-matched": (lambda es: es[0].pop("risk_matched"),
+                             "entry 0: risk_matched: missing key"),
 }
 
 

@@ -155,7 +155,8 @@ def test_validate_non_decimal_digit_is_parse_error(tmp_path):
     bad.write_text('usecase "T" { id: a }\n²', encoding="utf-8")
     code, _, err = cli("validate", str(bad))
     assert code == ExitStatus.PARSE_ERROR
-    assert f"{bad}:2:1: error: unexpected character '²'" in err.splitlines()
+    assert (f"{bad}:2:1: error: [lex.invalid_char] unexpected character '²'"
+            in err.splitlines())
 
 
 def test_non_utf8_file_is_parse_error(tmp_path):
@@ -164,7 +165,7 @@ def test_non_utf8_file_is_parse_error(tmp_path):
     bad = src_dir / "bad.ucdl"
     bad.write_bytes(b"# r\xe9sum\xe9\n" + Path(DRIVER).read_bytes())
     (src_dir / "good.ucdl").write_bytes(Path(SMART_CAMERA).read_bytes())
-    line = f"{bad}:1:4: error: text is not valid UTF-8"
+    line = f"{bad}:1:4: error: [lex.not_utf8] text is not valid UTF-8"
 
     code, out, err = cli("validate", str(bad), SMART_CAMERA)
     assert code == ExitStatus.PARSE_ERROR
@@ -182,7 +183,8 @@ def test_non_utf8_file_is_parse_error(tmp_path):
 
     code, _, err = cli("classify", SMART_CAMERA, "--taxonomy", str(bad))
     assert code == ExitStatus.USAGE
-    assert err.startswith("ucdoc: error: malformed taxonomy file: line 1, column 4")
+    assert err.startswith("ucdoc: error: malformed taxonomy file: 1:4: error: "
+                          "[lex.not_utf8] text is not valid UTF-8")
 
 
 def test_validate_overlong_number_is_parse_error(tmp_path):
@@ -190,7 +192,8 @@ def test_validate_overlong_number_is_parse_error(tmp_path):
     bad.write_text('usecase "T" { id: a }\n' + "1" * 5000, encoding="utf-8")
     code, _, err = cli("validate", str(bad))
     assert code == ExitStatus.PARSE_ERROR
-    assert f"{bad}:2:1: error: number of 5000 digits is too long" in err
+    assert (f"{bad}:2:1: error: [lex.number_too_long] "
+            "number of 5000 digits is too long") in err
 
 
 def test_validate_invalid_use_case(tmp_path):
@@ -544,6 +547,42 @@ def test_catalog_stats_rejects_bad_entries(tmp_path, name):
 def test_catalog_stats_missing_file():
     code, _, err = cli("catalog", "stats", "/no/such/catalog.json")
     assert code == 3 and err.startswith("ucdoc: error:")
+
+
+# ---------------------------------------------------------------------------
+# one line format for every diagnostic
+
+DIAGNOSTIC_LINE = re.compile(r"^\S+: (error|warning): \[[a-z0-9_.]+\] ")
+
+# A parse error, a validation finding, a diagram warning (the orphan
+# functions) and a misuse flag (the smart camera's documented misuse).
+FINDING_INPUTS = {
+    "parse.ucdl": 'usecase "T" { id: a }\n\u00b2',
+    "broken.ucdl": BROKEN_DOC,
+    "invalid.ucdl": ORPHANS_DOC.replace('  inputs: ["i"]\n', "").replace(
+        "warn-1", "warn-2"),
+    "orphans.ucdl": ORPHANS_DOC,
+    "misuse.ucdl": Path(SMART_CAMERA).read_text(encoding="utf-8"),
+}
+
+
+@pytest.mark.parametrize(
+    "command", ["validate", "classify", "render", "table", "catalog build"])
+def test_every_diagnostic_line_has_one_format(tmp_path, command):
+    src = tmp_path / "src"
+    src.mkdir()
+    for name, text in FINDING_INPUTS.items():
+        (src / name).write_text(text, encoding="utf-8")
+    out = ["--out", str(tmp_path / "out")]
+    if command == "catalog build":
+        runs = [["catalog", "build", str(src), *out]]
+    else:
+        extra = out if command == "render" else []
+        runs = [[command, str(path), *extra] for path in sorted(src.iterdir())]
+    lines = [line for argv in runs for line in cli(*argv)[2].splitlines()]
+    assert lines
+    for line in lines:
+        assert DIAGNOSTIC_LINE.match(line), line
 
 
 # ---------------------------------------------------------------------------

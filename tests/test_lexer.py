@@ -80,7 +80,8 @@ def test_unterminated_string():
 def test_invalid_character():
     _, errors = lex("a = b")
     assert [e.code for e in errors] == ["lex.invalid_char"]
-    assert "line 1, column 3" in errors[0].render()
+    assert errors[0].render() == (
+        "1:3: error: [lex.invalid_char] unexpected character '='")
 
 
 def test_non_decimal_digits_are_invalid_characters():
@@ -91,7 +92,7 @@ def test_non_decimal_digits_are_invalid_characters():
     assert [(e.code, e.span.column) for e in errors] == [
         ("lex.invalid_char", 2), ("lex.invalid_char", 4)]
     _, errors = parse_document('usecase "T" { id: a }\n²')
-    assert "line 2, column 1: unexpected character '²'" in [
+    assert "2:1: error: [lex.invalid_char] unexpected character '²'" in [
         e.render() for e in errors]
 
 
