@@ -267,6 +267,10 @@ def load_catalog_json(data: bytes | str, tax: Taxonomy) -> Catalog:
         if type(value) is not kind:
             raise CatalogFormatError(
                 f"{key}: expected {kind.__name__}, got {type(value).__name__}")
+    for i, name in enumerate(doc.get("generated_fields", [])):
+        if type(name) is not str:
+            raise CatalogFormatError(f"generated_fields[{i}]: expected str, "
+                                     f"got {type(name).__name__}")
     entries = []
     first_index: dict[str, int] = {}
     for i, raw in enumerate(raw_entries):

@@ -84,7 +84,7 @@ def _resolve_taxonomy(ns: argparse.Namespace) -> Taxonomy:
 
     path = getattr(ns, "taxonomy", None) or os.environ.get(TAXONOMY_ENV_VAR)
     if path:
-        return load_taxonomy(read_ucdl(path))
+        return load_taxonomy(read_ucdl(path), path)
     return builtin_taxonomy()
 
 
@@ -105,16 +105,21 @@ def _check_use_case(name: str, uc: UseCase,
     return ExitStatus.OK, diags
 
 
-def _single_use_case(name: str, text: str,
-                     err: TextIO) -> tuple[Optional[UseCase], ExitStatus]:
+def _single_use_case(path: str, stdin: Optional[str | TextIO], err: TextIO
+                     ) -> tuple[str, Optional[UseCase], ExitStatus]:
+    """Read, parse and validate the one use case of ``path``; None, with the
+    exit status, when it does not parse or validate."""
+    name, text = _read_source(path, stdin)
     use_cases, errors = parse_document(text)
     if errors:
         _report(name, errors, err)
-        return None, ExitStatus.PARSE_ERROR
+        return name, None, ExitStatus.PARSE_ERROR
     if len(use_cases) != 1:
         raise _UsageError(
             f"expected exactly one use case in {name}, found {len(use_cases)}")
-    return use_cases[0], ExitStatus.OK
+    status, _ = _check_use_case(name, use_cases[0], err)
+    usable = status is not ExitStatus.FINDINGS
+    return name, use_cases[0] if usable else None, status
 
 
 # ---------------------------------------------------------------------------
@@ -181,13 +186,8 @@ def _cmd_classify(ns, stdin, out, err) -> ExitStatus:
 def _cmd_render(ns, stdin, out, err) -> ExitStatus:
     from .diagram import build_diagram, layout, render_svg, render_textual
 
-    name, text = _read_source(ns.path, stdin)
-    uc, code = _single_use_case(name, text, err)
+    name, uc, code = _single_use_case(ns.path, stdin, err)
     if uc is None:
-        return code
-    status, _ = _check_use_case(name, uc, err)
-    code = max(code, status)
-    if status is ExitStatus.FINDINGS:
         return code
     diagram = build_diagram(uc)
     warnings = list(diagram.warnings)
@@ -207,13 +207,8 @@ def _cmd_render(ns, stdin, out, err) -> ExitStatus:
 def _cmd_table(ns, stdin, out, err) -> ExitStatus:
     if ns.with_diagram and ns.format != "html":
         raise _UsageError("--with-diagram requires --format html")
-    name, text = _read_source(ns.path, stdin)
-    uc, code = _single_use_case(name, text, err)
+    _, uc, code = _single_use_case(ns.path, stdin, err)
     if uc is None:
-        return code
-    status, _ = _check_use_case(name, uc, err)
-    code = max(code, status)
-    if status is ExitStatus.FINDINGS:
         return code
     from .docgen import render_html_page, render_table_markdown
 

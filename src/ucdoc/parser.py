@@ -34,7 +34,8 @@ references) are *not* parse errors; run
 
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import replace
+from typing import Callable, Iterator, Optional
 
 from .lexer import Diagnostic, Severity, SourceSpan, Token, TokenKind, lex
 from .model import (
@@ -65,9 +66,20 @@ _BLOCK_KEYS = {
     "extension", "misuse",
 }
 _LEVELS = {lv.value: lv for lv in GoalLevel}
+_BOOLS = {"true": True, "false": False}
 _ACTOR_KINDS = {k.value: k for k in ActorKind}
 
 _WORD_KINDS = (TokenKind.IDENT, TokenKind.BRANCH, TokenKind.INT)
+
+# The readers of each ``{ key: value … }`` record, called with the parser.
+_ACTOR_FIELDS = {
+    "name": lambda p: p.parse_string("actor name string"),
+    "kind": lambda p: p.parse_choice(_ACTOR_KINDS, "kind"),
+}
+_MISUSE_FIELDS = {
+    "description": lambda p: p.parse_string("misuse description string"),
+    "area": lambda p: p.parse_area_item(),
+}
 
 
 class _Panic(Exception):
@@ -206,28 +218,17 @@ class _Parser:
         kw = self.advance()
         start = (kw.span.line, kw.span.column)
         state: Optional[_State] = None
-        end = start
         try:
-            title = self.expect(TokenKind.STRING, "use case title string")
-            state = _State(str(title.value))
-            self.expect(TokenKind.LBRACE, "'{'")
-            while True:
-                if self.at(TokenKind.RBRACE):
-                    tok = self.advance()
-                    end = (tok.span.line, tok.span.column)
-                    break
-                if self.at(TokenKind.EOF):
-                    self.error("unclosed use case block", expected=("}",))
-                    end = (self.cur().span.line, self.cur().span.column)
-                    break
+            state = _State(self.parse_string("use case title string"))
+            for _ in self.block("use case"):
                 self.parse_field(state)
+            tok = self.tokens[self.pos - 1]     # the closing '}'
         except _Panic:
             self.sync_to_usecase()
             tok = self.cur()
-            end = (tok.span.line, tok.span.column)
         clean = len(self.errors) == first_error
         uc = state.build() if (state is not None and clean) else None
-        self.results.append((uc, start, end))
+        self.results.append((uc, start, (tok.span.line, tok.span.column)))
 
     # -- fields ----------------------------------------------------------
 
@@ -280,41 +281,24 @@ class _Parser:
     def parse_keyed_value(self, key_tok: Token, state: _State) -> None:
         key = key_tok.text
         fresh = self.mark_seen(key_tok, state)
-        tok = self.cur()
         if key == "id":
             value = self.parse_word_or_string("use case id")
         elif key in _PROSE_KEYS:
-            value = str(self.expect(TokenKind.STRING,
-                                    f"string value for {key!r}").value)
+            value = self.parse_string(f"string value for {key!r}")
         elif key == "safety_component":
-            if not (tok.kind is TokenKind.IDENT and tok.text in ("true", "false")):
-                self.error(
-                    f"expected true or false for 'safety_component', "
-                    f"found {_describe(tok)}",
-                    tok.span, code="field.value")
-                self.skip_value()
-                return
-            self.advance()
-            value = tok.text == "true"
+            value = self.parse_choice(_BOOLS, key)
         elif key == "level":
-            if not (tok.kind is TokenKind.IDENT and tok.text in _LEVELS):
-                self.error(
-                    f"expected one of {sorted(_LEVELS)} for 'level', "
-                    f"found {_describe(tok)}",
-                    tok.span, code="field.value")
-                self.skip_value()
-                return
-            self.advance()
-            value = _LEVELS[tok.text]
+            value = self.parse_choice(_LEVELS, key)
         elif key == "application_areas":
-            value = self.parse_list(self.parse_area_item, "application area")
+            value = self.parse_list(self.parse_area_item)
         elif key == "affective_capabilities":
             value = self.parse_list(
-                lambda: self.parse_word_or_string("capability tag"), "tag")
+                lambda: self.parse_word_or_string("capability tag"))
         elif key in _STRING_LIST_KEYS:
-            value = self.parse_list(lambda: self.parse_text_item(key), "string")
+            value = self.parse_list(
+                lambda: self.parse_word_or_string(f"string in {key!r} list"))
         elif key == "associations":
-            value = self.parse_list(self.parse_association_item, "association")
+            value = self.parse_list(self.parse_association_item)
         else:
             if key != "schema_version":
                 self.error(f"unknown field {key!r}", key_tok.span,
@@ -338,19 +322,22 @@ class _Parser:
                    expected=(what,))
         raise _Panic
 
-    def parse_text_item(self, key: str) -> str:
-        tok = self.cur()
-        if tok.kind is TokenKind.STRING:
-            self.advance()
-            return str(tok.value)
-        if tok.kind in _WORD_KINDS:
-            self.advance()
-            return tok.text
-        self.error(f"expected string in {key!r} list, found {_describe(tok)}",
-                   expected=("string",))
-        raise _Panic
+    def parse_string(self, what: str) -> str:
+        return str(self.expect(TokenKind.STRING, what).value)
 
-    def parse_list(self, item_parser, what: str) -> tuple:
+    def parse_choice(self, table: dict[str, object], key: str) -> object:
+        """One word of ``table``; None, after a ``field.value`` error at the
+        token, for anything else."""
+        tok = self.cur()
+        if tok.kind is TokenKind.IDENT and tok.text in table:
+            self.advance()
+            return table[tok.text]
+        self.error(f"expected one of {sorted(table)} for {key!r}, "
+                   f"found {_describe(tok)}", tok.span, code="field.value")
+        self.skip_value()
+        return None
+
+    def parse_list(self, item_parser: Callable[[], object]) -> tuple:
         self.expect(TokenKind.LBRACKET, "'['")
         items = []
         if not self.at(TokenKind.RBRACKET):
@@ -368,9 +355,9 @@ class _Parser:
         if tok.kind is TokenKind.IDENT and tok.text == OTHER_AREA:
             self.advance()
             self.expect(TokenKind.LPAREN, "'('")
-            label = self.expect(TokenKind.STRING, "free-text area label")
+            label = self.parse_string("free-text area label")
             self.expect(TokenKind.RPAREN, "')'")
-            return ApplicationAreaRef(OTHER_AREA, str(label.value))
+            return ApplicationAreaRef(OTHER_AREA, label)
         if tok.kind is TokenKind.IDENT:
             self.advance()
             return ApplicationAreaRef(tok.text)
@@ -389,44 +376,43 @@ class _Parser:
 
     # -- blocks -----------------------------------------------------------
 
-    def parse_actor_body(self, role: ActorRole) -> Actor:
-        """Parse ``{ name: "…" kind: ident }`` (either order, both optional)."""
+    def block(self, what: str) -> Iterator[None]:
+        """The one ``{ … }`` loop: yield once per item, then consume ``}``."""
         self.expect(TokenKind.LBRACE, "'{'")
-        seen: set[str] = set()
-        name = ""
-        kind = ActorKind.HUMAN
-        while not self.at(TokenKind.RBRACE):
-            if self.at(TokenKind.EOF):
-                self.error("unclosed actor block", expected=("}",))
+        while (kind := self.cur().kind) is not TokenKind.RBRACE:
+            if kind is TokenKind.EOF:
+                self.error(f"unclosed {what} block", expected=("}",))
                 raise _Panic
-            key = self.expect(TokenKind.IDENT, "'name' or 'kind'")
+            yield
+        self.advance()
+
+    def record(self, what: str, readers: dict[str, Callable[[_Parser], object]]
+               ) -> dict[str, object]:
+        """Read ``{ key: value … }``, each value by its key's reader; a key
+        may come once, in any order, or not at all."""
+        keys = " or ".join(f"'{key}'" for key in readers)
+        values: dict[str, object] = {}
+        for _ in self.block(what):
+            key = self.expect(TokenKind.IDENT, keys)
             self.expect(TokenKind.COLON, "':'")
-            if key.text in seen:
+            if key.text in values:
                 self.error(f"duplicate field {key.text!r}", key.span,
                            code="field.duplicate")
                 self.skip_value()
-                continue
-            seen.add(key.text)
-            if key.text == "name":
-                tok = self.expect(TokenKind.STRING, "actor name string")
-                name = str(tok.value)
-            elif key.text == "kind":
-                tok = self.cur()
-                if tok.kind is TokenKind.IDENT and tok.text in _ACTOR_KINDS:
-                    self.advance()
-                    kind = _ACTOR_KINDS[tok.text]
-                else:
-                    self.error(
-                        f"expected one of {sorted(_ACTOR_KINDS)} for 'kind', "
-                        f"found {_describe(tok)}",
-                        tok.span, code="field.value")
-                    self.skip_value()
+            elif key.text in readers:
+                values[key.text] = readers[key.text](self)
             else:
-                self.error(f"unknown field {key.text!r} in actor block",
+                self.error(f"unknown field {key.text!r} in {what} block",
                            key.span, code="field.unknown")
                 self.skip_value()
-        self.advance()
-        return Actor(name, kind, role)
+                values[key.text] = None     # so a repeat is a duplicate
+        return values
+
+    def parse_actor_body(self, role: ActorRole) -> Actor:
+        """Parse ``{ name: "…" kind: ident }`` (either order, both optional)."""
+        fields = self.record("actor", _ACTOR_FIELDS)
+        return Actor(fields.get("name", ""), fields.get("kind", ActorKind.HUMAN),
+                     role)
 
     def parse_user(self, state: _State) -> None:
         key = self.advance()
@@ -440,69 +426,42 @@ class _Parser:
         role = (ActorRole.TARGET_PERSON if key.text == "target_persons"
                 else ActorRole.SECONDARY)
         fresh = self.mark_seen(key, state)
-        self.expect(TokenKind.LBRACE, "'{'")
         actors: list[Actor] = []
-        while not self.at(TokenKind.RBRACE):
-            if self.at(TokenKind.EOF):
-                self.error(f"unclosed {key.text} block", expected=("}",))
-                raise _Panic
+        for _ in self.block(key.text):
             person = self.expect(TokenKind.IDENT, "'person'")
             if person.text != "person":
                 self.error(f"expected 'person' block, found {person.text!r}",
                            person.span, expected=("person",))
                 raise _Panic
             actors.append(self.parse_actor_body(role))
-        self.advance()
         if fresh:
             state.fields[key.text] = tuple(actors)
 
     def parse_functions(self, state: _State) -> None:
         key = self.advance()
         fresh = self.mark_seen(key, state)
-        self.expect(TokenKind.LBRACE, "'{'")
         functions: list[SystemFunction] = []
-        while not self.at(TokenKind.RBRACE):
-            if self.at(TokenKind.EOF):
-                self.error("unclosed functions block", expected=("}",))
-                raise _Panic
+        for _ in self.block("functions"):
             name = self.cur()
-            if name.kind in _WORD_KINDS:
-                fn_id = name.text
-            elif name.kind is TokenKind.STRING:
-                fn_id = str(name.value)
-            else:
-                self.error(f"expected function id, found {_describe(name)}",
-                           expected=("function id",))
-                raise _Panic
-            self.advance()
+            fn_id = self.parse_word_or_string("function id")
             self.expect(TokenKind.COLON, "':'")
             if name.kind is TokenKind.IDENT and fn_id in ("includes", "extends"):
                 refs = self.parse_list(
-                    lambda: self.parse_word_or_string("function id"),
-                    "function id")
+                    lambda: self.parse_word_or_string("function id"))
                 if not functions:
                     self.error(
-                        f"{name.text!r} annotation with no preceding function",
+                        f"{fn_id!r} annotation with no preceding function",
                         name.span)
-                    continue
-                last = functions[-1]
-                if (name.text == "includes" and last.includes) or \
-                        (name.text == "extends" and last.extends):
+                elif getattr(functions[-1], fn_id):
                     self.error(
-                        f"duplicate {name.text!r} annotation on "
-                        f"function {last.id!r}",
+                        f"duplicate {fn_id!r} annotation on "
+                        f"function {functions[-1].id!r}",
                         name.span, code="field.duplicate")
-                    continue
-                if name.text == "includes":
-                    functions[-1] = SystemFunction(
-                        last.id, last.label, refs, last.extends)
                 else:
-                    functions[-1] = SystemFunction(
-                        last.id, last.label, last.includes, refs)
+                    functions[-1] = replace(functions[-1], **{fn_id: refs})
             else:
-                label = self.expect(TokenKind.STRING, "function label string")
-                functions.append(SystemFunction(fn_id, str(label.value)))
-        self.advance()
+                functions.append(SystemFunction(
+                    fn_id, self.parse_string("function label string")))
         if fresh:
             state.fields["system_functions"] = tuple(functions)
 
@@ -515,36 +474,23 @@ class _Parser:
             raise _Panic
         self.advance()
         self.expect(TokenKind.COLON, "':'")
-        action = self.expect(TokenKind.STRING, "step action string")
+        action = self.parse_string("step action string")
         function: Optional[str] = None
         if self.at(TokenKind.ARROW):
             self.advance()
             function = self.parse_word_or_string("function id")
         ident = actor.text if actor.text == "system" else actor_ident(actor.text)
-        return ScenarioStep(int(index.value), ident, str(action.value), function)
+        return ScenarioStep(int(index.value), ident, action, function)
 
-    def parse_step_block(self, what: str) -> list[ScenarioStep]:
-        self.expect(TokenKind.LBRACE, "'{'")
-        steps: list[ScenarioStep] = []
-        while not self.at(TokenKind.RBRACE):
-            if self.at(TokenKind.EOF):
-                self.error(f"unclosed {what} block", expected=("}",))
-                raise _Panic
-            if not self.at(TokenKind.INT):
-                self.error(
-                    f"expected step index, found {_describe(self.cur())}",
-                    expected=("step index",))
-                raise _Panic
-            steps.append(self.parse_step())
-        self.advance()
-        return steps
+    def parse_step_block(self, what: str) -> tuple[ScenarioStep, ...]:
+        return tuple([self.parse_step() for _ in self.block(what)])
 
     def parse_scenario(self, state: _State) -> None:
         key = self.advance()
         fresh = self.mark_seen(key, state)
         steps = self.parse_step_block("scenario")
         if fresh:
-            state.fields["main_scenario"] = tuple(steps)
+            state.fields["main_scenario"] = steps
 
     def parse_extension(self, state: _State) -> None:
         self.advance()
@@ -554,40 +500,15 @@ class _Parser:
                        expected=("branch id such as '3a'",))
             raise _Panic
         self.advance()
-        condition = self.expect(TokenKind.STRING, "extension condition string")
+        condition = self.parse_string("extension condition string")
         steps = self.parse_step_block("extension")
-        state.extensions.append(
-            Extension(branch.text, str(condition.value), tuple(steps)))
+        state.extensions.append(Extension(branch.text, condition, steps))
 
     def parse_misuse(self, state: _State) -> None:
         self.advance()
-        self.expect(TokenKind.LBRACE, "'{'")
-        seen: set[str] = set()
-        description = ""
-        area: Optional[ApplicationAreaRef] = None
-        while not self.at(TokenKind.RBRACE):
-            if self.at(TokenKind.EOF):
-                self.error("unclosed misuse block", expected=("}",))
-                raise _Panic
-            key = self.expect(TokenKind.IDENT, "'description' or 'area'")
-            self.expect(TokenKind.COLON, "':'")
-            if key.text in seen:
-                self.error(f"duplicate field {key.text!r}", key.span,
-                           code="field.duplicate")
-                self.skip_value()
-                continue
-            seen.add(key.text)
-            if key.text == "description":
-                tok = self.expect(TokenKind.STRING, "misuse description string")
-                description = str(tok.value)
-            elif key.text == "area":
-                area = self.parse_area_item()
-            else:
-                self.error(f"unknown field {key.text!r} in misuse block",
-                           key.span, code="field.unknown")
-                self.skip_value()
-        self.advance()
-        state.misuses.append(Misuse(description, area))
+        fields = self.record("misuse", _MISUSE_FIELDS)
+        state.misuses.append(Misuse(fields.get("description", ""),
+                                    fields.get("area")))
 
 
 def parse_document(source: str) -> tuple[list[UseCase], list[Diagnostic]]:

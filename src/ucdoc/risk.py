@@ -20,11 +20,11 @@ misclassification of the intended purpose.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property, lru_cache
 from importlib import resources
-from typing import Optional
+from typing import NoReturn, Optional
 
 from .lexer import TokenKind, lex
 from .model import (
@@ -37,7 +37,7 @@ from .model import (
     _convert,
     require_valid,
 )
-from .parser import _Panic, _Parser
+from .parser import _Panic, _Parser, _describe
 
 _BUILTIN_RESOURCE = "aiact_taxonomy.ucdl"
 
@@ -142,96 +142,70 @@ class RiskAssessment:
 # taxonomy loading
 
 
-def load_taxonomy(text: str) -> Taxonomy:
-    """Parse a taxonomy file (``version`` header plus ``entry`` blocks)."""
-    tokens, lex_errors = lex(text)
-    if lex_errors:
-        raise TaxonomyError("malformed taxonomy file", tuple(lex_errors))
-    reader = _TaxonomyReader(tokens)
-    try:
-        version, entries = reader.read()
-    except _Panic:
-        raise TaxonomyError("malformed taxonomy file",
-                            tuple(reader.errors)) from None
-    return Taxonomy(version, tuple(entries))
+def load_taxonomy(text: str, file: Optional[str] = None) -> Taxonomy:
+    """Parse a taxonomy file (``version`` header plus ``entry`` blocks);
+    the errors of the :class:`TaxonomyError` it raises name ``file``."""
+    tokens, errors = lex(text)
+    if not errors:
+        reader = _TaxonomyReader(tokens)
+        try:
+            return Taxonomy(*reader.read())
+        except _Panic:
+            errors = reader.errors
+    raise TaxonomyError("malformed taxonomy file",
+                        tuple(replace(e, file=file) for e in errors))
+
+
+_TIERS = {tier.value: tier for tier in Tier}
+_ENTRY_FIELDS = {
+    "tier": lambda r: r.parse_choice(_TIERS, "tier"),
+    "area": lambda r: r.parse_string("area label string"),
+    "sub_use": lambda r: r.parse_string("sub-use label string"),
+    "keywords": lambda r: r.parse_list(r.keyword),
+}
 
 
 class _TaxonomyReader(_Parser):
-    """The taxonomy grammar, read on the UCDL parser's token cursor; the
+    """The taxonomy grammar, read with the UCDL parser's block reader; the
     first error ends the read."""
 
-    def fail(self, message: str) -> None:
-        self.error(message)
+    def error(self, *args, **kwargs) -> NoReturn:
+        super().error(*args, **kwargs)
         raise _Panic
 
     def expect_word(self, text: str) -> None:
         if not self.at_word(text):
-            self.fail(f"expected '{text}'")
+            self.error(f"expected {text!r}, found {_describe(self.cur())}",
+                       expected=(text,))
         self.advance()
 
-    def read(self) -> tuple[str, list[TaxonomyEntry]]:
+    def read(self) -> tuple[str, tuple[TaxonomyEntry, ...]]:
         self.expect_word("version")
         self.expect(TokenKind.COLON, "':'")
-        version = str(self.expect(TokenKind.STRING, "version string").value)
-        entries: list[TaxonomyEntry] = []
-        seen: set[str] = set()
+        version = self.parse_string("version string")
+        entries: dict[str, TaxonomyEntry] = {}
         while not self.at(TokenKind.EOF):
             self.expect_word("entry")
-            entry = self.read_entry()
-            if entry.area_id in seen:
-                self.fail(f"duplicate taxonomy entry {entry.area_id!r}")
-            seen.add(entry.area_id)
-            entries.append(entry)
+            name = self.expect(TokenKind.IDENT, "entry area id")
+            if name.text in entries:
+                self.error(f"duplicate taxonomy entry {name.text!r}", name.span)
+            fields = self.record("entry", _ENTRY_FIELDS)
+            if not all(fields.get(key) for key in ("tier", "area", "sub_use")):
+                self.error(f"entry {name.text!r} needs tier, area and sub_use",
+                           name.span)
+            entries[name.text] = TaxonomyEntry(
+                name.text, fields["tier"], fields["area"], fields["sub_use"],
+                fields.get("keywords", ()))
         if not entries:
-            self.fail("taxonomy has no entries")
-        return version, entries
+            self.error("taxonomy has no entries")
+        return version, tuple(entries.values())
 
-    def read_entry(self) -> TaxonomyEntry:
-        area_id = self.expect(TokenKind.IDENT, "entry area id").text
-        self.expect(TokenKind.LBRACE, "'{'")
-        tier: Optional[Tier] = None
-        area_label = ""
-        sub_use = ""
-        keywords: tuple[str, ...] = ()
-        seen: set[str] = set()
-        while not self.at(TokenKind.RBRACE):
-            key = self.expect(TokenKind.IDENT, "entry field").text
-            self.expect(TokenKind.COLON, "':'")
-            if key in seen:
-                self.fail(f"duplicate field {key!r} in entry {area_id!r}")
-            seen.add(key)
-            if key == "tier":
-                word = self.expect(TokenKind.IDENT, "tier name").text
-                try:
-                    tier = Tier(word)
-                except ValueError:
-                    self.fail(f"unknown tier {word!r}")
-            elif key == "area":
-                area_label = str(self.expect(TokenKind.STRING, "area label").value)
-            elif key == "sub_use":
-                sub_use = str(self.expect(TokenKind.STRING, "sub-use label").value)
-            elif key == "keywords":
-                keywords = self.read_keywords(area_id)
-            else:
-                self.fail(f"unknown entry field {key!r}")
-        self.advance()
-        if tier is None or not area_label or not sub_use:
-            self.fail(f"entry {area_id!r} needs tier, area and sub_use")
-        return TaxonomyEntry(area_id, tier, area_label, sub_use, keywords)
-
-    def read_keywords(self, area_id: str) -> tuple[str, ...]:
-        self.expect(TokenKind.LBRACKET, "'['")
-        words: list[str] = []
-        while not self.at(TokenKind.RBRACKET):
-            word = str(self.expect(TokenKind.STRING, "keyword string").value)
-            if word != word.lower() or not word.strip():
-                self.fail(f"keyword {word!r} in {area_id!r} must be "
-                          "non-empty lowercase")
-            words.append(word)
-            if self.at(TokenKind.COMMA):
-                self.advance()
-        self.advance()
-        return tuple(words)
+    def keyword(self) -> str:
+        tok = self.cur()
+        word = self.parse_string("keyword string")
+        if word != word.lower() or not word.strip():
+            self.error(f"keyword {word!r} must be non-empty lowercase", tok.span)
+        return word
 
 
 @lru_cache(maxsize=1)

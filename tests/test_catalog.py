@@ -387,9 +387,17 @@ def test_round_trip_random_catalogs():
     b'{"schema": "ucdoc-catalog/1", "entries": [], "extra": 1}',
     b'{"schema": "ucdoc-catalog/1", "taxonomy_version": 3, "entries": []}',
     b'{"schema": "ucdoc-catalog/1", "generated_fields": 3, "entries": []}',
+    b'{"schema": "ucdoc-catalog/1", "generated_fields": ["x", 3], "entries": []}',
 ])
 def test_load_rejects_malformed_snapshots(payload):
     with pytest.raises(CatalogFormatError):
+        load_catalog_json(payload, TAX)
+
+
+def test_load_names_the_bad_generated_field():
+    payload = '{"schema": "ucdoc-catalog/1", "generated_fields": ["x", 3]}'
+    with pytest.raises(CatalogFormatError,
+                       match=r"^generated_fields\[1\]: expected str, got int$"):
         load_catalog_json(payload, TAX)
 
 

@@ -183,8 +183,8 @@ def test_non_utf8_file_is_parse_error(tmp_path):
 
     code, _, err = cli("classify", SMART_CAMERA, "--taxonomy", str(bad))
     assert code == ExitStatus.USAGE
-    assert err.startswith("ucdoc: error: malformed taxonomy file: 1:4: error: "
-                          "[lex.not_utf8] text is not valid UTF-8")
+    assert err.startswith(f"ucdoc: error: malformed taxonomy file: {bad}:1:4: "
+                          "error: [lex.not_utf8] text is not valid UTF-8")
 
 
 def test_validate_overlong_number_is_parse_error(tmp_path):

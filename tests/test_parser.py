@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from support import make_use_case
 from ucdoc import (
     Actor,
@@ -61,11 +63,25 @@ def test_empty_block_builds_required_empty_values():
         "outputs.empty", "purpose.empty", "scenario.empty", "user.missing"]
 
 
-def test_unclosed_brace_single_error():
-    use_cases, errors = parse_document('usecase "T" {\n  id: t\n')
+# The body of a use case cut off inside each kind of block, by block name.
+UNCLOSED = {
+    "use case": "id: t",
+    "actor": 'user { name: "U"',
+    "target_persons": "target_persons { person { kind: human }",
+    "functions": 'functions { f: "F"',
+    "scenario": 'scenario { 1 U: "does"',
+    "extension": 'extension 1a "c" { 1 U: "does"',
+    "misuse": 'misuse { description: "d"',
+}
+
+
+@pytest.mark.parametrize("what", UNCLOSED)
+def test_unclosed_brace_single_error(what):
+    use_cases, errors = parse_document(f'usecase "T" {{\n  {UNCLOSED[what]}\n')
     assert use_cases == []
     assert len(errors) == 1
     assert "}" in errors[0].expected
+    assert errors[0].message == f"unclosed {what} block (expected }})"
     assert errors[0].span.line == 3
 
 

@@ -298,11 +298,14 @@ def test_load_custom_taxonomy():
 # Each mutation returns the broken text and the span of its one error.
 @pytest.mark.parametrize("mutation", [
     lambda t: (t.replace('version: "test-1"', ""), (3, 1, 5)),  # missing version
-    lambda t: (t.replace("high_risk", "catastrophic"), (5, 3, 4)),  # unknown tier
-    lambda t: (t.replace('area: "Everything"', 'area: ""'), (9, 1, 0)),  # empty label
-    lambda t: (t + t.split("\n", 2)[2], (15, 1, 0)),  # duplicate id
-    lambda t: (t.replace('["everything"]', '["EVERYTHING"]'), (7, 26, 1)),  # uppercase
+    lambda t: (t.replace("high_risk", "catastrophic"), (4, 9, 12)),  # unknown tier
+    lambda t: (t.replace('area: "Everything"', 'area: ""'), (3, 7, 18)),  # empty label
+    lambda t: (t + t.split("\n", 2)[2], (9, 7, 18)),  # duplicate id
+    lambda t: (t.replace('["everything"]', '["EVERYTHING"]'), (7, 14, 12)),  # uppercase
     lambda t: ('version: "v"\n', (2, 1, 0)),  # no entries
+    lambda t: (t.replace("  area:", "  tier: high_risk\n  area:"), (5, 3, 4)),  # duplicate field
+    lambda t: (t.replace("tier:", "tiers:"), (4, 3, 5)),  # unknown field
+    lambda t: (t.replace('["everything"]', '["everything" "x"]'), (7, 27, 3)),  # no comma
 ])
 def test_bad_taxonomy_is_rejected(mutation):
     text, span = mutation(CUSTOM)
