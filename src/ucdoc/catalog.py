@@ -15,6 +15,7 @@ file tested byte for byte.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Optional
@@ -92,16 +93,27 @@ class CatalogStats:
 
 
 def load_sources(directory: str | Path) -> list[tuple[str, str]]:
-    """All ``.ucdl`` files under ``directory``, as (relative path, text).
+    """All regular ``.ucdl`` files under ``directory``, as (relative path,
+    text); a directory, socket or broken link named ``*.ucdl`` is skipped.
 
-    Recursive, in sorted path order so builds are reproducible.
+    Recursive, without following directory links, in sorted path order so
+    builds are reproducible.  A directory that cannot be listed is skipped.
     """
-    root = Path(directory)
-    sources: list[tuple[str, str]] = []
-    for path in sorted(root.rglob("*.ucdl")):
-        rel = path.relative_to(root).as_posix()
-        sources.append((rel, read_ucdl(path)))
-    return sources
+    found: list[tuple[list[str], str]] = []     # (path parts, path)
+    todo: list[tuple[str, list[str]]] = [(os.fspath(directory), [])]
+    while todo:
+        path, parts = todo.pop()
+        try:
+            with os.scandir(path) as entries:
+                for entry in entries:
+                    # is_dir and is_file read the type the listing gave
+                    if entry.is_dir(follow_symlinks=False):
+                        todo.append((entry.path, parts + [entry.name]))
+                    elif entry.name.endswith(".ucdl") and entry.is_file():
+                        found.append((parts + [entry.name], entry.path))
+        except OSError:
+            pass
+    return [("/".join(parts), read_ucdl(path)) for parts, path in sorted(found)]
 
 
 def build_catalog(sources: Iterable[tuple[str, str]],
@@ -251,6 +263,8 @@ def load_catalog_json(data: bytes | str, tax: Taxonomy) -> Catalog:
         doc = json.loads(data)
     except ValueError as exc:  # also UnicodeDecodeError, for bytes
         raise CatalogFormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise CatalogFormatError("JSON nested too deeply") from exc
     if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
         raise CatalogFormatError(
             f"unsupported catalog schema {doc.get('schema')!r}"

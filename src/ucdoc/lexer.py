@@ -29,15 +29,20 @@ Lexing never raises; bad input is reported through :class:`Diagnostic`
 records so a caller can show every problem in a file at once.  Text that
 is not UTF-8 (see :func:`read_ucdl`) yields no tokens and one
 ``lex.not_utf8`` error at its first bad byte.
+
+A token carries its offset in the source, not its line and column; a
+:class:`LineIndex` turns an offset into a :class:`SourceSpan` where a
+diagnostic is made.
 """
 
 from __future__ import annotations
 
 import os
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum, auto
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 
 class TokenKind(Enum):
@@ -57,12 +62,33 @@ class TokenKind(Enum):
     EOF = auto()
 
 
+# The kinds as module constants: on CPython 3.11 ``TokenKind.IDENT`` is an
+# Enum attribute lookup that takes about ten times as long as a global.
+(IDENT, BRANCH, INT, STRING, LBRACE, RBRACE, LBRACKET, RBRACKET, LPAREN,
+ RPAREN, COLON, COMMA, ARROW, EOF) = TokenKind
+
+
 class SourceSpan(NamedTuple):
     """Position of a token or error: 1-based line/column plus length."""
 
     line: int
     column: int
     length: int = 1
+
+
+class LineIndex:
+    """The line starts of one source, found once, for turning offsets into
+    spans by binary search.  Only LF ends a line; columns count characters."""
+
+    def __init__(self, source: str):
+        self.starts = [0, *(m.end() for m in re.finditer("\n", source))]
+
+    def span(self, offset: int, length: int = 1) -> SourceSpan:
+        line = bisect_right(self.starts, offset)
+        return SourceSpan(line, offset - self.starts[line - 1] + 1, length)
+
+    def offset(self, span: SourceSpan) -> int:
+        return self.starts[span.line - 1] + span.column - 1
 
 
 class Severity(Enum):
@@ -102,28 +128,25 @@ class Diagnostic:
         return f"{where}{self.severity.value}: [{self.code}] {self.message}"
 
 
-def _error(code: str, message: str, line: int, col: int,
-           length: int) -> Diagnostic:
-    return Diagnostic(Severity.ERROR, code, message,
-                      span=SourceSpan(line, col, length))
-
-
 class Token(NamedTuple):
+    """A token of ``len(text)`` characters from ``offset`` (EOF: none)."""
+
     kind: TokenKind
     text: str
     value: object
-    span: SourceSpan
+    offset: int
 
 
 _PUNCTUATION = {
-    "{": TokenKind.LBRACE,
-    "}": TokenKind.RBRACE,
-    "[": TokenKind.LBRACKET,
-    "]": TokenKind.RBRACKET,
-    "(": TokenKind.LPAREN,
-    ")": TokenKind.RPAREN,
-    ":": TokenKind.COLON,
-    ",": TokenKind.COMMA,
+    "{": LBRACE,
+    "}": RBRACE,
+    "[": LBRACKET,
+    "]": RBRACKET,
+    "(": LPAREN,
+    ")": RPAREN,
+    ":": COLON,
+    ",": COMMA,
+    "->": ARROW,
 }
 
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
@@ -134,22 +157,34 @@ _QUOTE = {ord(c): "\\" + e for e, c in _ESCAPES.items()}
 _NUMBER = r"(?P<digits>\d+)(?:[^\W\d]\w*)?"
 _IDENT = r"[^\W\d]\w*(?:(?:\.[^\W\d]|-[^\W_])\w*)*"
 
+# One ``match`` per token: blanks and comments are a prefix of the match,
+# and the token starts at the empty group ``start``.  Each alternative ends
+# in an empty group that names it, so ``lastindex`` tells which one matched
+# (the ``\Z`` one matches once, after the last token); an alternative that
+# starts with a character, not a group, is skipped at once when the next
+# character cannot start it.  Each punctuation mark's group is named after
+# its kind.
 _TOKEN_RE = re.compile(rf"""
-    (?P<ws>[ \t\r\n]+)
-  | (?P<ident>{_IDENT})
-  | (?P<punct>[{{}}\[\]():,])
-  | (?P<triple>\"\"\"
-        (?P<tbody>[^"]*(?:"(?!"")[^"]*)*)
-        (?P<tclose>\"\"\")?)
-  | (?P<string>"
-        (?P<body>[^"\\\n]*(?:\\[^\n][^"\\\n]*)*)
-        (?P<dangle>\\)?
-        (?P<close>")?)
-  | (?P<number>{_NUMBER})
-  | (?P<arrow>->)
-  | (?P<comment>\#[^\n]*)
-  | (?P<invalid>.)
+    [ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*
+    (?P<start>)
+    (?: {"|".join(f"{re.escape(t)}(?P<{k.name}>)" for t, k in _PUNCTUATION.items())}
+      | {_IDENT}(?P<ident>)
+      | {_NUMBER}(?P<number>)
+      | \"\"\"(?P<tbody>[^"]*(?:"(?!"")[^"]*)*)(?P<tclose>\"\"\")?(?P<triple>)
+      | "[^"\\\n]*"(?P<plain>)
+      | "(?P<body>[^"\\\n]*(?:\\[^\n][^"\\\n]*)*)(?P<dangle>\\)?(?P<close>")?
+        (?P<string>)
+      | .(?P<invalid>)
+      | \Z(?P<end>)
+    )
 """, re.VERBOSE)
+
+_IDENT_G, _NUMBER_G, _TRIPLE_G, _PLAIN_G, _STRING_G, _END_G = (
+    _TOKEN_RE.groupindex[name]
+    for name in ("ident", "number", "triple", "plain", "string", "end"))
+# By group: punctuation is 2 to 10.
+_KIND = (None, None, *_PUNCTUATION.values())
+_TEXT = (None, None, *_PUNCTUATION)
 
 _WORD_RE = re.compile(f"{_NUMBER}|{_IDENT}")
 
@@ -160,14 +195,15 @@ def _is_ident_start(c: str) -> bool:
     return c.isalpha() or c == "_"
 
 
-def _word_end(m: re.Match) -> int:
-    """End of the IDENT, INT or BRANCH token that the non-ASCII ``m`` starts.
+def _word_end(m: re.Match, start: int) -> int:
+    """End of the IDENT, INT or BRANCH token that the non-ASCII ``m`` starts
+    at ``start``.
 
     The token stops before a numeric non-letter that starts the word, a
     dotted segment or a branch suffix; an identifier that cannot start at
     all ends where it starts.  (ASCII matches need no check.)
     """
-    start, end = m.span()
+    end = m.end()
     source = m.string
     digits = m.end("digits")
     if digits >= 0:
@@ -185,7 +221,7 @@ def _word_end(m: re.Match) -> int:
 def is_word(text: str) -> bool:
     """True when ``text`` lexes as exactly one IDENT, INT or BRANCH token."""
     m = _WORD_RE.fullmatch(text)
-    return m is not None and (text.isascii() or _word_end(m) == len(text))
+    return m is not None and (text.isascii() or _word_end(m, 0) == len(text))
 
 
 def dedent_block(content: str) -> str:
@@ -204,40 +240,79 @@ def dedent_block(content: str) -> str:
     return "\n".join(lines)
 
 
-def _unescape(body: str, line: int, col: int,
-              errors: list[Diagnostic]) -> str:
-    """Decode the escapes of a string body that starts at ``line``, ``col``."""
-    def escape(m: re.Match) -> str:
-        c = m.group(1)
-        if c in _ESCAPES:
-            return _ESCAPES[c]
-        errors.append(_error("lex.bad_escape",
-                             f"unknown escape sequence '\\{c}'",
-                             line, col + m.start(), 2))
-        return c
-    return _ESCAPE_RE.sub(escape, body)
+# A problem the lexer found: (code, message, offset, length).
+_Problem = tuple[str, str, int, int]
 
 
-def _string_value(m: re.Match, line: int, col: int,
-                  errors: list[Diagnostic]) -> str:
-    """Value of the single-line string ``m`` that starts at ``line``, ``col``."""
-    body = m.group("body")
-    if "\\" in body:
-        body = _unescape(body, line, col + 1, errors)
-    length = m.end() - m.start()
-    if m.group("dangle") is not None:
-        errors.append(_error("lex.bad_escape", "dangling backslash in string",
-                             line, col + length - 1, 1))
-    if m.group("close") is None:
-        errors.append(_error("lex.unterminated_string", "unterminated string",
-                             line, col, length))
+def _string_value(m: re.Match, start: int, problems: list[_Problem]) -> str:
+    """Value of the single-line string ``m`` that starts at ``start``."""
+    def escape(e: re.Match) -> str:
+        c = e[1]
+        if c not in _ESCAPES:
+            problems.append(("lex.bad_escape", f"unknown escape sequence '\\{c}'",
+                             start + 1 + e.start(), 2))
+        return _ESCAPES.get(c, c)
+    body = _ESCAPE_RE.sub(escape, m["body"])
+    end = m.end()
+    if m["dangle"] is not None:
+        problems.append(("lex.bad_escape", "dangling backslash in string",
+                         end - 1, 1))
+    if m["close"] is None:
+        problems.append(("lex.unterminated_string", "unterminated string",
+                         start, end - start))
     return body
 
 
+def _diagnostics(source: str, problems: list[_Problem]) -> list[Diagnostic]:
+    lines = problems and LineIndex(source)
+    return [Diagnostic(Severity.ERROR, code, message,
+                       span=lines.span(offset, length))
+            for code, message, offset, length in problems]
+
+
 # ``tuple.__new__`` skips the Python-level ``__new__`` that NamedTuple
-# generates; building the two tuples of each token this way made ``lex``
-# about 13% faster on CPython 3.11.
+# generates; building tokens this way made ``lex`` about 13% faster on
+# CPython 3.11.
 _new = tuple.__new__
+
+
+def _rare_token(m: re.Match, i: int, start: int, emit: Callable,
+                problems: list[_Problem]) -> int:
+    """Emit the token of the match ``m`` of group ``i`` that :func:`lex`
+    leaves to this function, or report a problem; return where it ends."""
+    end = m.end()
+    text = m.string[start:end]
+    if i <= _NUMBER_G and not text.isascii():
+        end = _word_end(m, start)
+        text = m.string[start:end]
+        if not text:
+            i, end, text = None, start + 1, m.string[start]
+    if i == _IDENT_G:
+        kind, value = IDENT, text
+    elif i == _NUMBER_G:
+        if not text.isdecimal():
+            kind, value = BRANCH, text
+        else:
+            try:
+                kind, value = INT, int(text)
+            except ValueError:  # beyond sys.get_int_max_str_digits()
+                problems.append(("lex.number_too_long",
+                                 f"number of {len(text)} digits is too long",
+                                 start, end - start))
+                return end
+    elif i == _STRING_G:
+        kind, value = STRING, _string_value(m, start, problems)
+    elif i == _TRIPLE_G:
+        if m["tclose"] is None:
+            problems.append(("lex.unterminated_string",
+                             "unterminated triple-quoted string", start, 3))
+        kind, value = STRING, dedent_block(m["tbody"])
+    else:
+        problems.append(("lex.invalid_char", f"unexpected character {text!r}",
+                         start, 1))
+        return end
+    emit(_new(Token, (kind, text, value, start)))
+    return end
 
 
 def lex(source: str) -> tuple[list[Token], list[Diagnostic]]:
@@ -246,72 +321,35 @@ def lex(source: str) -> tuple[list[Token], list[Diagnostic]]:
         source.encode("utf-8")
     except UnicodeEncodeError as exc:
         # No token of a text that was not decoded is trusted.
-        line = source.count("\n", 0, exc.start) + 1
-        col = exc.start - source.rfind("\n", 0, exc.start)
-        return ([Token(TokenKind.EOF, "", None, SourceSpan(line, col, 0))],
-                [_error("lex.not_utf8", "text is not valid UTF-8", line, col, 1)])
+        return ([Token(EOF, "", None, exc.start)],
+                _diagnostics(source, [("lex.not_utf8", "text is not valid UTF-8",
+                                       exc.start, 1)]))
     tokens: list[Token] = []
-    errors: list[Diagnostic] = []
+    problems: list[_Problem] = []
     emit = tokens.append
-    match = _TOKEN_RE.match
-    pos = 0
-    line = 1
-    line_start = 0      # offset of the first character of ``line``
-    n = len(source)
-    while pos < n:
-        m = match(source, pos)
-        group = m.lastgroup
-        end = m.end()
-        text = m.group()
-        col = pos - line_start + 1
-        if (group == "ident" or group == "number") and not text.isascii():
-            end = _word_end(m)
-            text = source[pos:end]
-            if not text:
-                group, end, text = "invalid", pos + 1, source[pos]
-        if group == "ws" or group == "comment":
-            kind = None
-        elif group == "ident":
-            kind, value = TokenKind.IDENT, text
-        elif group == "punct":
-            kind, value = _PUNCTUATION[text], None
-        elif group == "string":
-            kind, value = TokenKind.STRING, _string_value(m, line, col, errors)
-        elif group == "number":
-            if m.end("digits") != end:
-                kind, value = TokenKind.BRANCH, text
-            else:
-                try:
-                    kind, value = TokenKind.INT, int(text)
-                except ValueError:  # beyond sys.get_int_max_str_digits()
-                    kind = None
-                    errors.append(_error(
-                        "lex.number_too_long",
-                        f"number of {len(text)} digits is too long",
-                        line, col, end - pos))
-        elif group == "arrow":
-            kind, value = TokenKind.ARROW, None
-        elif group == "triple":
-            if m.group("tclose") is None:
-                errors.append(_error("lex.unterminated_string",
-                                     "unterminated triple-quoted string",
-                                     line, col, 3))
-            kind, value = TokenKind.STRING, dedent_block(m.group("tbody"))
+    kinds, texts, new, token = _KIND, _TEXT, _new, Token
+    ident_g, plain_g, end_g = _IDENT_G, _PLAIN_G, _END_G
+    scan = _TOKEN_RE.scanner(source).match     # matches on from the last end
+    while True:
+        m = scan()
+        i = m.lastindex
+        start = m.end(1)
+        if i < ident_g:                         # punctuation
+            emit(new(token, (kinds[i], texts[i], None, start)))
+            continue
+        text = source[start:m.end()]
+        if i == ident_g and text.isascii():
+            emit(new(token, (IDENT, text, text, start)))
+        elif i == plain_g:                      # a string without escapes
+            emit(new(token, (STRING, text, text[1:-1], start)))
+        elif i == end_g:
+            break
         else:
-            kind = None
-            errors.append(_error("lex.invalid_char",
-                                 f"unexpected character {text!r}",
-                                 line, col, 1))
-        if kind is not None:
-            emit(_new(Token, (kind, text, value,
-                              _new(SourceSpan, (line, col, end - pos)))))
-        if "\n" in text:   # only whitespace and triple strings span lines
-            line += text.count("\n")
-            line_start = pos + text.rindex("\n") + 1
-        pos = end
-    emit(Token(TokenKind.EOF, "", None,
-               SourceSpan(line, pos - line_start + 1, 0)))
-    return tokens, errors
+            end = _rare_token(m, i, start, emit, problems)
+            if end != m.end():      # a non-ASCII word stopped short
+                scan = _TOKEN_RE.scanner(source, end).match
+    emit(Token(EOF, "", None, start))
+    return tokens, _diagnostics(source, problems)
 
 
 def read_ucdl(path: str | os.PathLike) -> str:

@@ -35,9 +35,14 @@ references) are *not* parse errors; run
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import cached_property
 from typing import Callable, Iterator, Optional
 
-from .lexer import Diagnostic, Severity, SourceSpan, Token, TokenKind, lex
+from .lexer import (
+    ARROW, BRANCH, COLON, COMMA, EOF, IDENT, INT, LBRACE, LBRACKET, LPAREN,
+    RBRACE, RBRACKET, RPAREN, STRING, Diagnostic, LineIndex, Severity, Token,
+    TokenKind, lex,
+)
 from .model import (
     Actor,
     ActorKind,
@@ -56,20 +61,11 @@ from .model import (
 
 _USECASE_KW = "usecase"
 
-_PROSE_KEYS = {
-    "intended_purpose", "context_of_use", "trigger", "success_guarantee",
-    "minimal_guarantee",
-}
-_STRING_LIST_KEYS = {"inputs", "outputs", "preconditions"}
-_BLOCK_KEYS = {
-    "user", "target_persons", "secondary_actors", "functions", "scenario",
-    "extension", "misuse",
-}
 _LEVELS = {lv.value: lv for lv in GoalLevel}
 _BOOLS = {"true": True, "false": False}
 _ACTOR_KINDS = {k.value: k for k in ActorKind}
 
-_WORD_KINDS = (TokenKind.IDENT, TokenKind.BRANCH, TokenKind.INT)
+_WORD_KINDS = (IDENT, BRANCH, INT)
 
 # The readers of each ``{ key: value … }`` record, called with the parser.
 _ACTOR_FIELDS = {
@@ -80,14 +76,30 @@ _MISUSE_FIELDS = {
     "description": lambda p: p.parse_string("misuse description string"),
     "area": lambda p: p.parse_area_item(),
 }
+# ... and of each ``key: value`` field of a use case.
+_VALUES = {
+    "id": lambda p: p.parse_word_or_string("use case id"),
+    **{key: lambda p, what=f"string value for {key!r}": p.parse_string(what)
+       for key in ("intended_purpose", "context_of_use", "trigger",
+                   "success_guarantee", "minimal_guarantee")},
+    "safety_component": lambda p: p.parse_choice(_BOOLS, "safety_component"),
+    "level": lambda p: p.parse_choice(_LEVELS, "level"),
+    "application_areas": lambda p: p.parse_list(p.parse_area_item),
+    "affective_capabilities": lambda p: p.parse_words("capability tag"),
+    **{key: lambda p, what=f"string in {key!r} list": p.parse_words(what)
+       for key in ("inputs", "outputs", "preconditions")},
+    "associations": lambda p: p.parse_list(p.parse_association_item),
+}
+# The blocks that may come more than once; each adds to a tuple.
+_REPEATED = {"extension", "misuse"}
 
 
 class _Panic(Exception):
     """Internal signal: abandon the current block and resynchronize."""
 
 
-# The fields ``UseCase`` requires, at their empty values; every other field
-# left out of a block takes its default from ``UseCase`` itself.
+# The fields ``UseCase`` requires, at their empty values, and the repeated
+# blocks; any other field left out of a block takes its ``UseCase`` default.
 _REQUIRED_EMPTY = {
     "id": "",
     "intended_purpose": "",
@@ -97,85 +109,76 @@ _REQUIRED_EMPTY = {
     "outputs": (),
     "system_functions": (),
     "main_scenario": (),
+    "extensions": (),
+    "misuses": (),
 }
 
 
-class _State:
-    """Mutable collection bucket for one ``usecase`` block: ``UseCase``
-    keyword arguments, plus the two blocks that may repeat."""
-
-    def __init__(self, title: str):
-        self.seen: set[str] = set()
-        self.fields: dict[str, object] = dict(_REQUIRED_EMPTY, title=title)
-        self.extensions: list[Extension] = []
-        self.misuses: list[Misuse] = []
-
-    def build(self) -> UseCase:
-        return UseCase(**self.fields, extensions=tuple(self.extensions),
-                       misuses=tuple(self.misuses))
-
-
 def _describe(tok: Token) -> str:
-    if tok.kind is TokenKind.EOF:
+    if tok.kind is EOF:
         return "end of input"
-    if tok.kind is TokenKind.STRING:
+    if tok.kind is STRING:
         return "string"
     return repr(tok.text)
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
+    def __init__(self, source: str, tokens: list[Token]):
+        self.source = source
         self.tokens = tokens
         self.pos = 0
         self.errors: list[Diagnostic] = []
+        self.seen: set[str] = set()     # the keys of this use case so far
         # (use case or None, block start, block end) per usecase block,
-        # positions as (line, column) so lexer errors can be attributed
-        self.results: list[tuple[Optional[UseCase], tuple[int, int], tuple[int, int]]] = []
+        # positions as offsets so lexer errors can be attributed
+        self.results: list[tuple[Optional[UseCase], int, int]] = []
 
-    # -- token plumbing -------------------------------------------------
+    @cached_property
+    def lines(self) -> LineIndex:
+        return LineIndex(self.source)
+
+    # -- token plumbing: each reads ``tokens[pos]`` itself, as the hot path
 
     def cur(self) -> Token:
         return self.tokens[self.pos]
 
-    def next_kind(self) -> TokenKind:
-        i = min(self.pos + 1, len(self.tokens) - 1)
-        return self.tokens[i].kind
-
     def at(self, kind: TokenKind) -> bool:
-        return self.cur().kind is kind
+        return self.tokens[self.pos].kind is kind
 
     def at_word(self, text: str) -> bool:
-        tok = self.cur()
-        return tok.kind is TokenKind.IDENT and tok.text == text
+        tok = self.tokens[self.pos]
+        return tok.kind is IDENT and tok.text == text
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
-        if tok.kind is not TokenKind.EOF:
+        if tok.kind is not EOF:
             self.pos += 1
         return tok
 
-    def error(self, message: str, span: Optional[SourceSpan] = None,
+    def error(self, message: str, at: Optional[Token] = None,
               expected: tuple[str, ...] = (), code: str = "syntax") -> None:
+        """Report ``message`` at the token ``at``, by default the current one."""
         if expected:
             message += f" (expected {' or '.join(expected)})"
-        self.errors.append(Diagnostic(Severity.ERROR, code, message,
-                                      span=span or self.cur().span,
-                                      expected=expected))
+        tok = at or self.tokens[self.pos]
+        self.errors.append(Diagnostic(
+            Severity.ERROR, code, message,
+            span=self.lines.span(tok.offset, len(tok.text)), expected=expected))
 
     def expect(self, kind: TokenKind, what: str) -> Token:
-        if self.at(kind):
-            return self.advance()
-        self.error(f"expected {what}, found {_describe(self.cur())}",
-                   expected=(what,))
+        tok = self.tokens[self.pos]
+        if tok.kind is kind:        # never EOF, so there is a next token
+            self.pos += 1
+            return tok
+        self.error(f"expected {what}, found {_describe(tok)}", expected=(what,))
         raise _Panic
 
     def skip_balanced(self) -> None:
         """Consume a brace/bracket-balanced region starting at the opener."""
         opener = self.advance()
-        close = {TokenKind.LBRACE: TokenKind.RBRACE,
-                 TokenKind.LBRACKET: TokenKind.RBRACKET}[opener.kind]
+        close = RBRACE if opener.kind is LBRACE else RBRACKET
         depth = 1
-        while depth and not self.at(TokenKind.EOF):
+        while depth and not self.at(EOF):
             tok = self.advance()
             if tok.kind is opener.kind:
                 depth += 1
@@ -184,23 +187,22 @@ class _Parser:
 
     def skip_value(self) -> None:
         """Consume one field value of any shape (for unknown/duplicate keys)."""
-        if self.at(TokenKind.LBRACKET) or self.at(TokenKind.LBRACE):
+        if self.at(LBRACKET) or self.at(LBRACE):
             self.skip_balanced()
-            return
-        if self.cur().kind in _WORD_KINDS or self.at(TokenKind.STRING):
+        elif self.cur().kind in _WORD_KINDS or self.at(STRING):
             self.advance()
-            if self.at(TokenKind.ARROW):
+            if self.at(ARROW):
                 self.advance()
                 if self.cur().kind in _WORD_KINDS:
                     self.advance()
-            return
-        self.error(f"expected a value, found {_describe(self.cur())}")
-        raise _Panic
+        else:
+            self.error(f"expected a value, found {_describe(self.cur())}")
+            raise _Panic
 
     # -- document structure ---------------------------------------------
 
     def run(self) -> None:
-        while not self.at(TokenKind.EOF):
+        while not self.at(EOF):
             if self.at_word(_USECASE_KW):
                 self.parse_usecase()
             else:
@@ -210,158 +212,135 @@ class _Parser:
                 self.sync_to_usecase()
 
     def sync_to_usecase(self) -> None:
-        while not self.at(TokenKind.EOF) and not self.at_word(_USECASE_KW):
+        while not self.at(EOF) and not self.at_word(_USECASE_KW):
             self.advance()
 
     def parse_usecase(self) -> None:
         first_error = len(self.errors)
-        kw = self.advance()
-        start = (kw.span.line, kw.span.column)
-        state: Optional[_State] = None
+        start = self.advance().offset
+        fields: dict[str, object] = dict(_REQUIRED_EMPTY)
+        self.seen = set()
         try:
-            state = _State(self.parse_string("use case title string"))
+            fields["title"] = self.parse_string("use case title string")
             for _ in self.block("use case"):
-                self.parse_field(state)
+                self.parse_field(fields)
             tok = self.tokens[self.pos - 1]     # the closing '}'
         except _Panic:
             self.sync_to_usecase()
             tok = self.cur()
         clean = len(self.errors) == first_error
-        uc = state.build() if (state is not None and clean) else None
-        self.results.append((uc, start, (tok.span.line, tok.span.column)))
+        self.results.append((UseCase(**fields) if clean else None, start,
+                             tok.offset))
 
     # -- fields ----------------------------------------------------------
 
-    def parse_field(self, state: _State) -> None:
-        tok = self.cur()
-        if tok.kind is TokenKind.IDENT and tok.text in _BLOCK_KEYS:
-            if self.next_kind() is TokenKind.COLON:
-                self.error(
-                    f"field {tok.text!r} takes a block, not a ':' value",
-                    tok.span, code="field.value")
-                self.advance()
-                self.advance()
+    def parse_field(self, fields: dict[str, object]) -> None:
+        """One ``key: value`` or ``key { … }`` field of a use case."""
+        tok = self.tokens[self.pos]
+        key = tok.text
+        # an IDENT is never the last token
+        after = self.tokens[self.pos + 1].kind if tok.kind is IDENT else None
+        block = self._BLOCKS.get(key)
+        if after is COLON:
+            self.pos += 2
+            if block is not None:
+                self.error(f"field {key!r} takes a block, not a ':' value",
+                           tok, code="field.value")
                 self.skip_value()
                 return
-            handler = {
-                "user": self.parse_user,
-                "target_persons": self.parse_persons,
-                "secondary_actors": self.parse_persons,
-                "functions": self.parse_functions,
-                "scenario": self.parse_scenario,
-                "extension": self.parse_extension,
-                "misuse": self.parse_misuse,
-            }[tok.text]
-            handler(state)
-            return
-        if tok.kind is TokenKind.IDENT and self.next_kind() is TokenKind.COLON:
-            self.advance()
-            self.advance()
-            self.parse_keyed_value(tok, state)
-            return
-        if tok.kind is TokenKind.IDENT and self.next_kind() is TokenKind.LBRACE:
-            self.error(f"unknown block {tok.text!r}", tok.span,
-                       code="field.unknown")
-            self.advance()
+            fresh = self.mark_seen(tok)
+            read = _VALUES.get(key)
+            if read is None:
+                if key != "schema_version":
+                    self.error(f"unknown field {key!r}", tok,
+                               code="field.unknown")
+                self.skip_value()
+            elif fresh:
+                fields[key] = read(self)
+            else:
+                read(self)
+        elif block is not None:
+            self.pos += 1
+            field, read = block
+            if key in _REPEATED:
+                fields[field] += (read(self, key),)
+            elif self.mark_seen(tok):
+                fields[field] = read(self, key)
+            else:
+                read(self, key)
+        elif after is LBRACE:
+            self.error(f"unknown block {key!r}", tok, code="field.unknown")
+            self.pos += 1
             self.skip_balanced()
-            return
-        self.error(f"expected a field, found {_describe(tok)}",
-                   expected=("field name", "}"))
-        raise _Panic
+        else:
+            self.error(f"expected a field, found {_describe(tok)}",
+                       expected=("field name", "}"))
+            raise _Panic
 
-    def mark_seen(self, key_tok: Token, state: _State) -> bool:
+    def mark_seen(self, key_tok: Token) -> bool:
         """Record a key occurrence; False (and an error) on duplicates."""
-        if key_tok.text in state.seen:
-            self.error(f"duplicate field {key_tok.text!r}", key_tok.span,
+        if key_tok.text in self.seen:
+            self.error(f"duplicate field {key_tok.text!r}", key_tok,
                        code="field.duplicate")
             return False
-        state.seen.add(key_tok.text)
+        self.seen.add(key_tok.text)
         return True
-
-    def parse_keyed_value(self, key_tok: Token, state: _State) -> None:
-        key = key_tok.text
-        fresh = self.mark_seen(key_tok, state)
-        if key == "id":
-            value = self.parse_word_or_string("use case id")
-        elif key in _PROSE_KEYS:
-            value = self.parse_string(f"string value for {key!r}")
-        elif key == "safety_component":
-            value = self.parse_choice(_BOOLS, key)
-        elif key == "level":
-            value = self.parse_choice(_LEVELS, key)
-        elif key == "application_areas":
-            value = self.parse_list(self.parse_area_item)
-        elif key == "affective_capabilities":
-            value = self.parse_list(
-                lambda: self.parse_word_or_string("capability tag"))
-        elif key in _STRING_LIST_KEYS:
-            value = self.parse_list(
-                lambda: self.parse_word_or_string(f"string in {key!r} list"))
-        elif key == "associations":
-            value = self.parse_list(self.parse_association_item)
-        else:
-            if key != "schema_version":
-                self.error(f"unknown field {key!r}", key_tok.span,
-                           code="field.unknown")
-            self.skip_value()
-            return
-        if fresh:
-            state.fields[key] = value
 
     # -- value shapes ------------------------------------------------------
 
     def parse_word_or_string(self, what: str) -> str:
-        tok = self.cur()
-        if tok.kind in _WORD_KINDS:
-            self.advance()
-            return tok.text
-        if tok.kind is TokenKind.STRING:
-            self.advance()
+        tok = self.tokens[self.pos]
+        if tok.kind is STRING:
+            self.pos += 1
             return str(tok.value)
+        if tok.kind in _WORD_KINDS:
+            self.pos += 1
+            return tok.text
         self.error(f"expected {what}, found {_describe(tok)}",
                    expected=(what,))
         raise _Panic
 
     def parse_string(self, what: str) -> str:
-        return str(self.expect(TokenKind.STRING, what).value)
+        return str(self.expect(STRING, what).value)
 
     def parse_choice(self, table: dict[str, object], key: str) -> object:
         """One word of ``table``; None, after a ``field.value`` error at the
         token, for anything else."""
         tok = self.cur()
-        if tok.kind is TokenKind.IDENT and tok.text in table:
+        if tok.kind is IDENT and tok.text in table:
             self.advance()
             return table[tok.text]
         self.error(f"expected one of {sorted(table)} for {key!r}, "
-                   f"found {_describe(tok)}", tok.span, code="field.value")
+                   f"found {_describe(tok)}", tok, code="field.value")
         self.skip_value()
         return None
 
     def parse_list(self, item_parser: Callable[[], object]) -> tuple:
-        self.expect(TokenKind.LBRACKET, "'['")
+        self.expect(LBRACKET, "'['")
         items = []
-        if not self.at(TokenKind.RBRACKET):
+        while self.tokens[self.pos].kind is not RBRACKET:
             items.append(item_parser())
-            while self.at(TokenKind.COMMA):
-                self.advance()
-                if self.at(TokenKind.RBRACKET):
-                    break           # tolerate a trailing comma
-                items.append(item_parser())
-        self.expect(TokenKind.RBRACKET, "']'")
+            if self.tokens[self.pos].kind is not COMMA:
+                break
+            self.pos += 1           # a comma, perhaps a trailing one
+        self.expect(RBRACKET, "']'")
         return tuple(items)
+
+    def parse_words(self, what: str) -> tuple[str, ...]:
+        return self.parse_list(lambda: self.parse_word_or_string(what))
 
     def parse_area_item(self) -> ApplicationAreaRef:
         tok = self.cur()
-        if tok.kind is TokenKind.IDENT and tok.text == OTHER_AREA:
+        if tok.kind is IDENT and tok.text == OTHER_AREA:
             self.advance()
-            self.expect(TokenKind.LPAREN, "'('")
+            self.expect(LPAREN, "'('")
             label = self.parse_string("free-text area label")
-            self.expect(TokenKind.RPAREN, "')'")
+            self.expect(RPAREN, "')'")
             return ApplicationAreaRef(OTHER_AREA, label)
-        if tok.kind is TokenKind.IDENT:
+        if tok.kind is IDENT:
             self.advance()
             return ApplicationAreaRef(tok.text)
-        if tok.kind is TokenKind.STRING:
+        if tok.kind is STRING:
             self.advance()
             return ApplicationAreaRef(str(tok.value))
         self.error(f"expected application area, found {_describe(tok)}",
@@ -370,7 +349,7 @@ class _Parser:
 
     def parse_association_item(self) -> Association:
         actor = self.parse_word_or_string("actor identifier")
-        self.expect(TokenKind.ARROW, "'->'")
+        self.expect(ARROW, "'->'")
         function = self.parse_word_or_string("function id")
         return Association(actor_ident(actor), function)
 
@@ -378,9 +357,9 @@ class _Parser:
 
     def block(self, what: str) -> Iterator[None]:
         """The one ``{ … }`` loop: yield once per item, then consume ``}``."""
-        self.expect(TokenKind.LBRACE, "'{'")
-        while (kind := self.cur().kind) is not TokenKind.RBRACE:
-            if kind is TokenKind.EOF:
+        self.expect(LBRACE, "'{'")
+        while (kind := self.tokens[self.pos].kind) is not RBRACE:
+            if kind is EOF:
                 self.error(f"unclosed {what} block", expected=("}",))
                 raise _Panic
             yield
@@ -393,17 +372,17 @@ class _Parser:
         keys = " or ".join(f"'{key}'" for key in readers)
         values: dict[str, object] = {}
         for _ in self.block(what):
-            key = self.expect(TokenKind.IDENT, keys)
-            self.expect(TokenKind.COLON, "':'")
+            key = self.expect(IDENT, keys)
+            self.expect(COLON, "':'")
             if key.text in values:
-                self.error(f"duplicate field {key.text!r}", key.span,
+                self.error(f"duplicate field {key.text!r}", key,
                            code="field.duplicate")
                 self.skip_value()
             elif key.text in readers:
                 values[key.text] = readers[key.text](self)
             else:
                 self.error(f"unknown field {key.text!r} in {what} block",
-                           key.span, code="field.unknown")
+                           key, code="field.unknown")
                 self.skip_value()
                 values[key.text] = None     # so a repeat is a duplicate
         return values
@@ -414,101 +393,88 @@ class _Parser:
         return Actor(fields.get("name", ""), fields.get("kind", ActorKind.HUMAN),
                      role)
 
-    def parse_user(self, state: _State) -> None:
-        key = self.advance()
-        fresh = self.mark_seen(key, state)
-        actor = self.parse_actor_body(ActorRole.USER)
-        if fresh:
-            state.fields["user"] = actor
-
-    def parse_persons(self, state: _State) -> None:
-        key = self.advance()
-        role = (ActorRole.TARGET_PERSON if key.text == "target_persons"
+    def parse_persons(self, key: str) -> tuple[Actor, ...]:
+        role = (ActorRole.TARGET_PERSON if key == "target_persons"
                 else ActorRole.SECONDARY)
-        fresh = self.mark_seen(key, state)
         actors: list[Actor] = []
-        for _ in self.block(key.text):
-            person = self.expect(TokenKind.IDENT, "'person'")
+        for _ in self.block(key):
+            person = self.expect(IDENT, "'person'")
             if person.text != "person":
                 self.error(f"expected 'person' block, found {person.text!r}",
-                           person.span, expected=("person",))
+                           person, expected=("person",))
                 raise _Panic
             actors.append(self.parse_actor_body(role))
-        if fresh:
-            state.fields[key.text] = tuple(actors)
+        return tuple(actors)
 
-    def parse_functions(self, state: _State) -> None:
-        key = self.advance()
-        fresh = self.mark_seen(key, state)
+    def parse_functions(self, key: str) -> tuple[SystemFunction, ...]:
         functions: list[SystemFunction] = []
-        for _ in self.block("functions"):
+        for _ in self.block(key):
             name = self.cur()
             fn_id = self.parse_word_or_string("function id")
-            self.expect(TokenKind.COLON, "':'")
-            if name.kind is TokenKind.IDENT and fn_id in ("includes", "extends"):
-                refs = self.parse_list(
-                    lambda: self.parse_word_or_string("function id"))
+            self.expect(COLON, "':'")
+            if name.kind is IDENT and fn_id in ("includes", "extends"):
+                refs = self.parse_words("function id")
                 if not functions:
                     self.error(
                         f"{fn_id!r} annotation with no preceding function",
-                        name.span)
+                        name)
                 elif getattr(functions[-1], fn_id):
                     self.error(
                         f"duplicate {fn_id!r} annotation on "
                         f"function {functions[-1].id!r}",
-                        name.span, code="field.duplicate")
+                        name, code="field.duplicate")
                 else:
                     functions[-1] = replace(functions[-1], **{fn_id: refs})
             else:
                 functions.append(SystemFunction(
                     fn_id, self.parse_string("function label string")))
-        if fresh:
-            state.fields["system_functions"] = tuple(functions)
+        return tuple(functions)
 
     def parse_step(self) -> ScenarioStep:
-        index = self.expect(TokenKind.INT, "step index")
+        index = self.expect(INT, "step index")
         actor = self.cur()
         if actor.kind not in _WORD_KINDS:
             self.error(f"expected step actor, found {_describe(actor)}",
                        expected=("actor identifier",))
             raise _Panic
-        self.advance()
-        self.expect(TokenKind.COLON, "':'")
+        self.pos += 1
+        self.expect(COLON, "':'")
         action = self.parse_string("step action string")
         function: Optional[str] = None
-        if self.at(TokenKind.ARROW):
-            self.advance()
+        if self.at(ARROW):
+            self.pos += 1
             function = self.parse_word_or_string("function id")
         ident = actor.text if actor.text == "system" else actor_ident(actor.text)
         return ScenarioStep(int(index.value), ident, action, function)
 
-    def parse_step_block(self, what: str) -> tuple[ScenarioStep, ...]:
-        return tuple([self.parse_step() for _ in self.block(what)])
+    def parse_steps(self, key: str) -> tuple[ScenarioStep, ...]:
+        return tuple([self.parse_step() for _ in self.block(key)])
 
-    def parse_scenario(self, state: _State) -> None:
-        key = self.advance()
-        fresh = self.mark_seen(key, state)
-        steps = self.parse_step_block("scenario")
-        if fresh:
-            state.fields["main_scenario"] = steps
-
-    def parse_extension(self, state: _State) -> None:
-        self.advance()
+    def parse_extension(self, key: str) -> Extension:
         branch = self.cur()
-        if branch.kind not in (TokenKind.BRANCH, TokenKind.IDENT):
+        if branch.kind not in (BRANCH, IDENT):
             self.error(f"expected branch id, found {_describe(branch)}",
                        expected=("branch id such as '3a'",))
             raise _Panic
-        self.advance()
+        self.pos += 1
         condition = self.parse_string("extension condition string")
-        steps = self.parse_step_block("extension")
-        state.extensions.append(Extension(branch.text, condition, steps))
+        return Extension(branch.text, condition, self.parse_steps(key))
 
-    def parse_misuse(self, state: _State) -> None:
-        self.advance()
-        fields = self.record("misuse", _MISUSE_FIELDS)
-        state.misuses.append(Misuse(fields.get("description", ""),
-                                    fields.get("area")))
+    def parse_misuse(self, key: str) -> Misuse:
+        fields = self.record(key, _MISUSE_FIELDS)
+        return Misuse(fields.get("description", ""), fields.get("area"))
+
+    # The ``UseCase`` field and the reader of each block, by key; a reader
+    # is called with the key, after it.
+    _BLOCKS = {
+        "user": ("user", lambda p, key: p.parse_actor_body(ActorRole.USER)),
+        "target_persons": ("target_persons", parse_persons),
+        "secondary_actors": ("secondary_actors", parse_persons),
+        "functions": ("system_functions", parse_functions),
+        "scenario": ("main_scenario", parse_steps),
+        "extension": ("extensions", parse_extension),
+        "misuse": ("misuses", parse_misuse),
+    }
 
 
 def parse_document(source: str) -> tuple[list[UseCase], list[Diagnostic]]:
@@ -519,17 +485,12 @@ def parse_document(source: str) -> tuple[list[UseCase], list[Diagnostic]]:
     sorted by source position.
     """
     tokens, lex_errors = lex(source)
-    parser = _Parser(tokens)
+    parser = _Parser(source, tokens)
     parser.run()
-
-    use_cases: list[UseCase] = []
-    for uc, start, end in parser.results:
-        if uc is None:
-            continue
-        poisoned = any(
-            start <= (e.span.line, e.span.column) <= end for e in lex_errors)
-        if not poisoned:
-            use_cases.append(uc)
+    lex_offsets = [parser.lines.offset(e.span) for e in lex_errors]
+    use_cases = [uc for uc, start, end in parser.results
+                 if uc is not None
+                 and not any(start <= at <= end for at in lex_offsets)]
 
     errors = sorted(parser.errors + lex_errors, key=lambda e: e.span[:2])
     return use_cases, errors

@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache
 from importlib import resources
 from typing import NoReturn, Optional
 
-from .lexer import TokenKind, lex
+from .lexer import COLON, EOF, IDENT, lex
 from .model import (
     ApplicationAreaRef,
     Diagnostic,
@@ -147,7 +147,7 @@ def load_taxonomy(text: str, file: Optional[str] = None) -> Taxonomy:
     the errors of the :class:`TaxonomyError` it raises name ``file``."""
     tokens, errors = lex(text)
     if not errors:
-        reader = _TaxonomyReader(tokens)
+        reader = _TaxonomyReader(text, tokens)
         try:
             return Taxonomy(*reader.read())
         except _Panic:
@@ -181,18 +181,18 @@ class _TaxonomyReader(_Parser):
 
     def read(self) -> tuple[str, tuple[TaxonomyEntry, ...]]:
         self.expect_word("version")
-        self.expect(TokenKind.COLON, "':'")
+        self.expect(COLON, "':'")
         version = self.parse_string("version string")
         entries: dict[str, TaxonomyEntry] = {}
-        while not self.at(TokenKind.EOF):
+        while not self.at(EOF):
             self.expect_word("entry")
-            name = self.expect(TokenKind.IDENT, "entry area id")
+            name = self.expect(IDENT, "entry area id")
             if name.text in entries:
-                self.error(f"duplicate taxonomy entry {name.text!r}", name.span)
+                self.error(f"duplicate taxonomy entry {name.text!r}", name)
             fields = self.record("entry", _ENTRY_FIELDS)
             if not all(fields.get(key) for key in ("tier", "area", "sub_use")):
                 self.error(f"entry {name.text!r} needs tier, area and sub_use",
-                           name.span)
+                           name)
             entries[name.text] = TaxonomyEntry(
                 name.text, fields["tier"], fields["area"], fields["sub_use"],
                 fields.get("keywords", ()))
@@ -204,7 +204,7 @@ class _TaxonomyReader(_Parser):
         tok = self.cur()
         word = self.parse_string("keyword string")
         if word != word.lower() or not word.strip():
-            self.error(f"keyword {word!r} must be non-empty lowercase", tok.span)
+            self.error(f"keyword {word!r} must be non-empty lowercase", tok)
         return word
 
 

@@ -70,6 +70,21 @@ def test_load_sources_sorted_recursive(tmp_path):
                                       ("sub/a.ucdl", "# a\n")]
 
 
+def test_load_sources_reads_regular_files_only(tmp_path):
+    # A directory named like a source is searched, not read; a broken link
+    # is skipped.  Order is by path component, as for sorted Paths.
+    (tmp_path / "old.ucdl").mkdir()
+    (tmp_path / "old.ucdl" / "in.ucdl").write_text("# in\n", encoding="utf-8")
+    (tmp_path / "a-b").mkdir()
+    (tmp_path / "a-b" / "c.ucdl").write_text("# c\n", encoding="utf-8")
+    (tmp_path / "a").mkdir()
+    (tmp_path / "a" / "b.ucdl").write_text("# b\n", encoding="utf-8")
+    (tmp_path / "gone.ucdl").symlink_to(tmp_path / "missing")
+    assert load_sources(tmp_path) == [
+        ("a/b.ucdl", "# b\n"), ("a-b/c.ucdl", "# c\n"),
+        ("old.ucdl/in.ucdl", "# in\n")]
+
+
 def test_fixture_catalog_entries(fixture_catalog):
     cat, diagnostics = fixture_catalog
     assert cat.ids() == FIXTURE_IDS
@@ -388,6 +403,10 @@ def test_round_trip_random_catalogs():
     b'{"schema": "ucdoc-catalog/1", "taxonomy_version": 3, "entries": []}',
     b'{"schema": "ucdoc-catalog/1", "generated_fields": 3, "entries": []}',
     b'{"schema": "ucdoc-catalog/1", "generated_fields": ["x", 3], "entries": []}',
+    # deeper than the recursion limit of json.loads
+    pytest.param(b"[" * 100_000 + b"]" * 100_000, id="nested"),
+    pytest.param(b'{"schema": "ucdoc-catalog/1", "entries": ' + b"[" * 100_000
+                 + b"]" * 100_000 + b"}", id="nested-entries"),
 ])
 def test_load_rejects_malformed_snapshots(payload):
     with pytest.raises(CatalogFormatError):

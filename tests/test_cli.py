@@ -544,6 +544,28 @@ def test_catalog_stats_rejects_bad_entries(tmp_path, name):
     assert re.search(BAD_GOLDEN_ENTRIES[name][1], err)
 
 
+def test_catalog_stats_rejects_deeply_nested_json(tmp_path):
+    bad = tmp_path / "d.json"
+    bad.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    code, out, err = cli("catalog", "stats", str(bad))
+    assert code == ExitStatus.PARSE_ERROR
+    assert out == ""
+    assert err.startswith("ucdoc: error:") and "nested too deeply" in err
+
+
+def test_catalog_build_skips_directory_named_like_a_source(tmp_path):
+    src_dir = tmp_path / "cdir"
+    (src_dir / "old.ucdl").mkdir(parents=True)
+    (src_dir / "cam.ucdl").write_text(
+        (FIXTURES_DIR / "smart_camera.ucdl").read_text(encoding="utf-8"),
+        encoding="utf-8")
+    out_file = tmp_path / "c.json"
+    code, _, err = cli("catalog", "build", str(src_dir), "--out", str(out_file))
+    assert code == ExitStatus.OK, err
+    assert [e["source_path"] for e in json.loads(out_file.read_bytes())[
+        "entries"]] == ["cam.ucdl"]
+
+
 def test_catalog_stats_missing_file():
     code, _, err = cli("catalog", "stats", "/no/such/catalog.json")
     assert code == 3 and err.startswith("ucdoc: error:")

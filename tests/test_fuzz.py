@@ -4,19 +4,26 @@ The three fixtures and the built-in taxonomy are cut up at the token level
 (a token dropped, repeated, swapped with its neighbour or replaced by one of
 ``POOL``) and read again.  Whatever comes out must be diagnostics, never an
 exception: ``parse_document`` returns, every error span lies inside the
-source, and ``load_taxonomy`` raises nothing but ``TaxonomyError``.
+source, and ``load_taxonomy`` raises nothing but ``TaxonomyError``.  The
+golden catalogue is edited as JSON (a value of another type, a key dropped
+or added, deep nesting), and ``load_catalog_json`` raises nothing but
+``CatalogFormatError``.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from importlib import resources
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import FIXTURE_NAMES, fixture_text
-from ucdoc import TaxonomyError, load_taxonomy, parse_document
-from ucdoc.lexer import lex
+from conftest import FIXTURE_NAMES, GOLDEN_DIR, fixture_text
+from ucdoc import (
+    CatalogFormatError, TaxonomyError, builtin_taxonomy, load_catalog_json,
+    load_taxonomy, parse_document,
+)
+from ucdoc.lexer import LineIndex, lex
 
 # Replacement tokens: punctuation, keywords of both grammars, values of
 # every kind, an unterminated string and a character the lexer rejects.
@@ -40,9 +47,11 @@ def line_starts(source: str) -> list[int]:
 def split_tokens(source: str) -> list[str]:
     """``[gap, token, gap, …, token, gap]``: joined, the source again."""
     starts = line_starts(source)
+    lines = LineIndex(source)
     parts, pos = [], 0
     for tok in lex(source)[0][:-1]:     # all but EOF
-        offset = starts[tok.span.line - 1] + tok.span.column - 1
+        span = lines.span(tok.offset, len(tok.text))
+        offset = starts[span.line - 1] + span.column - 1
         parts += [source[pos:offset], tok.text]
         pos = offset + len(tok.text)
     return parts + [source[pos:]]
@@ -110,3 +119,60 @@ def test_load_taxonomy_raises_only_taxonomy_error(edits):
         assert exc.errors
         for e in exc.errors:
             assert span_inside(source, e.span), e.render()
+
+
+def json_paths(node, path=()):
+    """The path of every value in the JSON document ``node``, itself first."""
+    yield path
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from json_paths(child, path + (key,))
+
+
+GOLDEN_CATALOG = json.loads((GOLDEN_DIR / "catalog.json").read_bytes())
+GOLDEN_PATHS = list(json_paths(GOLDEN_CATALOG))
+JSON_VALUES = (None, True, False, 0, 3, -1, 2.5, "", "x", "high_risk", [],
+               ["x"], [3], {}, {"area_id": "x"})
+NESTED = "[" * 50_000 + "]" * 50_000
+JSON_EDITS = st.lists(st.tuples(
+    st.sampled_from(("retype", "drop", "add", "nest")),
+    st.sampled_from(GOLDEN_PATHS), st.sampled_from(JSON_VALUES)),
+    min_size=1, max_size=3)
+
+
+def edit_catalog(edits) -> str:
+    """The golden catalogue's JSON text after ``(op, path, value)`` edits;
+    a path that an earlier edit removed is skipped."""
+    doc = json.loads(json.dumps(GOLDEN_CATALOG))
+    for op, path, value in edits:
+        value = json.loads(json.dumps(value))      # a fresh copy
+        parent = doc
+        try:
+            for key in path[:-1]:
+                parent = parent[key]
+            if path:
+                parent[path[-1]]
+        except (KeyError, IndexError, TypeError):
+            continue
+        node = parent[path[-1]] if path else doc
+        if op == "add" and isinstance(node, dict):
+            node["unexpected"] = value
+        elif op == "add" and isinstance(node, list):
+            node.append(value)
+        elif not path:
+            doc = "NESTED" if op == "nest" else value
+        elif op == "drop":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = "NESTED" if op == "nest" else value
+    return json.dumps(doc).replace('"NESTED"', NESTED)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(JSON_EDITS)
+def test_load_catalog_json_raises_only_catalog_format_error(edits):
+    try:
+        load_catalog_json(edit_catalog(edits), builtin_taxonomy())
+    except CatalogFormatError:
+        pass

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from ucdoc import parse_document
-from ucdoc.lexer import TokenKind, dedent_block, escape_string, lex
+from ucdoc.lexer import LineIndex, TokenKind, dedent_block, escape_string, lex
 
 
 def kinds(source):
@@ -168,5 +168,36 @@ def test_escape_string_round_trip():
 
 def test_positions():
     tokens, _ = lex("a\n  b")
-    assert (tokens[0].span.line, tokens[0].span.column) == (1, 1)
-    assert (tokens[1].span.line, tokens[1].span.column) == (2, 3)
+    lines = LineIndex("a\n  b")
+    spans = [lines.span(t.offset, len(t.text)) for t in tokens]
+    assert (spans[0].line, spans[0].column) == (1, 1)
+    assert (spans[1].line, spans[1].column) == (2, 3)
+
+
+@pytest.mark.parametrize("source, spans", [
+    # CR is an ordinary character; only LF starts a line.
+    ("a\r\nb", [(1, 1, 1), (2, 1, 1), (2, 2, 0)]),
+    # A triple-quoted string spans lines; the token after it is on its last.
+    ('x """a\nb\n""" y', [(1, 1, 1), (1, 3, 10), (3, 5, 1), (3, 6, 0)]),
+    # EOF after a trailing newline is at column 1 of a line of its own.
+    ("a\n", [(1, 1, 1), (2, 1, 0)]),
+    ("", [(1, 1, 0)]),
+])
+def test_line_index_spans_of_tokens(source, spans):
+    tokens, errors = lex(source)
+    assert errors == []
+    lines = LineIndex(source)
+    assert [tuple(lines.span(t.offset, len(t.text))) for t in tokens] == spans
+
+
+def test_line_index_offsets_round_trip():
+    source = 'a\r\n"""\n\n  x"""\n# c\n\n'
+    lines = LineIndex(source)
+    # Every offset, up to and including len(source), which is where EOF is.
+    for offset in range(len(source) + 1):
+        span = lines.span(offset, 0)
+        assert lines.offset(span) == offset
+        assert span.line == source.count("\n", 0, offset) + 1
+        assert span.column - 1 == offset - (source.rfind("\n", 0, offset) + 1)
+    assert lines.span(len(source), 0) == (7, 1, 0)
+    assert lex(source)[0][-1].offset == len(source)

@@ -16,22 +16,24 @@ from hypothesis import given, settings, strategies as st
 import reference_lexer
 from conftest import FIXTURE_NAMES, fixture_text
 from support import make_use_case
-from ucdoc.lexer import lex
+from ucdoc.lexer import LineIndex, lex
 from ucdoc.serializer import serialize_canonical
 
 
-def _tokens(result):
+def _tokens(result, span=lambda t: t.span):
     tokens, errors = result
     return (
         [(t.kind.name, t.text, t.value,
-          (t.span.line, t.span.column, t.span.length)) for t in tokens],
+          (span(t).line, span(t).column, span(t).length)) for t in tokens],
         [(e.code, e.message, e.expected,
           (e.span.line, e.span.column, e.span.length)) for e in errors],
     )
 
 
 def assert_same_as_reference(text: str) -> None:
-    assert _tokens(lex(text)) == _tokens(reference_lexer.lex(text)), repr(text)
+    lines = LineIndex(text)
+    ours = _tokens(lex(text), lambda t: lines.span(t.offset, len(t.text)))
+    assert ours == _tokens(reference_lexer.lex(text)), repr(text)
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)

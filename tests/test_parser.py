@@ -99,6 +99,17 @@ def test_unknown_field_is_reported_but_parsing_continues():
     assert [e.code for e in errors] == ["field.unknown"]
 
 
+@pytest.mark.parametrize("field", [
+    "bogus { a: { b: 1 } c: [1, [2]] }",
+    "bogus: { a: [1] }",
+    "bogus: [1, [2], {}]",
+])
+def test_unknown_field_value_is_skipped_to_its_close(field):
+    src = MINIMAL.replace('inputs:', field + ' inputs:')
+    _, errors = parse_document(src)
+    assert [e.code for e in errors] == ["field.unknown"]
+
+
 def test_panic_recovery_reaches_second_usecase():
     src = 'usecase "A" { id: ??? }\n' + MINIMAL.replace('"T"', '"B"')
     use_cases, errors = parse_document(src)
