@@ -9,7 +9,10 @@ carry a ``parse.`` code prefix).
 The JSON export (schema ``ucdoc-catalog/1``) is a self-contained snapshot:
 it records the taxonomy version and the generated risk fields next to the
 authored fields, and serializes deterministically so exports can be golden-
-file tested byte for byte.
+file tested byte for byte.  Its text is that of ``json.dumps(doc, indent=2,
+ensure_ascii=False)``, written by ``_write_json``: CPython's C encoder runs
+only without ``indent``, and with it ``json.dumps`` falls back to Python
+generators that take about twice the time of this writer.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -236,7 +240,44 @@ def export_json(cat: Catalog) -> bytes:
             for entry in cat.entries
         ],
     }
-    return (json.dumps(doc, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+    out: list[str] = []
+    _write_json(doc, "\n", out.append)
+    return ("".join(out) + "\n").encode("utf-8")
+
+
+def _write_json(value, pad: str, write) -> None:
+    """Write ``value`` (str, int, bool, dict or list) in pieces through
+    ``write``, as ``json.dumps(value, indent=2, ensure_ascii=False)`` lays it
+    out; ``pad`` is a newline and the indent of the value's own line.  Not a
+    closure: one that calls itself is a reference cycle, which keeps every
+    piece alive until the cyclic garbage collector runs.
+    """
+    if isinstance(value, str):
+        write(encode_basestring(value))
+    elif isinstance(value, dict):
+        inner = pad + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            write(sep)
+            write(encode_basestring(key))
+            write(": ")
+            _write_json(item, inner, write)
+            sep = "," + inner
+        write(pad + "}" if value else "{}")
+    elif isinstance(value, list):
+        inner = pad + "  "
+        sep = "[" + inner
+        for item in value:
+            write(sep)
+            _write_json(item, inner, write)
+            sep = "," + inner
+        write(pad + "]" if value else "[]")
+    elif isinstance(value, bool):
+        write("true" if value else "false")
+    elif isinstance(value, int):
+        write(int.__repr__(value))
+    else:
+        raise TypeError(f"cannot write {type(value).__name__} as JSON")
 
 
 def _assessment_from_dict(index: int, entry: dict) -> RiskAssessment:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 from dataclasses import replace
@@ -357,6 +358,19 @@ def test_export_deterministic_and_golden(fixtures_dir, fixture_catalog):
     data = export_json(cat)
     assert data == export_json(again)
     assert_golden(data, "catalog.json")
+
+
+def test_build_and_export_leave_no_reference_cycles(fixtures_dir):
+    # A cycle keeps every piece of the export alive until the cyclic
+    # collector runs, which raises the peak memory of a build.
+    gc.disable()
+    try:
+        gc.collect()
+        cat, _ = build_catalog(load_sources(fixtures_dir), TAX)
+        assert export_json(cat)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_export_load_round_trip(fixture_catalog):

@@ -680,9 +680,11 @@ def test_lazy_package_namespace():
 # the console entry point
 
 
-def console(*argv: str, **kwargs) -> subprocess.Popen:
-    """``python -m ucdoc.cli`` in a new process, with the package on the path."""
-    env = dict(os.environ)
+def console(*argv: str, env_vars: dict | None = None,
+            **kwargs) -> subprocess.Popen:
+    """``python -m ucdoc.cli`` in a new process, with the package on the path
+    and ``env_vars`` set."""
+    env = {**os.environ, **(env_vars or {})}
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
     return subprocess.Popen([sys.executable, "-m", "ucdoc.cli", *argv],
@@ -708,3 +710,20 @@ def test_console_without_dash_leaves_stdin_alone():
     finally:
         proc.kill()
         proc.communicate()
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # The iteration order of a set of strings follows PYTHONHASHSEED; the
+    # files must not.
+    runs = {"catalog.json": ("catalog", "build", str(FIXTURES_DIR), "--out"),
+            "smart_camera.svg": ("render", SMART_CAMERA, "--out")}
+    for seed in ("1", "2"):
+        for name, argv in runs.items():
+            proc = console(*argv, str(tmp_path / f"{seed}-{name}"),
+                           env_vars={"PYTHONHASHSEED": seed})
+            _, err = proc.communicate(timeout=60)
+            assert proc.returncode == 0, err
+    for name in runs:
+        golden = (GOLDEN_DIR / name).read_bytes()
+        assert (tmp_path / f"1-{name}").read_bytes() == golden
+        assert (tmp_path / f"2-{name}").read_bytes() == golden

@@ -7,23 +7,37 @@ exception: ``parse_document`` returns, every error span lies inside the
 source, and ``load_taxonomy`` raises nothing but ``TaxonomyError``.  The
 golden catalogue is edited as JSON (a value of another type, a key dropped
 or added, deep nesting), and ``load_catalog_json`` raises nothing but
-``CatalogFormatError``.
+``CatalogFormatError``.  The catalogue's JSON writer matches ``json.dumps``
+byte for byte, and ``cli.run`` over generated argv ends in an exit status
+from 0 to 3.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import os
+import random
 import re
+import shutil
+import tempfile
 from importlib import resources
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import FIXTURE_NAMES, GOLDEN_DIR, fixture_text
+from conftest import FIXTURE_NAMES, FIXTURES_DIR, GOLDEN_DIR, fixture_text
+from support import make_use_case
 from ucdoc import (
-    CatalogFormatError, TaxonomyError, builtin_taxonomy, load_catalog_json,
-    load_taxonomy, parse_document,
+    CatalogFormatError, TaxonomyError, build_catalog, builtin_taxonomy,
+    export_json, load_catalog_json, load_taxonomy, parse_document,
+    serialize_canonical,
 )
+from ucdoc.catalog import SCHEMA, _write_json
+from ucdoc.cli import run
 from ucdoc.lexer import LineIndex, lex
+from ucdoc.model import GENERATED_FIELDS, use_case_to_dict
+from ucdoc.risk import assessment_to_dict
 
 # Replacement tokens: punctuation, keywords of both grammars, values of
 # every kind, an unterminated string and a character the lexer rejects.
@@ -89,9 +103,8 @@ def span_inside(source: str, span) -> bool:
 
 
 FIXTURE_PARTS = {name: split_tokens(fixture_text(name)) for name in FIXTURE_NAMES}
-TAXONOMY_PARTS = split_tokens(
-    (resources.files("ucdoc") / "data" / "aiact_taxonomy.ucdl").read_text(
-        encoding="utf-8"))
+TAXONOMY_FILE = resources.files("ucdoc") / "data" / "aiact_taxonomy.ucdl"
+TAXONOMY_PARTS = split_tokens(TAXONOMY_FILE.read_text(encoding="utf-8"))
 
 
 def test_split_tokens_round_trips():
@@ -176,3 +189,121 @@ def test_load_catalog_json_raises_only_catalog_format_error(edits):
         load_catalog_json(edit_catalog(edits), builtin_taxonomy())
     except CatalogFormatError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# the catalogue's JSON writer
+
+
+def dumps(value) -> str:
+    """The text ``export_json`` writes for ``value``, less the last newline."""
+    out: list[str] = []
+    _write_json(value, "\n", out.append)
+    return "".join(out)
+
+
+# Every character the escaper treats apart: quote, backslash, the control
+# characters (\n, \t, \r, \b and \f among them), DEL, the line separator,
+# non-ASCII and astral characters.
+JSON_TEXT = st.text(st.sampled_from(
+    '"\\\x7f\u2028\u00e9\u60c5\U0001f600 aZ9:,[]{}'
+    + "".join(map(chr, range(0x20)))), max_size=12)
+JSON_TREES = st.recursive(
+    JSON_TEXT | st.booleans() | st.integers(-10**20, 10**20)
+    | st.sampled_from((0, -1, 10**19, -(10**19))),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(JSON_TEXT, children, max_size=4),
+    max_leaves=30)
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(JSON_TREES)
+def test_json_writer_matches_json_dumps(value):
+    assert dumps(value) == json.dumps(value, indent=2, ensure_ascii=False)
+
+
+def old_export_json(cat) -> bytes:
+    """The catalogue export as ``json.dumps`` writes it: the reference."""
+    doc = {
+        "schema": SCHEMA,
+        "taxonomy_version": cat.taxonomy_version,
+        "generated_fields": list(GENERATED_FIELDS),
+        "entries": [{"source_path": entry.source_path,
+                     **use_case_to_dict(entry.use_case),
+                     **assessment_to_dict(entry.assessment)}
+                    for entry in cat.entries],
+    }
+    return (json.dumps(doc, indent=2, ensure_ascii=False) + "\n").encode()
+
+
+TAXONOMY_AREAS = tuple(e.area_id for e in builtin_taxonomy().entries)
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 4))
+def test_export_json_matches_json_dumps(seed, size):
+    rng = random.Random(seed)
+    sources = [(f"uc{i}.ucdl", serialize_canonical(make_use_case(
+        rng, area_pool=TAXONOMY_AREAS, uc_id=f"uc-{i}"))) for i in range(size)]
+    cat, _ = build_catalog(sources, builtin_taxonomy())
+    assert len(cat.entries) == size
+    assert export_json(cat) == old_export_json(cat)
+
+
+# ---------------------------------------------------------------------------
+# the command line
+
+
+# A command, a path, some of the command's own options and at times a stray
+# word; the upper-case words stand for paths in the example's own copy of
+# the inputs.
+PATHS = ("FIXTURE", "DIR", "MISSING", "CATALOG", "-", "")
+OPTIONS = {
+    ("validate",): (["FIXTURE"], ["-"]),
+    ("classify",): (["--format", "json"], ["--taxonomy", "TAXONOMY"],
+                    ["--taxonomy", "FIXTURE"], ["--strict"]),
+    ("render",): (["--out", "OUT"], ["--out", "DIR"], ["--out", ""],
+                  ["--format", "puml"], ["--strict"]),
+    ("table",): (["--format", "html"], ["--with-risk"], ["--with-diagram"],
+                 ["--taxonomy", "MISSING"]),
+    ("catalog", "build"): (["--out", "OUT"], ["--out", "DIR"],
+                           ["--taxonomy", "TAXONOMY"], ["--strict"]),
+    ("catalog", "query"): (["--risk", "high"], ["--risk", "severe"],
+                           ["--area", "other"], ["--area", "nowhere"],
+                           ["--capability", "emotion_recognition"],
+                           ["--taxonomy", "TAXONOMY"]),
+    ("catalog", "stats"): (["--taxonomy", "TAXONOMY"],
+                           ["--taxonomy", "MISSING"]),
+}
+STRAY = (["--help"], ["--out"], ["--format", "svg"], ["--risk"], ["nope"],
+         ["catalog"], [""], ["FIXTURE"])
+ARGV = st.sampled_from(sorted(OPTIONS)).flatmap(lambda command: st.tuples(
+    st.just(list(command)), st.sampled_from(PATHS).map(lambda p: [p]),
+    st.lists(st.sampled_from(OPTIONS[command]), max_size=3),
+    st.lists(st.sampled_from(STRAY), max_size=1)))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(ARGV)
+def test_cli_run_exits_0_to_3_on_any_argv(parts):
+    command, path, options, stray = parts
+    with tempfile.TemporaryDirectory() as tmp:
+        # Copies, since any path may come after --out.
+        top = Path(tmp)
+        shutil.copytree(FIXTURES_DIR, top / "inputs")
+        shutil.copy(GOLDEN_DIR / "catalog.json", top / "catalog.json")
+        shutil.copy(TAXONOMY_FILE, top / "taxonomy.ucdl")
+        paths = {"FIXTURE": top / "inputs" / "smart_camera.ucdl",
+                 "DIR": top / "inputs", "MISSING": top / "missing.ucdl",
+                 "CATALOG": top / "catalog.json",
+                 "TAXONOMY": top / "taxonomy.ucdl", "OUT": top / "out"}
+        argv = [str(paths.get(word, word))
+                for word in command + path + sum(options + stray, [])]
+        cwd = os.getcwd()
+        os.chdir(tmp)   # `catalog build ""` reads the working directory
+        try:
+            code = run(argv, stdin="", stdout=io.StringIO(),
+                       stderr=io.StringIO())
+        finally:
+            os.chdir(cwd)
+        assert code in (0, 1, 2, 3), argv
