@@ -10,9 +10,9 @@ The JSON export (schema ``ucdoc-catalog/1``) is a self-contained snapshot:
 it records the taxonomy version and the generated risk fields next to the
 authored fields, and serializes deterministically so exports can be golden-
 file tested byte for byte.  Its text is that of ``json.dumps(doc, indent=2,
-ensure_ascii=False)``, written by ``_write_json``: CPython's C encoder runs
-only without ``indent``, and with it ``json.dumps`` falls back to Python
-generators that take about twice the time of this writer.
+ensure_ascii=False)``, written from the dataclasses, with no dict between, by
+the writers the model's walk compiles once per type; ``json.dumps`` with an
+``indent`` runs in Python generators, not in CPython's C encoder.
 """
 
 from __future__ import annotations
@@ -33,9 +33,10 @@ from .model import (
     RiskLevel,
     Severity,
     UseCase,
+    _convert,
     _from_dict,
+    _write_items,
     use_case_from_dict,
-    use_case_to_dict,
     validate_use_case,
 )
 from .lexer import read_ucdl
@@ -43,7 +44,6 @@ from .parser import parse_document
 from .risk import (
     RiskAssessment,
     Taxonomy,
-    assessment_to_dict,
     classify,
     misuse_diagnostics,
 )
@@ -231,14 +231,7 @@ def export_json(cat: Catalog) -> bytes:
         "schema": SCHEMA,
         "taxonomy_version": cat.taxonomy_version,
         "generated_fields": list(GENERATED_FIELDS),
-        "entries": [
-            {
-                "source_path": entry.source_path,
-                **use_case_to_dict(entry.use_case),
-                **assessment_to_dict(entry.assessment),
-            }
-            for entry in cat.entries
-        ],
+        "entries": list(cat.entries),
     }
     out: list[str] = []
     _write_json(doc, "\n", out.append)
@@ -246,38 +239,30 @@ def export_json(cat: Catalog) -> bytes:
 
 
 def _write_json(value, pad: str, write) -> None:
-    """Write ``value`` (str, int, bool, dict or list) in pieces through
-    ``write``, as ``json.dumps(value, indent=2, ensure_ascii=False)`` lays it
-    out; ``pad`` is a newline and the indent of the value's own line.  Not a
-    closure: one that calls itself is a reference cycle, which keeps every
-    piece alive until the cyclic garbage collector runs.
-    """
-    if isinstance(value, str):
-        write(encode_basestring(value))
-    elif isinstance(value, dict):
+    """Write ``value`` (str, int, bool, dict, list, a model dataclass or a
+    catalogue entry) through ``write`` as ``json.dumps(value, indent=2,
+    ensure_ascii=False)`` lays it out; ``pad`` is a newline and the indent of
+    the value's own line."""
+    write(_json_text(value, pad))
+
+
+def _json_text(value, pad: str) -> str:
+    # Module functions, not closures: one that calls itself is a reference
+    # cycle, which keeps every piece alive until the cyclic collector runs.
+    if isinstance(value, dict):
+        return _write_items(value.items(), lambda item, inner: (
+            encode_basestring(item[0]) + ": " + _json_text(item[1], inner)),
+            pad, "{}")
+    if isinstance(value, list):
+        return _write_items(value, _json_text, pad)
+    if isinstance(value, CatalogEntry):  # one flat object
         inner = pad + "  "
-        sep = "{" + inner
-        for key, item in value.items():
-            write(sep)
-            write(encode_basestring(key))
-            write(": ")
-            _write_json(item, inner, write)
-            sep = "," + inner
-        write(pad + "}" if value else "{}")
-    elif isinstance(value, list):
-        inner = pad + "  "
-        sep = "[" + inner
-        for item in value:
-            write(sep)
-            _write_json(item, inner, write)
-            sep = "," + inner
-        write(pad + "]" if value else "[]")
-    elif isinstance(value, bool):
-        write("true" if value else "false")
-    elif isinstance(value, int):
-        write(int.__repr__(value))
-    else:
-        raise TypeError(f"cannot write {type(value).__name__} as JSON")
+        return ("{" + inner + '"source_path": '
+                + encode_basestring(value.source_path) + "," + inner
+                + _convert(UseCase, "")[3](value.use_case, inner) + "," + inner
+                + _convert(RiskAssessment, "risk_")[3](value.assessment, inner)
+                + pad + "}")
+    return _convert(type(value))[3](value, pad)  # the walk's own writers
 
 
 def _assessment_from_dict(index: int, entry: dict) -> RiskAssessment:

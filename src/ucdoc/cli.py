@@ -70,6 +70,14 @@ class _ArgumentParser(argparse.ArgumentParser):
 # shared plumbing
 
 
+def _path(text: str) -> str:
+    """The argparse ``type`` of every path argument and option: an empty one
+    (an unset shell variable, say) is a usage error, not the directory ``.``."""
+    if not text:
+        raise argparse.ArgumentTypeError("empty path")
+    return text
+
+
 def _read_source(path: str,
                  stdin: Optional[str | TextIO]) -> tuple[str, str]:
     if path == "-":
@@ -82,6 +90,7 @@ def _read_source(path: str,
 def _resolve_taxonomy(ns: argparse.Namespace) -> Taxonomy:
     from .risk import builtin_taxonomy, load_taxonomy
 
+    # An empty UCDOC_TAXONOMY counts as unset; --taxonomy is never empty.
     path = getattr(ns, "taxonomy", None) or os.environ.get(TAXONOMY_ENV_VAR)
     if path:
         return load_taxonomy(read_ucdl(path), path)
@@ -309,13 +318,13 @@ def build_arg_parser() -> _ArgumentParser:
                                 required=True)
 
     p = sub.add_parser("validate", help="parse and validate UCDL files")
-    p.add_argument("paths", nargs="+", metavar="path",
+    p.add_argument("paths", nargs="+", metavar="path", type=_path,
                    help="UCDL file, or - for stdin")
     p.set_defaults(handler=_cmd_validate)
 
     p = sub.add_parser("classify", help="assess the risk level of use cases")
-    p.add_argument("path", help="UCDL file, or - for stdin")
-    p.add_argument("--taxonomy", metavar="file",
+    p.add_argument("path", type=_path, help="UCDL file, or - for stdin")
+    p.add_argument("--taxonomy", type=_path, metavar="file",
                    help="alternative risk taxonomy")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--strict", action="store_true",
@@ -323,21 +332,23 @@ def build_arg_parser() -> _ArgumentParser:
     p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("render", help="draw the use-case diagram")
-    p.add_argument("path", help="UCDL file with exactly one use case")
-    p.add_argument("--out", required=True, metavar="file")
+    p.add_argument("path", type=_path,
+                   help="UCDL file with exactly one use case")
+    p.add_argument("--out", required=True, type=_path, metavar="file")
     p.add_argument("--format", choices=("svg", "puml"), default="svg")
     p.add_argument("--strict", action="store_true",
                    help="diagram warnings become findings (exit 1)")
     p.set_defaults(handler=_cmd_render)
 
     p = sub.add_parser("table", help="emit the documentation table")
-    p.add_argument("path", help="UCDL file with exactly one use case")
+    p.add_argument("path", type=_path,
+                   help="UCDL file with exactly one use case")
     p.add_argument("--format", choices=("md", "html"), default="md")
     p.add_argument("--with-risk", action="store_true", dest="with_risk",
                    help="append risk level and rationale rows")
     p.add_argument("--with-diagram", action="store_true", dest="with_diagram",
                    help="embed the diagram (html only)")
-    p.add_argument("--taxonomy", metavar="file")
+    p.add_argument("--taxonomy", type=_path, metavar="file")
     p.set_defaults(handler=_cmd_table)
 
     p = sub.add_parser("catalog", help="build and inspect use-case catalogues")
@@ -345,24 +356,24 @@ def build_arg_parser() -> _ArgumentParser:
                             required=True)
 
     c = csub.add_parser("build", help="compile a directory of UCDL files")
-    c.add_argument("directory")
-    c.add_argument("--out", required=True, metavar="file")
-    c.add_argument("--taxonomy", metavar="file")
+    c.add_argument("directory", type=_path)
+    c.add_argument("--out", required=True, type=_path, metavar="file")
+    c.add_argument("--taxonomy", type=_path, metavar="file")
     c.add_argument("--strict", action="store_true")
     c.set_defaults(handler=_cmd_catalog_build)
 
     c = csub.add_parser("query", help="filter a catalog JSON file")
-    c.add_argument("file")
+    c.add_argument("file", type=_path)
     c.add_argument("--risk", type=str.lower, metavar="level",
                    choices=tuple(level.label.lower() for level in RiskLevel))
     c.add_argument("--area", metavar="area_id")
     c.add_argument("--capability", metavar="tag")
-    c.add_argument("--taxonomy", metavar="file")
+    c.add_argument("--taxonomy", type=_path, metavar="file")
     c.set_defaults(handler=_cmd_catalog_query)
 
     c = csub.add_parser("stats", help="summarise a catalog JSON file")
-    c.add_argument("file")
-    c.add_argument("--taxonomy", metavar="file")
+    c.add_argument("file", type=_path)
+    c.add_argument("--taxonomy", type=_path, metavar="file")
     c.set_defaults(handler=_cmd_catalog_stats)
 
     return parser

@@ -56,7 +56,7 @@ import re
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from enum import Enum, IntEnum
 from functools import cached_property, lru_cache
-from operator import attrgetter
+from operator import attrgetter, is_
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from .lexer import Diagnostic, Severity  # re-exported: the one finding record
@@ -255,6 +255,7 @@ class UseCase:
         return {f.id for f in self.system_functions}
 
 
+@lru_cache(maxsize=4096)  # called once per step and per actor check
 def actor_ident(name: str) -> str:
     """Identifier an actor is referenced by in scenario steps.
 
@@ -513,12 +514,14 @@ def canonicalize(uc: UseCase) -> UseCase:
     """
     require_valid(uc)
     trimmed = _convert(UseCase)[2](uc)
-    canonical = replace(
-        trimmed,
-        application_areas=tuple(sorted(
-            trimmed.application_areas,
-            key=lambda r: (r.area_id, r.free_label or ""))),
-        affective_capabilities=tuple(sorted(trimmed.affective_capabilities)))
+    areas = tuple(sorted(trimmed.application_areas,
+                         key=lambda r: (r.area_id, r.free_label or "")))
+    capabilities = tuple(sorted(trimmed.affective_capabilities))
+    if trimmed is uc and (areas, capabilities) == (
+            uc.application_areas, uc.affective_capabilities):
+        return uc  # already canonical
+    canonical = replace(trimmed, application_areas=areas,
+                        affective_capabilities=capabilities)
     # Valid ids and references hold no whitespace, so trimming and sorting
     # keep the use case valid.
     canonical.__dict__["_diagnostics"] = ()
@@ -529,7 +532,7 @@ def canonicalize(uc: UseCase) -> UseCase:
 # plain-data form
 #
 # One walk over each dataclass's fields and type hints, compiled into
-# closures on first use, gives the JSON codecs of use cases and risk
+# closures on first use, gives the JSON codecs and text of use cases and risk
 # assessments and the trimming in :func:`canonicalize`.  The JSON keys are the
 # field names in field order; None is left out; ``Misuse.area_ref`` is ``area``.
 
@@ -549,16 +552,31 @@ def _expected(what: str, value: object) -> _BadValue:
     return _BadValue(f"expected {what}, got {type(value).__name__}")
 
 
-@lru_cache(maxsize=None)
-def _convert(tp) -> tuple:
-    """``(encode, decode, trim)`` for type ``tp``; None stands for identity.
+def _write_items(items, write, pad: str, brackets: str = "[]") -> str:
+    """The JSON list (an object, with ``brackets`` ``"{}"``) of
+    ``write(item, inner)`` for each item, laid out as ``json.dumps(indent=2)``
+    does; ``pad`` is a newline and the indent of the container's own line."""
+    inner = pad + "  "
+    return brackets[0] + inner + ("," + inner).join(
+        [write(x, inner) for x in items]) + pad + brackets[1] if items else brackets
 
-    ``decode`` checks types exactly (a bool is not an int).
+
+@lru_cache(maxsize=None)
+def _convert(tp, prefix: Optional[str] = None) -> tuple:
+    """``(encode, decode, trim, write)`` for type ``tp``; None stands for
+    identity.  ``decode`` checks types exactly (a bool is not an int); ``trim``
+    returns the value itself when it changes nothing; ``write(value, pad)``
+    gives ``json.dumps(value, indent=2, ensure_ascii=False)``, ``pad`` as in
+    :func:`_write_items`.  A dataclass given a ``prefix`` (``""`` too) puts it
+    before each key, and its ``write`` gives the members alone, one a line.
     """
     if get_origin(tp) is Union:  # Optional[T]; the JSON never holds null
         return _convert(next(a for a in get_args(tp) if a is not type(None)))
+    # Imported here, not at load: only the catalogue's commands need json.
+    from json.encoder import encode_basestring
+
     if get_origin(tp) is tuple:  # tuple[T, ...], a JSON list
-        encode, decode, trim = _convert(get_args(tp)[0])
+        encode, decode, trim, write = _convert(get_args(tp)[0])
 
         def decode_list(v):
             if type(v) is not list:
@@ -572,42 +590,57 @@ def _convert(tp) -> tuple:
                 raise
             return tuple(items)
 
+        def trim_list(v):
+            items = [trim(x) for x in v]
+            return v if all(map(is_, items, v)) else tuple(items)
+
         return ((lambda v: [encode(x) for x in v]) if encode else list,
-                decode_list, trim and (lambda v: tuple([trim(x) for x in v])))
+                decode_list, trim and trim_list,
+                lambda v, pad: _write_items(v, write, pad))
     if is_dataclass(tp):
-        return _convert_dataclass(tp)
+        encode, decode, trim, write = _convert_dataclass(
+            tp, prefix or "", encode_basestring)
+        return encode, decode, trim, write if prefix is not None else (
+            lambda obj, pad: "{" + pad + "  " + write(obj, pad + "  ")
+            + pad + "}")
     if issubclass(tp, Enum):  # by value; a RiskLevel by its label
         key = attrgetter("label" if tp is RiskLevel else "value")
         members = {key(m): m for m in tp}
+        texts = {m: encode_basestring(key(m)) for m in tp}
 
         def decode_enum(v):
             if type(v) is str and v in members:
                 return members[v]
             raise _BadValue(f"expected one of {list(members)}, got {v!r}")
 
-        return key, decode_enum, None
+        return key, decode_enum, None, lambda v, pad: texts[v]
 
     def decode_plain(v):  # str, int or bool
         if type(v) is not tp:
             raise _expected(tp.__name__, v)
         return v
 
-    return None, decode_plain, str.strip if tp is str else None
+    return (None, decode_plain, str.strip if tp is str else None,
+            (lambda v, pad: encode_basestring(v)) if tp is str else
+            (lambda v, pad: "true" if v else "false") if tp is bool else
+            (lambda v, pad: int.__repr__(v)))
 
 
-def _convert_dataclass(cls) -> tuple:
+def _convert_dataclass(cls, prefix: str, encode_basestring) -> tuple:
     hints = get_type_hints(cls)
-    specs = [(f.name, _JSON_KEYS.get(f.name, f.name), f.default is MISSING,
-              *_convert(hints[f.name])) for f in fields(cls)]
+    specs = [(f.name, prefix + _JSON_KEYS.get(f.name, f.name),
+              f.default is MISSING, *_convert(hints[f.name]))
+             for f in fields(cls)]
     names = [name for name, *_ in specs]
     # attrgetter of a single name returns the bare value, not a 1-tuple.
     values = (attrgetter(*names) if len(names) > 1
               else lambda obj: (getattr(obj, names[0]),))
     known = frozenset(key for _, key, *_ in specs)
+    heads = [(encode_basestring(key) + ": ", w) for _, key, *_, w in specs]
 
     def encode(obj):
         d = {}
-        for (_, key, _, enc, _, _), v in zip(specs, values(obj)):
+        for (_, key, _, enc, _, _, _), v in zip(specs, values(obj)):
             if v is not None:
                 d[key] = enc(v) if enc else v
         return d
@@ -617,7 +650,7 @@ def _convert_dataclass(cls) -> tuple:
             raise _expected("object", raw)
         kwargs = {}
         try:
-            for name, key, need, _, dec, _ in specs:
+            for name, key, need, _, dec, _, _ in specs:
                 if key in raw:
                     kwargs[name] = dec(raw[key])
                 elif need:
@@ -631,10 +664,16 @@ def _convert_dataclass(cls) -> tuple:
         return cls(**kwargs)
 
     def trim(obj):
-        return cls(**{name: t(v) if t and v is not None else v
-                      for (name, _, _, _, _, t), v in zip(specs, values(obj))})
+        changed = {name: new for (name, _, _, _, _, t, _), v
+                   in zip(specs, values(obj))
+                   if t and v is not None and (new := t(v)) is not v}
+        return replace(obj, **changed) if changed else obj
 
-    return encode, decode, trim
+    def write(obj, pad):
+        return ("," + pad).join([head + w(v, pad) for (head, w), v
+                                 in zip(heads, values(obj)) if v is not None])
+
+    return encode, decode, trim, write
 
 
 def use_case_to_dict(uc: UseCase) -> dict:

@@ -77,13 +77,10 @@ class Taxonomy:
         return {entry.area_id: entry for entry in self.entries}
 
     @cached_property
-    def _patterns(self) -> tuple[tuple[re.Pattern[str], ...], ...]:
-        # One pattern per keyword, not one alternation per entry: hits
-        # count distinct keywords.
-        return tuple(
-            tuple(re.compile(r"\b" + re.escape(kw) + r"\b")
-                  for kw in entry.keywords)
-            for entry in self.entries)
+    def _keywords(self) -> list[tuple[str, re.Pattern[str], int]]:
+        # (keyword, whole-word pattern, entry index), in taxonomy order.
+        return [(kw, re.compile(r"\b" + re.escape(kw) + r"\b"), i)
+                for i, entry in enumerate(self.entries) for kw in entry.keywords]
 
     def find(self, area_id: str) -> Optional[TaxonomyEntry]:
         return self._by_id.get(area_id)
@@ -98,9 +95,10 @@ class Taxonomy:
             entry = self.find(ref.area_id)
             return [(1, entry)] if entry is not None else []
         label = (ref.free_label or "").lower()
-        scan = ((sum(p.search(label) is not None for p in patterns), entry)
-                for patterns, entry in zip(self._patterns, self.entries))
-        return [(hits, entry) for hits, entry in scan if hits]
+        # A whole-word match is a substring: ``in`` screens before the regex.
+        found = [i for kw, pattern, i in self._keywords
+                 if kw in label and pattern.search(label)]
+        return [(found.count(i), self.entries[i]) for i in dict.fromkeys(found)]
 
 
 @dataclass(frozen=True)
@@ -326,5 +324,4 @@ def misuse_diagnostics(assessment: RiskAssessment) -> list[Diagnostic]:
 
 def assessment_to_dict(assessment: RiskAssessment) -> dict:
     """Plain-data mirror for JSON outputs: ``risk_`` plus each field name."""
-    return {f"risk_{key}": value
-            for key, value in _convert(RiskAssessment)[0](assessment).items()}
+    return _convert(RiskAssessment, "risk_")[0](assessment)

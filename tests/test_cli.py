@@ -20,6 +20,7 @@ from test_catalog import BAD_GOLDEN_ENTRIES, mutated_golden_catalog
 from ucdoc.cli import ExitStatus, run
 
 SMART_CAMERA = str(FIXTURES_DIR / "smart_camera.ucdl")
+BUILTIN_TAXONOMY = str(Path(ucdoc.__file__).parent / "data" / "aiact_taxonomy.ucdl")
 DRIVER = str(FIXTURES_DIR / "driver_attention_monitoring.ucdl")
 
 CUSTOM_TAXONOMY = """\
@@ -306,6 +307,12 @@ def test_bad_taxonomy_is_usage_error(tmp_path, monkeypatch):
     assert err.startswith("ucdoc: error:")
 
 
+def test_empty_taxonomy_env_var_counts_as_unset(monkeypatch):
+    monkeypatch.setenv("UCDOC_TAXONOMY", "")
+    assert cli("classify", SMART_CAMERA) == cli("classify", SMART_CAMERA,
+                                                "--taxonomy", BUILTIN_TAXONOMY)
+
+
 # ---------------------------------------------------------------------------
 # render
 
@@ -424,6 +431,51 @@ def test_catalog_build_requires_directory(tmp_path):
                        "--out", str(tmp_path / "c.json"))
     assert code == 3
     assert "not a directory" in err
+
+
+def test_catalog_build_of_empty_directory_argument_is_usage_error(
+        tmp_path, monkeypatch):
+    # "" used to be Path(""), the working directory, which was built.
+    (tmp_path / "inputs").mkdir()
+    (tmp_path / "inputs" / "camera.ucdl").write_text(
+        Path(SMART_CAMERA).read_text(encoding="utf-8"), encoding="utf-8")
+    monkeypatch.chdir(tmp_path / "inputs")
+    code, out, err = cli("catalog", "build", "", "--out", "c.json")
+    assert (code, out) == (3, "")
+    assert "argument directory: empty path" in err
+    assert not (tmp_path / "inputs" / "c.json").exists()
+
+
+CATALOG_JSON = str(GOLDEN_DIR / "catalog.json")
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["validate", ""], "path"),
+    (["validate", SMART_CAMERA, ""], "path"),
+    (["classify", ""], "path"),
+    (["classify", SMART_CAMERA, "--taxonomy", ""], "--taxonomy"),
+    (["render", "", "--out", "x.svg"], "path"),
+    (["render", SMART_CAMERA, "--out", ""], "--out"),
+    (["table", ""], "path"),
+    (["table", SMART_CAMERA, "--with-risk", "--taxonomy", ""], "--taxonomy"),
+    (["catalog", "build", "", "--out", "c.json"], "directory"),
+    (["catalog", "build", str(FIXTURES_DIR), "--out", ""], "--out"),
+    (["catalog", "build", str(FIXTURES_DIR), "--out", "c.json",
+      "--taxonomy", ""], "--taxonomy"),
+    (["catalog", "query", ""], "file"),
+    (["catalog", "query", CATALOG_JSON, "--taxonomy", ""], "--taxonomy"),
+    (["catalog", "stats", ""], "file"),
+    (["catalog", "stats", CATALOG_JSON, "--taxonomy", ""], "--taxonomy"),
+])
+def test_every_empty_path_is_a_usage_error_naming_it(tmp_path, monkeypatch,
+                                                      argv, name):
+    # `classify --taxonomy ""` used to fall back to the built-in taxonomy
+    # without a word, and `catalog build ""` to build the working directory.
+    monkeypatch.chdir(tmp_path)
+    code, out, err = cli(*argv)
+    assert (code, out) == (3, "")
+    assert err.endswith(f": error: argument {name}: empty path\n"), err
+    assert list(tmp_path.iterdir()) == []  # nothing written
 
 
 def test_catalog_build_with_parse_error(tmp_path):
@@ -619,6 +671,15 @@ _NEVER_LOADED = ("urllib.request", "http.client", "email", "ssl")
 _CORE = {"ucdoc", "ucdoc.cli", "ucdoc.lexer", "ucdoc.model", "ucdoc.parser"}
 
 
+def package_env(env_vars: dict | None = None) -> dict[str, str]:
+    """The environment with ``env_vars`` set and the package under test first
+    on the path."""
+    env = {**os.environ, **(env_vars or {})}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    return env
+
+
 def fresh_modules(code: str) -> tuple[set[str], list[str]]:
     """Run ``code`` in a new interpreter; its ucdoc modules and stray ones."""
     probe = code + (
@@ -626,10 +687,7 @@ def fresh_modules(code: str) -> tuple[set[str], list[str]]:
         "print(json.dumps([sorted(m for m in sys.modules"
         " if m.split('.')[0] == 'ucdoc'),"
         f" [m for m in {_NEVER_LOADED!r} if m in sys.modules]]))\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+    proc = subprocess.run([sys.executable, "-c", probe], env=package_env(),
                           capture_output=True, text=True, check=True)
     ucdoc_modules, stray = json.loads(proc.stdout.splitlines()[-1])
     return set(ucdoc_modules), stray
@@ -655,6 +713,27 @@ def test_command_imports_only_what_it_runs(tmp_path, argv, extra):
         "assert code == 0, code")
     assert modules == _CORE | {f"ucdoc.{m}" for m in extra}
     assert stray == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", SMART_CAMERA],
+    ["classify", SMART_CAMERA],
+    ["render", SMART_CAMERA, "--out", "{tmp}/camera.svg"],
+    ["table", "--format", "html", "--with-risk", "--with-diagram",
+     SMART_CAMERA],
+], ids=["validate", "classify-text", "render", "table"])
+def test_command_without_json_output_does_not_import_json(tmp_path, argv):
+    # ``import json`` costs milliseconds of start-up; only the commands that
+    # read or write JSON pay them.  This probe, unlike fresh_modules, reads
+    # sys.modules before any ``import json`` of its own.
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    probe = ("import io, sys\nfrom ucdoc import cli\n"
+             f"code = cli.run({argv!r}, stdout=io.StringIO(),"
+             " stderr=io.StringIO())\n"
+             "print(code, 'json' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", probe], env=package_env(),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["0", "False"]
 
 
 def test_import_ucdoc_loads_no_submodule():
@@ -684,11 +763,8 @@ def console(*argv: str, env_vars: dict | None = None,
             **kwargs) -> subprocess.Popen:
     """``python -m ucdoc.cli`` in a new process, with the package on the path
     and ``env_vars`` set."""
-    env = {**os.environ, **(env_vars or {})}
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
     return subprocess.Popen([sys.executable, "-m", "ucdoc.cli", *argv],
-                            env=env, stdout=subprocess.PIPE,
+                            env=package_env(env_vars), stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, **kwargs)
 
 

@@ -8,13 +8,14 @@ source, and ``load_taxonomy`` raises nothing but ``TaxonomyError``.  The
 golden catalogue is edited as JSON (a value of another type, a key dropped
 or added, deep nesting), and ``load_catalog_json`` raises nothing but
 ``CatalogFormatError``.  The catalogue's JSON writer matches ``json.dumps``
-byte for byte, and ``cli.run`` over generated argv ends in an exit status
-from 0 to 3.
+byte for byte, on any text, and ``cli.run`` over generated argv ends in an
+exit status from 0 to 3, and in 3 when a path is empty.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import os
 import random
@@ -22,6 +23,7 @@ import re
 import shutil
 import tempfile
 from importlib import resources
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
@@ -30,10 +32,10 @@ from conftest import FIXTURE_NAMES, FIXTURES_DIR, GOLDEN_DIR, fixture_text
 from support import make_use_case
 from ucdoc import (
     CatalogFormatError, TaxonomyError, build_catalog, builtin_taxonomy,
-    export_json, load_catalog_json, load_taxonomy, parse_document,
+    classify, export_json, load_catalog_json, load_taxonomy, parse_document,
     serialize_canonical,
 )
-from ucdoc.catalog import SCHEMA, _write_json
+from ucdoc.catalog import SCHEMA, Catalog, CatalogEntry, _write_json
 from ucdoc.cli import run
 from ucdoc.lexer import LineIndex, lex
 from ucdoc.model import GENERATED_FIELDS, use_case_to_dict
@@ -250,6 +252,38 @@ def test_export_json_matches_json_dumps(seed, size):
     assert export_json(cat) == old_export_json(cat)
 
 
+def retext(value, texts):
+    """``value`` with every string in it, at any depth of dataclasses and
+    tuples, replaced by the next of ``texts``."""
+    if isinstance(value, str):
+        return next(texts)
+    if isinstance(value, tuple):
+        return tuple(retext(item, texts) for item in value)
+    if is_dataclass(value):
+        return replace(value, **{f.name: retext(getattr(value, f.name), texts)
+                                 for f in fields(value)})
+    return value
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 3),
+       st.lists(JSON_TEXT, min_size=1, max_size=20))
+def test_export_json_escapes_every_text_as_json_dumps(seed, size, texts):
+    # Texts the parser would never hand over, so the catalogue is built
+    # directly: quotes, backslashes, control characters, U+2028 and astral
+    # characters in every string the export writes.
+    rng = random.Random(seed)
+    texts = itertools.cycle(texts)
+    entries = []
+    for i in range(size):
+        uc = make_use_case(rng, area_pool=TAXONOMY_AREAS, uc_id=f"uc-{i}")
+        entries.append(CatalogEntry(
+            retext(uc, texts), retext(classify(uc, builtin_taxonomy()), texts),
+            next(texts)))
+    cat = Catalog(tuple(entries), builtin_taxonomy(), next(texts))
+    assert export_json(cat) == old_export_json(cat)
+
+
 # ---------------------------------------------------------------------------
 # the command line
 
@@ -307,3 +341,5 @@ def test_cli_run_exits_0_to_3_on_any_argv(parts):
         finally:
             os.chdir(cwd)
         assert code in (0, 1, 2, 3), argv
+        if "" in argv:  # an empty path is a usage error, never "."
+            assert code == 3, argv

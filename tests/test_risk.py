@@ -5,6 +5,7 @@ import re
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from support import make_use_case
 from ucdoc import (
@@ -156,6 +157,50 @@ def test_hand_built_taxonomy_find_and_classify():
 def test_hand_built_taxonomy_best_match(label, expected):
     m = match_area(ApplicationAreaRef("other", label), HAND_BUILT)
     assert (m and m.area_id) == expected
+
+
+def brute_force_scan(tax: Taxonomy, ref: ApplicationAreaRef):
+    """``Taxonomy._scan`` the slow way: one search per keyword per entry."""
+    if ref.area_id != "other":
+        return [(1, e) for e in tax.entries if e.area_id == ref.area_id]
+    label = ref.free_label.lower()
+    counts = [(sum(re.search(r"\b" + re.escape(kw) + r"\b", label) is not None
+                   for kw in entry.keywords), entry) for entry in tax.entries]
+    return [(hits, entry) for hits, entry in counts if hits]
+
+
+# Built-in keywords, some inside longer words or next to hyphens, digits
+# and non-ASCII letters, in three cases; keywords that overlap, within one
+# entry ("student", "students") or across entries ("social scoring"), come
+# up more often, and any may repeat.
+KEYWORDS = sorted({kw for entry in TAX.entries for kw in entry.keywords})
+OVERLAPPING = ("credit", "credit scoring", "creditworthiness", "student",
+               "students", "student assessment", "social scoring",
+               "social behaviour scoring", "worker", "workers", "workplace",
+               "workplace monitoring", "admission", "admissions")
+AFFIXES = ("",) * 12 + ("s", "ing", "pre", "-", "2", "_", "\u00e9", "\u00df")
+SCAN_WORDS = st.builds(
+    lambda before, kw, after, case: case(before + kw + after),
+    st.sampled_from(AFFIXES),
+    st.sampled_from(KEYWORDS) | st.sampled_from(OVERLAPPING),
+    st.sampled_from(AFFIXES), st.sampled_from((str, str.upper, str.title)))
+SCAN_LABELS = st.lists(st.tuples(
+    SCAN_WORDS | st.sampled_from(("emotion", "caf\u00e9", "x")),
+    st.sampled_from((" ", " ", " ", "-", ", ", "", "\u00e9"))),
+    max_size=6).map(lambda pairs: "".join(word + sep for word, sep in pairs))
+AREA_IDS = st.sampled_from([e.area_id for e in TAX.entries] + ["media.analytics"])
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(SCAN_LABELS.map(lambda label: ApplicationAreaRef("other", label))
+       | AREA_IDS.map(ApplicationAreaRef))
+def test_scan_matches_brute_force_keyword_count(ref):
+    expected = brute_force_scan(TAX, ref)
+    assert TAX._scan(ref) == expected
+    # Most hits win; of equals, the earliest entry.
+    best = max((hits for hits, _ in expected), default=0)
+    assert match_area(ref, TAX) is next(
+        (entry for hits, entry in expected if hits == best), None)
 
 
 # ---------------------------------------------------------------------------
