@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
-from json.encoder import encode_basestring
+import re
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -35,8 +35,6 @@ from .model import (
     UseCase,
     _convert,
     _from_dict,
-    _write_items,
-    use_case_from_dict,
     validate_use_case,
 )
 from .lexer import read_ucdl
@@ -50,15 +48,15 @@ from .risk import (
 
 SCHEMA = "ucdoc-catalog/1"
 
-_TOP_LEVEL_KEYS = frozenset(
-    ("schema", "taxonomy_version", "generated_fields", "entries"))
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class CatalogEntry:
-    use_case: UseCase
-    assessment: RiskAssessment
-    source_path: str
+    """One catalogue entry; the JSON holds it as one flat object, its fields
+    in order, the assessment's keys with ``risk_`` in front."""
+
+    source_path: str = ""
+    use_case: UseCase = field(metadata={"flat": ""})
+    assessment: RiskAssessment = field(metadata={"flat": "risk_"})
 
 
 @dataclass(frozen=True)
@@ -149,7 +147,8 @@ def build_catalog(sources: Iterable[tuple[str, str]],
             assessment = classify(uc, tax)
             diagnostics.extend(replace(d, file=path)
                                for d in misuse_diagnostics(assessment))
-            by_id[uc.id] = CatalogEntry(uc, assessment, path)
+            by_id[uc.id] = CatalogEntry(
+                source_path=path, use_case=uc, assessment=assessment)
     entries = tuple(sorted(by_id.values(), key=lambda e: e.use_case.id))
     return Catalog(entries, tax, tax.version), diagnostics
 
@@ -225,55 +224,21 @@ def stats(cat: Catalog) -> CatalogStats:
 # JSON snapshot
 
 
+@dataclass(frozen=True, kw_only=True)
+class _Snapshot:
+    """The catalogue JSON document, read and written by the model's walk."""
+
+    schema: str
+    taxonomy_version: Optional[str] = None
+    generated_fields: tuple[str, ...] = ()
+    entries: tuple[CatalogEntry, ...] = ()
+
+
 def export_json(cat: Catalog) -> bytes:
     """Deterministic UTF-8 JSON snapshot of the catalog."""
-    doc = {
-        "schema": SCHEMA,
-        "taxonomy_version": cat.taxonomy_version,
-        "generated_fields": list(GENERATED_FIELDS),
-        "entries": list(cat.entries),
-    }
-    out: list[str] = []
-    _write_json(doc, "\n", out.append)
-    return ("".join(out) + "\n").encode("utf-8")
-
-
-def _write_json(value, pad: str, write) -> None:
-    """Write ``value`` (str, int, bool, dict, list, a model dataclass or a
-    catalogue entry) through ``write`` as ``json.dumps(value, indent=2,
-    ensure_ascii=False)`` lays it out; ``pad`` is a newline and the indent of
-    the value's own line."""
-    write(_json_text(value, pad))
-
-
-def _json_text(value, pad: str) -> str:
-    # Module functions, not closures: one that calls itself is a reference
-    # cycle, which keeps every piece alive until the cyclic collector runs.
-    if isinstance(value, dict):
-        return _write_items(value.items(), lambda item, inner: (
-            encode_basestring(item[0]) + ": " + _json_text(item[1], inner)),
-            pad, "{}")
-    if isinstance(value, list):
-        return _write_items(value, _json_text, pad)
-    if isinstance(value, CatalogEntry):  # one flat object
-        inner = pad + "  "
-        return ("{" + inner + '"source_path": '
-                + encode_basestring(value.source_path) + "," + inner
-                + _convert(UseCase, "")[3](value.use_case, inner) + "," + inner
-                + _convert(RiskAssessment, "risk_")[3](value.assessment, inner)
-                + pad + "}")
-    return _convert(type(value))[3](value, pad)  # the walk's own writers
-
-
-def _assessment_from_dict(index: int, entry: dict) -> RiskAssessment:
-    # The keys are the RiskAssessment field names with ``risk_`` in front.
-    try:
-        return _from_dict(RiskAssessment, {
-            key.removeprefix("risk_"): entry[key]
-            for key in GENERATED_FIELDS if key in entry})
-    except CatalogFormatError as exc:
-        raise CatalogFormatError(
-            f"bad risk fields in entry {index}: risk_{exc}") from None
+    doc = _Snapshot(schema=SCHEMA, taxonomy_version=cat.taxonomy_version,
+                    generated_fields=GENERATED_FIELDS, entries=cat.entries)
+    return (_convert(_Snapshot)[3](doc, "\n") + "\n").encode("utf-8")
 
 
 def load_catalog_json(data: bytes | str, tax: Taxonomy) -> Catalog:
@@ -295,44 +260,24 @@ def load_catalog_json(data: bytes | str, tax: Taxonomy) -> Catalog:
         raise CatalogFormatError(
             f"unsupported catalog schema {doc.get('schema')!r}"
             if isinstance(doc, dict) else "top-level JSON value must be an object")
-    unknown = doc.keys() - _TOP_LEVEL_KEYS
-    if unknown:
-        raise CatalogFormatError(f"unknown top-level key {min(unknown)!r}")
-    version = doc.get("taxonomy_version", tax.version)
-    raw_entries = doc.get("entries", [])
-    for key, value, kind in (
-            ("taxonomy_version", version, str),
-            ("generated_fields", doc.get("generated_fields", []), list),
-            ("entries", raw_entries, list)):
-        if type(value) is not kind:
-            raise CatalogFormatError(
-                f"{key}: expected {kind.__name__}, got {type(value).__name__}")
-    for i, name in enumerate(doc.get("generated_fields", [])):
-        if type(name) is not str:
-            raise CatalogFormatError(f"generated_fields[{i}]: expected str, "
-                                     f"got {type(name).__name__}")
-    entries = []
+    try:
+        snapshot = _from_dict(_Snapshot, doc)
+    except CatalogFormatError as exc:
+        raise CatalogFormatError(re.sub(  # the path entries[i].… names entry i
+            r"\Aentries\[(\d+)\](?:\.|: )", r"bad fields in entry \1: ",
+            str(exc))) from None
     first_index: dict[str, int] = {}
-    for i, raw in enumerate(raw_entries):
-        try:
-            uc = use_case_from_dict(raw)
-            source_path = raw.get("source_path", "")
-            if type(source_path) is not str:
-                raise CatalogFormatError(
-                    f"source_path: expected str, got {type(source_path).__name__}")
-            problems = validate_use_case(uc)
-            if problems:
-                raise CatalogFormatError("; ".join(
-                    f"{d.location}: [{d.code}] {d.message}" for d in problems))
-        except CatalogFormatError as exc:
-            raise CatalogFormatError(
-                f"bad use-case fields in entry {i}: {exc}") from None
+    for i, entry in enumerate(snapshot.entries):
+        uc = entry.use_case
+        problems = validate_use_case(uc)
+        if problems:
+            raise CatalogFormatError(f"bad fields in entry {i}: " + "; ".join(
+                f"{d.location}: [{d.code}] {d.message}" for d in problems))
         if uc.id in first_index:
             raise CatalogFormatError(
                 f"duplicate id {uc.id!r} in entry {i} "
                 f"(first in entry {first_index[uc.id]})")
         first_index[uc.id] = i
-        entries.append(CatalogEntry(
-            uc, _assessment_from_dict(i, raw), source_path))
-    entries.sort(key=lambda e: e.use_case.id)
-    return Catalog(tuple(entries), tax, version)
+    entries = tuple(sorted(snapshot.entries, key=lambda e: e.use_case.id))
+    version = snapshot.taxonomy_version
+    return Catalog(entries, tax, tax.version if version is None else version)

@@ -532,9 +532,11 @@ def canonicalize(uc: UseCase) -> UseCase:
 # plain-data form
 #
 # One walk over each dataclass's fields and type hints, compiled into
-# closures on first use, gives the JSON codecs and text of use cases and risk
-# assessments and the trimming in :func:`canonicalize`.  The JSON keys are the
-# field names in field order; None is left out; ``Misuse.area_ref`` is ``area``.
+# closures on first use, gives the JSON codecs and text of the model and the
+# catalogue document, and the trimming in :func:`canonicalize`.  The JSON keys
+# are the field names in field order; None is left out; ``Misuse.area_ref`` is
+# ``area``; a field with ``metadata={"flat": prefix}`` has its keys in the
+# enclosing object, each with ``prefix`` in front.
 
 _JSON_KEYS = {"area_ref": "area"}
 
@@ -552,23 +554,15 @@ def _expected(what: str, value: object) -> _BadValue:
     return _BadValue(f"expected {what}, got {type(value).__name__}")
 
 
-def _write_items(items, write, pad: str, brackets: str = "[]") -> str:
-    """The JSON list (an object, with ``brackets`` ``"{}"``) of
-    ``write(item, inner)`` for each item, laid out as ``json.dumps(indent=2)``
-    does; ``pad`` is a newline and the indent of the container's own line."""
-    inner = pad + "  "
-    return brackets[0] + inner + ("," + inner).join(
-        [write(x, inner) for x in items]) + pad + brackets[1] if items else brackets
-
-
 @lru_cache(maxsize=None)
 def _convert(tp, prefix: Optional[str] = None) -> tuple:
     """``(encode, decode, trim, write)`` for type ``tp``; None stands for
     identity.  ``decode`` checks types exactly (a bool is not an int); ``trim``
     returns the value itself when it changes nothing; ``write(value, pad)``
-    gives ``json.dumps(value, indent=2, ensure_ascii=False)``, ``pad`` as in
-    :func:`_write_items`.  A dataclass given a ``prefix`` (``""`` too) puts it
-    before each key, and its ``write`` gives the members alone, one a line.
+    gives ``json.dumps(value, indent=2, ensure_ascii=False)``, ``pad`` being a
+    newline and the indent of the value's line.  A dataclass given a ``prefix``
+    (``""`` too) puts it before each key; its ``write`` gives the members
+    alone, one a line, and its ``decode`` leaves unknown keys to the caller.
     """
     if get_origin(tp) is Union:  # Optional[T]; the JSON never holds null
         return _convert(next(a for a in get_args(tp) if a is not type(None)))
@@ -594,12 +588,16 @@ def _convert(tp, prefix: Optional[str] = None) -> tuple:
             items = [trim(x) for x in v]
             return v if all(map(is_, items, v)) else tuple(items)
 
+        def write_list(v, pad):
+            inner = pad + "  "
+            return "[" + inner + ("," + inner).join(
+                [write(x, inner) for x in v]) + pad + "]" if v else "[]"
+
         return ((lambda v: [encode(x) for x in v]) if encode else list,
-                decode_list, trim and trim_list,
-                lambda v, pad: _write_items(v, write, pad))
+                decode_list, trim and trim_list, write_list)
     if is_dataclass(tp):
-        encode, decode, trim, write = _convert_dataclass(
-            tp, prefix or "", encode_basestring)
+        encode, decode, trim, write, _ = _convert_dataclass(
+            tp, prefix, encode_basestring)
         return encode, decode, trim, write if prefix is not None else (
             lambda obj, pad: "{" + pad + "  " + write(obj, pad + "  ")
             + pad + "}")
@@ -618,6 +616,11 @@ def _convert(tp, prefix: Optional[str] = None) -> tuple:
     def decode_plain(v):  # str, int or bool
         if type(v) is not tp:
             raise _expected(tp.__name__, v)
+        if tp is str and not v.isascii():
+            try:
+                v.encode()
+            except UnicodeEncodeError:
+                raise _BadValue("expected UTF-8 text, got a lone surrogate")
         return v
 
     return (None, decode_plain, str.strip if tp is str else None,
@@ -626,22 +629,34 @@ def _convert(tp, prefix: Optional[str] = None) -> tuple:
             (lambda v, pad: int.__repr__(v)))
 
 
-def _convert_dataclass(cls, prefix: str, encode_basestring) -> tuple:
+def _convert_dataclass(cls, prefix: Optional[str], encode_basestring) -> tuple:
     hints = get_type_hints(cls)
-    specs = [(f.name, prefix + _JSON_KEYS.get(f.name, f.name),
-              f.default is MISSING, *_convert(hints[f.name]))
-             for f in fields(cls)]
+    base = prefix or ""
+    specs, known = [], set()  # a flat member's key in specs is None
+    for f in fields(cls):
+        if "flat" in f.metadata:
+            key = None
+            *converter, keys = _convert_dataclass(
+                hints[f.name], base + f.metadata["flat"], encode_basestring)
+        else:
+            key = base + _JSON_KEYS.get(f.name, f.name)
+            converter, keys = _convert(hints[f.name]), (key,)
+        known.update(keys)
+        specs.append((f.name, key, f.default is MISSING, *converter))
     names = [name for name, *_ in specs]
     # attrgetter of a single name returns the bare value, not a 1-tuple.
     values = (attrgetter(*names) if len(names) > 1
               else lambda obj: (getattr(obj, names[0]),))
-    known = frozenset(key for _, key, *_ in specs)
-    heads = [(encode_basestring(key) + ": ", w) for _, key, *_, w in specs]
+    heads = [("" if key is None else encode_basestring(key) + ": ", w)
+             for _, key, *_, w in specs]
+    has_flat = any(key is None for _, key, *_ in specs)
 
     def encode(obj):
         d = {}
         for (_, key, _, enc, _, _, _), v in zip(specs, values(obj)):
-            if v is not None:
+            if key is None:
+                d.update(enc(v))
+            elif v is not None:
                 d[key] = enc(v) if enc else v
         return d
 
@@ -651,15 +666,20 @@ def _convert_dataclass(cls, prefix: str, encode_basestring) -> tuple:
         kwargs = {}
         try:
             for name, key, need, _, dec, _, _ in specs:
-                if key in raw:
+                if key is None:
+                    kwargs[name] = dec(raw)
+                elif key in raw:
                     kwargs[name] = dec(raw[key])
                 elif need:
                     raise _BadValue("missing key")
-            if len(kwargs) < len(raw) and raw.keys() - known - extra_keys:
+            # Each key read gives one kwarg, but the keys of a flat member.
+            if prefix is None and (has_flat or len(kwargs) < len(raw)) and (
+                    raw.keys() - known - extra_keys):
                 key = min(raw.keys() - known - extra_keys)
                 raise _BadValue("unknown key")
         except _BadValue as exc:
-            exc.path = f".{key}{exc.path}"
+            if key is not None:
+                exc.path = f".{key}{exc.path}"
             raise
         return cls(**kwargs)
 
@@ -673,7 +693,7 @@ def _convert_dataclass(cls, prefix: str, encode_basestring) -> tuple:
         return ("," + pad).join([head + w(v, pad) for (head, w), v
                                  in zip(heads, values(obj)) if v is not None])
 
-    return encode, decode, trim, write
+    return encode, decode, trim, write, known  # and the keys it reads
 
 
 def use_case_to_dict(uc: UseCase) -> dict:

@@ -511,6 +511,10 @@ BAD_GOLDEN_ENTRIES = {
         r"entry 0: risk_level: expected one of \['Minimal'.*got 'high'"),
     "missing-risk-matched": (lambda es: es[0].pop("risk_matched"),
                              "entry 0: risk_matched: missing key"),
+    # json.loads reads "\\ud800" as a lone surrogate, which no UTF-8 can hold
+    "lone-surrogate": (
+        lambda es: es[0].update(affective_capabilities=["\ud800"]),
+        r"entry 0: affective_capabilities\[0\]: "),
 }
 
 
@@ -524,3 +528,15 @@ def mutated_golden_catalog(name: str) -> str:
 def test_load_rejects_bad_entries(name):
     with pytest.raises(CatalogFormatError, match=BAD_GOLDEN_ENTRIES[name][1]):
         load_catalog_json(mutated_golden_catalog(name), TAX)
+
+
+@pytest.mark.parametrize("drop", [
+    "source_path", "taxonomy_version", "generated_fields", "entries"])
+def test_load_fills_in_a_key_left_out(drop):
+    doc = json.loads((GOLDEN_DIR / "catalog.json").read_bytes())
+    del (doc["entries"][0] if drop == "source_path" else doc)[drop]
+    tax = replace(TAX, version="version-on-hand")
+    cat = load_catalog_json(json.dumps(doc), tax)
+    assert cat.taxonomy_version == doc.get("taxonomy_version", tax.version)
+    assert {e.use_case.id: e.source_path for e in cat.entries} == {
+        e["id"]: e.get("source_path", "") for e in doc.get("entries", [])}

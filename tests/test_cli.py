@@ -778,6 +778,18 @@ def test_console_reads_stdin_for_dash(prefix):
     assert out == b"1 file(s), 1 use case(s), 0 error(s), 0 warning(s)\n"
 
 
+def test_console_rejects_a_lone_surrogate_without_a_traceback(tmp_path):
+    # A new process encodes its stdout, so a lone surrogate that reached the
+    # output would end in a UnicodeEncodeError traceback.
+    bad = tmp_path / "catalog.json"
+    bad.write_text(mutated_golden_catalog("lone-surrogate"), encoding="utf-8")
+    proc = console("catalog", "stats", str(bad))
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == ExitStatus.PARSE_ERROR
+    assert out == b"" and b"Traceback" not in err
+    assert b"entry 0: affective_capabilities[0]: " in err
+
+
 def test_console_without_dash_leaves_stdin_alone():
     # stdin stays open, as at a terminal; reading it would block.
     proc = console("validate", SMART_CAMERA, stdin=subprocess.PIPE)
