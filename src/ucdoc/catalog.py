@@ -10,9 +10,9 @@ The JSON export (schema ``ucdoc-catalog/1``) is a self-contained snapshot:
 it records the taxonomy version and the generated risk fields next to the
 authored fields, and serializes deterministically so exports can be golden-
 file tested byte for byte.  Its text is that of ``json.dumps(doc, indent=2,
-ensure_ascii=False)``, written from the dataclasses, with no dict between, by
-the writers the model's walk compiles once per type; ``json.dumps`` with an
-``indent`` runs in Python generators, not in CPython's C encoder.
+ensure_ascii=False)``, written from the dataclasses into one list of pieces by
+one function the model's walk generates on the first export (none on a load);
+``json.dumps`` with an ``indent`` runs in Python generators, not in C.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from .model import (
     RiskLevel,
     Severity,
     UseCase,
-    _convert,
     _from_dict,
+    _writer,
     validate_use_case,
 )
 from .lexer import read_ucdl
@@ -238,7 +238,7 @@ def export_json(cat: Catalog) -> bytes:
     """Deterministic UTF-8 JSON snapshot of the catalog."""
     doc = _Snapshot(schema=SCHEMA, taxonomy_version=cat.taxonomy_version,
                     generated_fields=GENERATED_FIELDS, entries=cat.entries)
-    return (_convert(_Snapshot)[3](doc, "\n") + "\n").encode("utf-8")
+    return (_writer(_Snapshot)(doc) + "\n").encode("utf-8")
 
 
 def load_catalog_json(data: bytes | str, tax: Taxonomy) -> Catalog:
@@ -264,7 +264,7 @@ def load_catalog_json(data: bytes | str, tax: Taxonomy) -> Catalog:
         snapshot = _from_dict(_Snapshot, doc)
     except CatalogFormatError as exc:
         raise CatalogFormatError(re.sub(  # the path entries[i].… names entry i
-            r"\Aentries\[(\d+)\](?:\.|: )", r"bad fields in entry \1: ",
+            r"\Aentries\[(\d+)\](?:\.|: |(?=\[))", r"bad fields in entry \1: ",
             str(exc))) from None
     first_index: dict[str, int] = {}
     for i, entry in enumerate(snapshot.entries):

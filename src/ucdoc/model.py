@@ -531,10 +531,10 @@ def canonicalize(uc: UseCase) -> UseCase:
 # ---------------------------------------------------------------------------
 # plain-data form
 #
-# One walk over each dataclass's fields and type hints, compiled into
-# closures on first use, gives the JSON codecs and text of the model and the
-# catalogue document, and the trimming in :func:`canonicalize`.  The JSON keys
-# are the field names in field order; None is left out; ``Misuse.area_ref`` is
+# One walk over each dataclass's fields and type hints gives the JSON codecs
+# of the model and the catalogue document, the trimming in :func:`canonicalize`
+# and, generated on first use, the writer of the JSON text.  The JSON keys are
+# the field names in field order; None is left out; ``Misuse.area_ref`` is
 # ``area``; a field with ``metadata={"flat": prefix}`` has its keys in the
 # enclosing object, each with ``prefix`` in front.
 
@@ -556,21 +556,16 @@ def _expected(what: str, value: object) -> _BadValue:
 
 @lru_cache(maxsize=None)
 def _convert(tp, prefix: Optional[str] = None) -> tuple:
-    """``(encode, decode, trim, write)`` for type ``tp``; None stands for
-    identity.  ``decode`` checks types exactly (a bool is not an int); ``trim``
-    returns the value itself when it changes nothing; ``write(value, pad)``
-    gives ``json.dumps(value, indent=2, ensure_ascii=False)``, ``pad`` being a
-    newline and the indent of the value's line.  A dataclass given a ``prefix``
-    (``""`` too) puts it before each key; its ``write`` gives the members
-    alone, one a line, and its ``decode`` leaves unknown keys to the caller.
+    """``(encode, decode, trim)`` for type ``tp``; None stands for identity.
+    ``decode`` checks types exactly (a bool is not an int); ``trim`` returns
+    the value itself when it changes nothing.  A dataclass given a ``prefix``
+    (``""`` too) puts it before each key, and its ``decode`` leaves unknown
+    keys to the caller.
     """
     if get_origin(tp) is Union:  # Optional[T]; the JSON never holds null
         return _convert(next(a for a in get_args(tp) if a is not type(None)))
-    # Imported here, not at load: only the catalogue's commands need json.
-    from json.encoder import encode_basestring
-
     if get_origin(tp) is tuple:  # tuple[T, ...], a JSON list
-        encode, decode, trim, write = _convert(get_args(tp)[0])
+        encode, decode, trim = _convert(get_args(tp)[0])
 
         def decode_list(v):
             if type(v) is not list:
@@ -588,30 +583,20 @@ def _convert(tp, prefix: Optional[str] = None) -> tuple:
             items = [trim(x) for x in v]
             return v if all(map(is_, items, v)) else tuple(items)
 
-        def write_list(v, pad):
-            inner = pad + "  "
-            return "[" + inner + ("," + inner).join(
-                [write(x, inner) for x in v]) + pad + "]" if v else "[]"
-
         return ((lambda v: [encode(x) for x in v]) if encode else list,
-                decode_list, trim and trim_list, write_list)
+                decode_list, trim and trim_list)
     if is_dataclass(tp):
-        encode, decode, trim, write, _ = _convert_dataclass(
-            tp, prefix, encode_basestring)
-        return encode, decode, trim, write if prefix is not None else (
-            lambda obj, pad: "{" + pad + "  " + write(obj, pad + "  ")
-            + pad + "}")
+        return _convert_dataclass(tp, prefix)[:3]
     if issubclass(tp, Enum):  # by value; a RiskLevel by its label
         key = attrgetter("label" if tp is RiskLevel else "value")
         members = {key(m): m for m in tp}
-        texts = {m: encode_basestring(key(m)) for m in tp}
 
         def decode_enum(v):
             if type(v) is str and v in members:
                 return members[v]
             raise _BadValue(f"expected one of {list(members)}, got {v!r}")
 
-        return key, decode_enum, None, lambda v, pad: texts[v]
+        return key, decode_enum, None
 
     def decode_plain(v):  # str, int or bool
         if type(v) is not tp:
@@ -623,13 +608,10 @@ def _convert(tp, prefix: Optional[str] = None) -> tuple:
                 raise _BadValue("expected UTF-8 text, got a lone surrogate")
         return v
 
-    return (None, decode_plain, str.strip if tp is str else None,
-            (lambda v, pad: encode_basestring(v)) if tp is str else
-            (lambda v, pad: "true" if v else "false") if tp is bool else
-            (lambda v, pad: int.__repr__(v)))
+    return None, decode_plain, str.strip if tp is str else None
 
 
-def _convert_dataclass(cls, prefix: Optional[str], encode_basestring) -> tuple:
+def _convert_dataclass(cls, prefix: Optional[str]) -> tuple:
     hints = get_type_hints(cls)
     base = prefix or ""
     specs, known = [], set()  # a flat member's key in specs is None
@@ -637,7 +619,7 @@ def _convert_dataclass(cls, prefix: Optional[str], encode_basestring) -> tuple:
         if "flat" in f.metadata:
             key = None
             *converter, keys = _convert_dataclass(
-                hints[f.name], base + f.metadata["flat"], encode_basestring)
+                hints[f.name], base + f.metadata["flat"])
         else:
             key = base + _JSON_KEYS.get(f.name, f.name)
             converter, keys = _convert(hints[f.name]), (key,)
@@ -647,13 +629,11 @@ def _convert_dataclass(cls, prefix: Optional[str], encode_basestring) -> tuple:
     # attrgetter of a single name returns the bare value, not a 1-tuple.
     values = (attrgetter(*names) if len(names) > 1
               else lambda obj: (getattr(obj, names[0]),))
-    heads = [("" if key is None else encode_basestring(key) + ": ", w)
-             for _, key, *_, w in specs]
     has_flat = any(key is None for _, key, *_ in specs)
 
     def encode(obj):
         d = {}
-        for (_, key, _, enc, _, _, _), v in zip(specs, values(obj)):
+        for (_, key, _, enc, _, _), v in zip(specs, values(obj)):
             if key is None:
                 d.update(enc(v))
             elif v is not None:
@@ -665,7 +645,7 @@ def _convert_dataclass(cls, prefix: Optional[str], encode_basestring) -> tuple:
             raise _expected("object", raw)
         kwargs = {}
         try:
-            for name, key, need, _, dec, _, _ in specs:
+            for name, key, need, _, dec, _ in specs:
                 if key is None:
                     kwargs[name] = dec(raw)
                 elif key in raw:
@@ -678,22 +658,79 @@ def _convert_dataclass(cls, prefix: Optional[str], encode_basestring) -> tuple:
                 key = min(raw.keys() - known - extra_keys)
                 raise _BadValue("unknown key")
         except _BadValue as exc:
-            if key is not None:
-                exc.path = f".{key}{exc.path}"
+            if key is not None:  # a key that is not a plain name is quoted
+                exc.path = (f".{key}" if key.isascii() and key.isidentifier()
+                            else f"[{key!r}]") + exc.path
             raise
         return cls(**kwargs)
 
     def trim(obj):
-        changed = {name: new for (name, _, _, _, _, t, _), v
+        changed = {name: new for (name, _, _, _, _, t), v
                    in zip(specs, values(obj))
                    if t and v is not None and (new := t(v)) is not v}
         return replace(obj, **changed) if changed else obj
 
-    def write(obj, pad):
-        return ("," + pad).join([head + w(v, pad) for (head, w), v
-                                 in zip(heads, values(obj)) if v is not None])
+    return encode, decode, trim, known  # and the keys it reads
 
-    return encode, decode, trim, write, known  # and the keys it reads
+
+@lru_cache(maxsize=None)
+def _writer(tp):
+    """``write(value)``: ``json.dumps(value, indent=2, ensure_ascii=False)``
+    for a value of type ``tp``.  Its source is generated on first use from
+    the walk, with nested dataclasses and lists inlined, every piece put in
+    one list, and the key heads and indents as constants of the code."""
+    from json.encoder import encode_basestring as enc  # only export needs json
+    env = {"enc": enc, "irepr": int.__repr__}
+    body = []
+
+    def const(lead, d, tail):  # lead, a new line indented to depth d, tail
+        return repr(f"{lead}\n{'  ' * d}{tail}")
+
+    def emit(tp, x, d, ind):  # appends the text of ``x``, on a line of depth d
+        if is_dataclass(tp):
+            members(tp, x, d + 1, ind, "", "{")
+            body.append(f"{ind}a({const('', d, '}')})")
+        elif get_origin(tp) is tuple:  # the last separator becomes the "]"
+            item = f"v{len(body)}"
+            body.extend((f"{ind}if {x}:", f"{ind} a({const('[', d + 1, '')})",
+                         f"{ind} for {item} in {x}:"))
+            emit(get_args(tp)[0], item, d + 1, ind + "  ")
+            body.extend((f"{ind}  a({const(',', d + 1, '')})",
+                         f"{ind} out[-1] = {const('', d, ']')}",
+                         f"{ind}else:", f"{ind} a('[]')"))
+        elif tp in (str, int, bool):
+            body.append(ind + {str: "a(enc({}))", int: "a(irepr({}))",
+                               bool: "a('true' if {} else 'false')"}[tp].format(x))
+        else:  # an enum: a table from ``_value_`` to its encoder's text
+            table = f"t{len(env)}"
+            env[table] = {m._value_: enc(_convert(tp)[0](m)) for m in tp}
+            body.append(f"{ind}a({table}[{x}._value_])")
+
+    def members(cls, x, d, ind, prefix, lead):  # returns the next lead
+        obj, hints = f"v{len(body)}", get_type_hints(cls)
+        body.append(f"{ind}{obj} = {x}")
+        for f in fields(cls):
+            tp, x, inner = hints[f.name], f"{obj}.{f.name}", ind
+            if "flat" in f.metadata:
+                lead = members(tp, x, d, ind, prefix + f.metadata["flat"], lead)
+                continue
+            if get_origin(tp) is Union:  # Optional[T]; never an object's first
+                if lead == "{":
+                    raise TypeError(f"{cls.__name__}.{f.name}: an Optional "
+                                    "field cannot come first")
+                tp = next(a for a in get_args(tp) if a is not type(None))
+                body.append(f"{ind}if {x} is not None:")
+                inner += " "
+            key = enc(prefix + _JSON_KEYS.get(f.name, f.name))
+            body.append(f"{inner}a({const(lead, d, key + ': ')})")
+            emit(tp, x, d, inner)
+            lead = ","
+        return lead
+
+    emit(tp, "v", 0, " ")
+    exec("\n".join(["def write(v):", " out = []", " a = out.append", *body,
+                     " return ''.join(out)"]), env)
+    return env["write"]
 
 
 def use_case_to_dict(uc: UseCase) -> dict:
@@ -716,4 +753,5 @@ def _from_dict(cls, d: dict, extra_keys: frozenset = frozenset()):
         return _convert(cls)[1](d, extra_keys)
     except _BadValue as exc:
         raise CatalogFormatError(
-            f"{exc.path[1:]}: {exc}" if exc.path else str(exc)) from None
+            f"{exc.path.removeprefix('.')}: {exc}" if exc.path else str(exc)
+        ) from None

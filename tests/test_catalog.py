@@ -530,6 +530,24 @@ def test_load_rejects_bad_entries(name):
         load_catalog_json(mutated_golden_catalog(name), TAX)
 
 
+# An unknown key that is not a plain name is quoted in the error path, so
+# that it cannot read as a path of its own (entry 5, an input of the user).
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc.update({"entries[5]": 1}),
+     "['entries[5]']: unknown key"),
+    (lambda doc: doc["entries"][0]["user"].update({"inputs[0]": 1}),
+     "bad fields in entry 0: user['inputs[0]']: unknown key"),
+    (lambda doc: doc["entries"][0].update({"inputs[0]": 1}),
+     "bad fields in entry 0: ['inputs[0]']: unknown key"),
+], ids=["top-level", "in-user", "in-entry"])
+def test_load_quotes_an_unknown_key_that_is_not_a_name(edit, message):
+    doc = json.loads((GOLDEN_DIR / "catalog.json").read_bytes())
+    edit(doc)
+    with pytest.raises(CatalogFormatError) as info:
+        load_catalog_json(json.dumps(doc), TAX)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("drop", [
     "source_path", "taxonomy_version", "generated_fields", "entries"])
 def test_load_fills_in_a_key_left_out(drop):

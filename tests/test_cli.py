@@ -736,6 +736,30 @@ def test_command_without_json_output_does_not_import_json(tmp_path, argv):
     assert proc.stdout.split() == ["0", "False"]
 
 
+def test_reading_a_catalogue_never_generates_the_writer():
+    # The export's writer is generated on the first export; loading, querying
+    # and summing up a catalogue do without it.  The export at the end shows
+    # that the probe sees the writer once it exists.
+    golden = str(GOLDEN_DIR / "catalog.json")
+    probe = (
+        "import io\nfrom ucdoc import builtin_taxonomy, catalog, cli\n"
+        "from ucdoc.model import _writer\n"
+        f"cat = catalog.load_catalog_json(open({golden!r}, 'rb').read(),"
+        " builtin_taxonomy())\n"
+        "catalog.query(cat, catalog.Query(risk_level=catalog.RiskLevel.HIGH))\n"
+        "catalog.stats(cat)\n"
+        f"for argv in (['catalog', 'query', {golden!r}, '--risk', 'high'],"
+        f" ['catalog', 'stats', {golden!r}]):\n"
+        "    code = cli.run(argv, stdout=io.StringIO(), stderr=io.StringIO())\n"
+        "    assert code == 0, code\n"
+        "print(_writer.cache_info().currsize)\n"
+        "catalog.export_json(cat)\n"
+        "print(_writer.cache_info().currsize)\n")
+    proc = subprocess.run([sys.executable, "-c", probe], env=package_env(),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["0", "1"]
+
+
 def test_import_ucdoc_loads_no_submodule():
     assert fresh_modules("import ucdoc") == ({"ucdoc"}, [])
 

@@ -8,9 +8,10 @@ source, and ``load_taxonomy`` raises nothing but ``TaxonomyError``.  The
 golden catalogue is edited as JSON (a value of another type, a key dropped
 or added, deep nesting, a lone surrogate), and ``load_catalog_json`` raises
 nothing but ``CatalogFormatError``; what it loads exports, and the export
-loads back to the same bytes.  The catalogue's JSON writers match
-``json.dumps`` byte for byte, on any text, and ``cli.run`` over generated
-argv ends in an exit status from 0 to 3, and in 3 when a path is empty.
+loads back to the same bytes.  The catalogue's JSON writer matches
+``json.dumps`` byte for byte, on any text and on one example of each shape
+it inlines, and ``cli.run`` over generated argv ends in an exit status from
+0 to 3, and in 3 when a path is empty.
 """
 
 from __future__ import annotations
@@ -27,10 +28,12 @@ from importlib import resources
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import FIXTURE_NAMES, FIXTURES_DIR, GOLDEN_DIR, fixture_text
 from support import make_use_case
+from test_model import base_use_case
 from ucdoc import (
     CatalogFormatError, TaxonomyError, build_catalog, builtin_taxonomy,
     classify, export_json, load_catalog_json, load_taxonomy, parse_document,
@@ -39,8 +42,13 @@ from ucdoc import (
 from ucdoc.catalog import SCHEMA, Catalog, CatalogEntry
 from ucdoc.cli import run
 from ucdoc.lexer import LineIndex, lex
-from ucdoc.model import GENERATED_FIELDS, _convert, use_case_to_dict
-from ucdoc.risk import assessment_to_dict
+from ucdoc.model import (
+    GENERATED_FIELDS, ActorKind, ActorRole, ApplicationAreaRef, Extension,
+    GoalLevel, Misuse, RiskLevel, SystemFunction, _writer, use_case_to_dict,
+)
+from ucdoc.risk import (
+    AreaMatch, MisuseFlag, RiskAssessment, Tier, assessment_to_dict,
+)
 
 # Replacement tokens: punctuation, keywords of both grammars, values of
 # every kind, an unterminated string and a character the lexer rejects.
@@ -203,9 +211,9 @@ def test_load_catalog_json_raises_only_catalog_format_error(edits):
 
 
 def dumps(tp, value) -> str:
-    """The text the walk's writer for type ``tp`` gives ``value`` at the top
-    level of a document."""
-    return _convert(tp)[3](value, "\n")
+    """The text the generated writer for type ``tp`` gives ``value`` at the
+    top level of a document."""
+    return _writer(tp)(value)
 
 
 # Every character the escaper treats apart: quote, backslash, the control
@@ -288,6 +296,73 @@ def test_export_json_escapes_every_text_as_json_dumps(seed, size, texts):
             source_path=next(texts)))
     cat = Catalog(tuple(entries), builtin_taxonomy(), next(texts))
     assert export_json(cat) == old_export_json(cat)
+
+
+# One example of each shape the writer has to get right, beside the
+# properties: every enum member, every Optional field left out, every list
+# empty.
+MATCH = AreaMatch("biometrics.emotion", Tier.PROHIBITED, "Area", "Sub-use")
+FLAG = MisuseFlag("covert scanning", "biometrics.emotion", Tier.HIGH_RISK,
+                  "Area", "Sub-use")
+ASSESSMENT = RiskAssessment(RiskLevel.HIGH, (MATCH,), (FLAG,), ("R3",))
+
+
+def assert_exports_as_json_dumps(*entries):
+    cat = Catalog(tuple(CatalogEntry(source_path=f"uc{i}.ucdl", use_case=uc,
+                                     assessment=assessment)
+                        for i, (uc, assessment) in enumerate(entries)),
+                  builtin_taxonomy(), "1")
+    assert export_json(cat) == old_export_json(cat)
+
+
+@pytest.mark.parametrize(
+    "member", [*RiskLevel, *GoalLevel, *ActorKind, *ActorRole, *Tier],
+    ids=lambda m: f"{type(m).__name__}.{m.name}")
+def test_export_json_writes_every_enum_member(member):
+    uc, assessment = base_use_case(), ASSESSMENT
+    if isinstance(member, RiskLevel):
+        assessment = replace(assessment, level=member)
+    elif isinstance(member, GoalLevel):
+        uc = replace(uc, level=member)
+    elif isinstance(member, Tier):
+        assessment = replace(assessment, matched=(replace(MATCH, tier=member),),
+                             misuse_flags=(replace(FLAG, tier=member),))
+    else:
+        field = "kind" if isinstance(member, ActorKind) else "role"
+        uc = replace(uc, user=replace(uc.user, **{field: member}))
+    assert_exports_as_json_dumps((uc, assessment))
+
+
+def test_export_json_leaves_out_every_optional_at_none():
+    uc = base_use_case()
+
+    def unannotated(steps):
+        return tuple(replace(step, function=None) for step in steps)
+
+    bare = replace(
+        uc, main_scenario=unannotated(uc.main_scenario),
+        extensions=tuple(replace(ext, steps=unannotated(ext.steps))
+                         for ext in uc.extensions),
+        application_areas=(ApplicationAreaRef("biometrics.emotion"),),
+        misuses=(Misuse("covert scanning"),
+                 Misuse("profiling", ApplicationAreaRef("media.analytics"))))
+    assert_exports_as_json_dumps((bare, ASSESSMENT), (uc, ASSESSMENT))
+
+
+def emptied(value):
+    """The dataclass ``value`` with every one of its tuple fields empty."""
+    return replace(value, **{f.name: () for f in fields(value)
+                             if isinstance(getattr(value, f.name), tuple)})
+
+
+def test_export_json_writes_every_list_empty():
+    uc = emptied(base_use_case())
+    # the lists inside list items: includes, extends and an extension's steps
+    nested = replace(uc, system_functions=(SystemFunction("scan", "Scan"),),
+                     extensions=(Extension("1a", "no face found"),))
+    assert_exports_as_json_dumps((uc, emptied(ASSESSMENT)),
+                                 (nested, ASSESSMENT))
+    assert_exports_as_json_dumps()  # no entries at all
 
 
 # ---------------------------------------------------------------------------

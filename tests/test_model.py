@@ -14,6 +14,7 @@ from ucdoc import (
     ActorRole,
     ApplicationAreaRef,
     Association,
+    CatalogFormatError,
     Extension,
     Misuse,
     RiskLevel,
@@ -231,6 +232,19 @@ def test_dict_round_trip():
     for _ in range(50):
         uc = make_use_case(rng)
         assert use_case_from_dict(use_case_to_dict(uc)) == uc
+
+
+@pytest.mark.parametrize("key, message", [
+    ("notes", "user.notes: unknown key"),
+    ("inputs[0]", "user['inputs[0]']: unknown key"),
+    ("r\u00f4le", "user['r\u00f4le']: unknown key"),
+], ids=["name", "path-like", "non-ascii"])
+def test_from_dict_quotes_an_unknown_key_that_is_not_a_name(key, message):
+    data = use_case_to_dict(base_use_case())
+    data["user"][key] = 1
+    with pytest.raises(CatalogFormatError) as info:
+        use_case_from_dict(data)
+    assert str(info.value) == message
 
 
 def test_dict_key_order_is_stable():
