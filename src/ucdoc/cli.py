@@ -78,13 +78,16 @@ def _path(text: str) -> str:
     return text
 
 
-def _read_source(path: str,
-                 stdin: Optional[str | TextIO]) -> tuple[str, str]:
+def _parse(path: str, stdin: Optional[str | TextIO]
+           ) -> tuple[str, list[UseCase], list[Diagnostic]]:
+    """The name of ``path`` (``<stdin>`` for ``-``), its use cases and its
+    parse errors."""
     if path == "-":
         if stdin is None:
             raise _UsageError("no data on stdin")
-        return "<stdin>", stdin if isinstance(stdin, str) else stdin.read()
-    return path, read_ucdl(path)
+        text = stdin if isinstance(stdin, str) else stdin.read()
+        return ("<stdin>", *parse_document(text))
+    return (path, *parse_document(read_ucdl(path)))
 
 
 def _resolve_taxonomy(ns: argparse.Namespace) -> Taxonomy:
@@ -97,38 +100,39 @@ def _resolve_taxonomy(ns: argparse.Namespace) -> Taxonomy:
     return builtin_taxonomy()
 
 
-def _report(name: Optional[str], diags: list[Diagnostic],
-            err: TextIO) -> None:
-    """One line per diagnostic; ``name`` is the file of those naming none."""
+# The lexer's and the parser's codes, and build_catalog's prefix for them.
+_PARSE_CODES = ("lex.", "syntax", "field.", "parse.")
+
+
+def _status(diags: list[Diagnostic], strict: bool = False) -> ExitStatus:
+    """The one rule from diagnostics to exit status: a parse error ends in
+    2, any other error in 1, and a warning in 1 under ``--strict``."""
+    return max((ExitStatus.PARSE_ERROR if d.code.startswith(_PARSE_CODES) else
+                ExitStatus.FINDINGS if strict or d.severity is Severity.ERROR
+                else ExitStatus.OK for d in diags), default=ExitStatus.OK)
+
+
+def _report(name: Optional[str], diags: list[Diagnostic], err: TextIO,
+            strict: bool = False) -> ExitStatus:
+    """Write one line per diagnostic, ``name`` the file of those naming
+    none, and return their exit status."""
     for d in diags:
         err.write(replace(d, file=d.file or name).render() + "\n")
-
-
-def _check_use_case(name: str, uc: UseCase,
-                    err: TextIO) -> tuple[ExitStatus, list[Diagnostic]]:
-    """Report validation diagnostics; FINDINGS means ``uc`` is unusable."""
-    diags = validate_use_case(uc)
-    _report(name, diags, err)
-    if any(d.severity is Severity.ERROR for d in diags):
-        return ExitStatus.FINDINGS, diags
-    return ExitStatus.OK, diags
+    return _status(diags, strict)
 
 
 def _single_use_case(path: str, stdin: Optional[str | TextIO], err: TextIO
                      ) -> tuple[str, Optional[UseCase], ExitStatus]:
     """Read, parse and validate the one use case of ``path``; None, with the
     exit status, when it does not parse or validate."""
-    name, text = _read_source(path, stdin)
-    use_cases, errors = parse_document(text)
+    name, use_cases, errors = _parse(path, stdin)
     if errors:
-        _report(name, errors, err)
-        return name, None, ExitStatus.PARSE_ERROR
+        return name, None, _report(name, errors, err)
     if len(use_cases) != 1:
         raise _UsageError(
             f"expected exactly one use case in {name}, found {len(use_cases)}")
-    status, _ = _check_use_case(name, use_cases[0], err)
-    usable = status is not ExitStatus.FINDINGS
-    return name, use_cases[0] if usable else None, status
+    code = _report(name, validate_use_case(use_cases[0]), err)
+    return name, None if code else use_cases[0], code
 
 
 # ---------------------------------------------------------------------------
@@ -139,45 +143,34 @@ def _cmd_validate(ns, stdin, out, err) -> ExitStatus:
     code = ExitStatus.OK
     n_files = n_cases = n_errors = n_warnings = 0
     for path in sorted(ns.paths):
-        name, text = _read_source(path, stdin)
+        name, use_cases, diags = _parse(path, stdin)
+        diags += [d for uc in use_cases for d in validate_use_case(uc)]
+        code = max(code, _report(name, diags, err))
         n_files += 1
-        use_cases, errors = parse_document(text)
-        if errors:
-            _report(name, errors, err)
-            n_errors += len(errors)
-            code = max(code, ExitStatus.PARSE_ERROR)
-        for uc in use_cases:
-            n_cases += 1
-            status, diags = _check_use_case(name, uc, err)
-            code = max(code, status)
-            errors = sum(d.severity is Severity.ERROR for d in diags)
-            n_errors += errors
-            n_warnings += len(diags) - errors
+        n_cases += len(use_cases)
+        errors = sum(d.severity is Severity.ERROR for d in diags)
+        n_errors += errors
+        n_warnings += len(diags) - errors
     out.write(f"{n_files} file(s), {n_cases} use case(s), "
               f"{n_errors} error(s), {n_warnings} warning(s)\n")
     return code
 
 
 def _cmd_classify(ns, stdin, out, err) -> ExitStatus:
-    from .risk import assessment_to_dict, classify, explain
+    from .risk import assessment_to_dict, classify, explain, misuse_diagnostics
 
     tax = _resolve_taxonomy(ns)
-    name, text = _read_source(ns.path, stdin)
-    use_cases, errors = parse_document(text)
-    code = ExitStatus.OK
-    if errors:
-        _report(name, errors, err)
-        code = ExitStatus.PARSE_ERROR
+    name, use_cases, errors = _parse(ns.path, stdin)
+    code = _report(name, errors, err)
     assessed = []
     for uc in use_cases:
-        status, _ = _check_use_case(name, uc, err)
+        status = _report(name, validate_use_case(uc), err)
         code = max(code, status)
-        if status is ExitStatus.FINDINGS:
-            continue
-        assessment = classify(uc, tax)
-        assessed.append((uc, assessment))
-        if assessment.misuse_flags and ns.strict:
-            code = max(code, ExitStatus.FINDINGS)
+        if not status:
+            a = classify(uc, tax)
+            assessed.append((uc, a))
+            # explain() writes the misuse flags; here they only count
+            code = max(code, _status(misuse_diagnostics(a), ns.strict))
     if ns.format == "json":
         import json
 
@@ -207,10 +200,7 @@ def _cmd_render(ns, stdin, out, err) -> ExitStatus:
         Path(ns.out).write_bytes(payload)
     else:
         Path(ns.out).write_text(render_textual(diagram), encoding="utf-8")
-    _report(name, warnings, err)
-    if warnings and ns.strict:
-        code = max(code, ExitStatus.FINDINGS)
-    return code
+    return _report(name, warnings, err, ns.strict)
 
 
 def _cmd_table(ns, stdin, out, err) -> ExitStatus:
@@ -246,15 +236,7 @@ def _cmd_catalog_build(ns, stdin, out, err) -> ExitStatus:
     if not root.is_dir():
         raise _UsageError(f"not a directory: {ns.directory}")
     cat, diags = build_catalog(load_sources(root), tax)
-    code = ExitStatus.OK
-    _report(None, diags, err)
-    for d in diags:
-        if d.code.startswith("parse."):
-            code = max(code, ExitStatus.PARSE_ERROR)
-        elif d.severity is Severity.ERROR:
-            code = max(code, ExitStatus.FINDINGS)
-        elif ns.strict:
-            code = max(code, ExitStatus.FINDINGS)
+    code = _report(None, diags, err, ns.strict)
     Path(ns.out).write_bytes(export_json(cat))
     out.write(f"wrote {len(cat.entries)} use case(s) to {ns.out}\n")
     return code
@@ -283,15 +265,11 @@ def _cmd_catalog_stats(ns, stdin, out, err) -> ExitStatus:
 
     report = stats(_load_catalog(ns))
     out.write(f"total: {report.total}\n")
-    out.write("by risk level:\n")
-    for label, count in report.by_level.items():
-        out.write(f"  {label}: {count}\n")
-    out.write("by area:\n")
-    for segment, count in report.by_area.items():
-        out.write(f"  {segment}: {count}\n")
-    out.write("by capability:\n")
-    for tag, count in report.by_capability.items():
-        out.write(f"  {tag}: {count}\n")
+    for title, counts in (("risk level", report.by_level),
+                          ("area", report.by_area),
+                          ("capability", report.by_capability)):
+        out.write(f"by {title}:\n")
+        out.writelines(f"  {key}: {count}\n" for key, count in counts.items())
     return ExitStatus.OK
 
 

@@ -17,6 +17,7 @@ collide with content because every literal ``<`` is escaped.
 from __future__ import annotations
 
 import html
+import re
 from typing import TYPE_CHECKING, Optional
 
 from .model import UseCase, require_valid
@@ -26,8 +27,14 @@ if TYPE_CHECKING:
 
 EMPTY_CELL = "—"
 
-_ESCAPES = {"\\": "\\\\", "|": "\\|", "<": "\\<", "\n": "\\n", "\r": "\\r"}
+_ESCAPES = str.maketrans(
+    {"\\": "\\\\", "|": "\\|", "<": "\\<", "\n": "\\n", "\r": "\\r"})
 _UNESCAPES = {"\\": "\\", "|": "|", "<": "<", "n": "\n", "r": "\r"}
+_ESCAPE_RE = re.compile(r"\\([\\|<nr])")
+# One cell of a stripped table row: the ``|`` before it (not the row's last
+# character), one space of padding on each side, and up to the next
+# unescaped ``|`` or the end of the row.
+_CELL_RE = re.compile(r"\|(?!$) ?((?:\\[\\|]?|[^\\|])*?) ?(?=\||$)")
 
 
 class MalformedSvgError(ValueError):
@@ -36,57 +43,12 @@ class MalformedSvgError(ValueError):
 
 def escape_cell(value: str) -> str:
     """Escape a value for use inside one Markdown table cell."""
-    return "".join(_ESCAPES.get(c, c) for c in value)
+    return value.translate(_ESCAPES)
 
 
 def unescape_cell(value: str) -> str:
     """Inverse of :func:`escape_cell`."""
-    out: list[str] = []
-    i = 0
-    while i < len(value):
-        c = value[i]
-        if c == "\\" and i + 1 < len(value) and value[i + 1] in _UNESCAPES:
-            out.append(_UNESCAPES[value[i + 1]])
-            i += 2
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
-
-
-def _split_row(line: str) -> list[str]:
-    """Split one ``| a | b |`` line into raw cells, honouring escapes."""
-    body = line.strip()
-    if body.startswith("|"):
-        body = body[1:]
-    if body.endswith("|") and not body.endswith("\\|"):
-        body = body[:-1]
-    cells: list[str] = []
-    current: list[str] = []
-    i = 0
-    while i < len(body):
-        c = body[i]
-        if c == "\\" and i + 1 < len(body):
-            current.append(c)
-            current.append(body[i + 1])
-            i += 2
-            continue
-        if c == "|":
-            cells.append("".join(current))
-            current = []
-        else:
-            current.append(c)
-        i += 1
-    cells.append("".join(current))
-    return cells
-
-
-def _trim_padding(cell: str) -> str:
-    if cell.startswith(" "):
-        cell = cell[1:]
-    if cell.endswith(" "):
-        cell = cell[:-1]
-    return cell
+    return _ESCAPE_RE.sub(lambda m: _UNESCAPES[m[1]], value)
 
 
 def parse_table_rows(text: str) -> list[tuple[str, str]]:
@@ -99,7 +61,7 @@ def parse_table_rows(text: str) -> list[tuple[str, str]]:
     for line in text.splitlines():
         if not line.strip().startswith("|"):
             continue
-        cells = [_trim_padding(c) for c in _split_row(line)]
+        cells = _CELL_RE.findall(line.strip())
         if len(cells) != 2:
             continue
         if cells[0] in ("Field", EMPTY_CELL) or set(cells[0]) <= {"-"}:

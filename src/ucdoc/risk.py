@@ -301,12 +301,8 @@ def classify(uc: UseCase, tax: Taxonomy) -> RiskAssessment:
 def explain(assessment: RiskAssessment) -> str:
     """Deterministic multi-line report of one assessment."""
     lines = [f"Risk level: {assessment.level.label}"]
-    for reason in assessment.rationale:
-        lines.append(f"Rule: {reason}")
-    for flag in assessment.misuse_flags:
-        lines.append(
-            f"WARNING: documented misuse matches the {flag.tier.value} "
-            f"entry '{flag.display()}': {flag.description}")
+    lines += [f"Rule: {reason}" for reason in assessment.rationale]
+    lines += ["WARNING: " + d.message for d in misuse_diagnostics(assessment)]
     return "\n".join(lines) + "\n"
 
 

@@ -182,6 +182,25 @@ def test_nasty_values_survive_render_parse():
     assert values["Use case"] == "T|tle \\ <odd> (scan-1)"
 
 
+@pytest.mark.parametrize("value", ["ends in \\", "|", "\\", "\\|", "| \\"])
+def test_edge_values_survive_render_parse(value):
+    # A trailing backslash must not escape the cell's closing pipe, and a
+    # lone pipe must not split the cell.
+    assert rows_of(render_table_markdown(u(intended_purpose=value)))[
+        "Intended purpose"] == value
+
+
+@pytest.mark.parametrize("row, cells", [
+    ("|a|b\\\\|", [("a", "b\\")]),          # no padding, value ends in \
+    ("| a | \\| |", [("a", "|")]),
+    ("| a | b", [("a", "b")]),             # no closing pipe
+    ("| a |  |", [("a", "")]),
+    ("| a | b | c |", []),                 # three cells: not a field row
+])
+def test_parse_table_rows_reads_unpadded_and_open_rows(row, cells):
+    assert parse_table_rows(row) == cells
+
+
 def test_multi_part_cells_keep_joiner_distinct():
     from ucdoc import ScenarioStep
 

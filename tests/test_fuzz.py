@@ -4,7 +4,10 @@ The three fixtures and the built-in taxonomy are cut up at the token level
 (a token dropped, repeated, swapped with its neighbour or replaced by one of
 ``POOL``) and read again.  Whatever comes out must be diagnostics, never an
 exception: ``parse_document`` returns, every error span lies inside the
-source, and ``load_taxonomy`` raises nothing but ``TaxonomyError``.  The
+source, and ``load_taxonomy`` raises nothing but ``TaxonomyError``.  On
+each cut-up fixture ``ucdoc validate`` exits 2 exactly when it has parse
+errors, else 1 exactly when a use case in it fails validation, and
+``ucdoc catalog build`` exits 2 exactly when it has parse errors.  The
 golden catalogue is edited as JSON (a value of another type, a key dropped
 or added, deep nesting, a lone surrogate), and ``load_catalog_json`` raises
 nothing but ``CatalogFormatError``; what it loads exports, and the export
@@ -45,6 +48,7 @@ from ucdoc.lexer import LineIndex, lex
 from ucdoc.model import (
     GENERATED_FIELDS, ActorKind, ActorRole, ApplicationAreaRef, Extension,
     GoalLevel, Misuse, RiskLevel, SystemFunction, _writer, use_case_to_dict,
+    validate_use_case,
 )
 from ucdoc.risk import (
     AreaMatch, MisuseFlag, RiskAssessment, Tier, assessment_to_dict,
@@ -131,6 +135,32 @@ def test_parse_never_raises_and_spans_lie_inside(name, edits):
     _, errors = parse_document(source)
     for e in errors:
         assert span_inside(source, e.span), e.render()
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(FIXTURE_NAMES), EDITS)
+# Most cut-up fixtures end in a `syntax` error; these end in errors of one
+# other namespace, in a validation finding alone, and in none.
+@example("smart_camera", [("replace", 3130, '"')])       # lex. only
+@example("smart_camera", [("swap", 2513, "other")])      # field. only
+@example("driver_attention_monitoring", [("replace", 5866, "high_risk")])
+@example("affective_music_recommender", [])            # no finding
+def test_cli_exit_status_follows_parse_errors_then_findings(name, edits):
+    # Pins the rule from diagnostic codes to exit status against the codes
+    # the lexer and the parser emit.
+    source = mutate(FIXTURE_PARTS[name], edits)
+    use_cases, errors = parse_document(source)
+    invalid = any(validate_use_case(uc) for uc in use_cases)
+    quiet = {"stdout": io.StringIO(), "stderr": io.StringIO()}
+    assert run(["validate", "-"], stdin=source, **quiet) == (
+        2 if errors else 1 if invalid else 0)
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        src.mkdir()
+        (src / f"{name}.ucdl").write_text(source, encoding="utf-8")
+        code = run(["catalog", "build", str(src),
+                    "--out", str(Path(tmp) / "c.json")], **quiet)
+    assert (code == 2) == bool(errors)
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
