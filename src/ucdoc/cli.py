@@ -142,6 +142,8 @@ def _single_use_case(path: str, stdin: Optional[str | TextIO], err: TextIO
 def _cmd_validate(ns, stdin, out, err) -> ExitStatus:
     code = ExitStatus.OK
     n_files = n_cases = n_errors = n_warnings = 0
+    if ns.paths.count("-") > 1:  # a stream is read once, a str again
+        raise _UsageError("argument path: - (stdin) given more than once")
     for path in sorted(ns.paths):
         name, use_cases, diags = _parse(path, stdin)
         diags += [d for uc in use_cases for d in validate_use_case(uc)]

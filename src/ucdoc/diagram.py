@@ -107,57 +107,44 @@ def build_diagram(uc: UseCase) -> Diagram:
     """Derive the diagram graph from a valid use case."""
     require_valid(uc)
 
-    actors: list[ActorNode] = []
-    seen: set[str] = set()
-    user_ident = actor_ident(uc.user.name)
-    actors.append(ActorNode(uc.user.name, user_ident, Side.LEFT))
-    seen.add(user_ident)
-    for actor in uc.target_persons + uc.secondary_actors:
+    actors: dict[str, ActorNode] = {}  # by ident; the first role wins
+    sides = [(uc.user, Side.LEFT)]
+    sides += [(a, Side.RIGHT) for a in uc.target_persons + uc.secondary_actors]
+    for actor, side in sides:
         ident = actor_ident(actor.name)
-        if ident in seen:
-            continue
-        seen.add(ident)
-        actors.append(ActorNode(actor.name, ident, Side.RIGHT))
+        if ident not in actors:
+            actors[ident] = ActorNode(actor.name, ident, side)
 
-    function_ids = [fn.id for fn in uc.system_functions]
-    pairs: list[tuple[str, str]] = []
     if uc.associations:
-        for assoc in uc.associations:
-            pair = (assoc.actor, assoc.function)
-            if pair not in pairs:
-                pairs.append(pair)
+        pairs = [(assoc.actor, assoc.function) for assoc in uc.associations]
     else:
-        default = function_ids[0] if len(function_ids) == 1 else None
-        steps = list(uc.main_scenario)
-        for ext in uc.extensions:
-            steps.extend(ext.steps)
-        for step in steps:
-            if step.actor == SYSTEM_ACTOR:
-                continue
-            function = step.function or default
-            if function is None:
-                continue
-            pair = (step.actor, function)
-            if pair not in pairs:
-                pairs.append(pair)
+        default = (uc.system_functions[0].id
+                   if len(uc.system_functions) == 1 else None)
+        steps = uc.main_scenario + tuple(
+            step for ext in uc.extensions for step in ext.steps)
+        pairs = [(step.actor, step.function or default) for step in steps
+                 if step.actor != SYSTEM_ACTOR]
 
-    edges = [Edge(EdgeKind.ASSOCIATION, actor, fn) for actor, fn in pairs]
-    for fn in uc.system_functions:
-        for ref in fn.includes:
-            edges.append(Edge(EdgeKind.INCLUDE, fn.id, ref))
-    for fn in uc.system_functions:
-        for ref in fn.extends:
-            edges.append(Edge(EdgeKind.EXTEND, fn.id, ref))
+    edges = [Edge(EdgeKind.ASSOCIATION, actor, fn)
+             for actor, fn in dict.fromkeys(pairs) if fn is not None]
+    edges += [Edge(kind, fn.id, ref)
+              for kind, refs in ((EdgeKind.INCLUDE, "includes"),
+                                 (EdgeKind.EXTEND, "extends"))
+              for fn in uc.system_functions for ref in getattr(fn, refs)]
 
-    touched = {e.source for e in edges} | {e.target for e in edges}
+    # An association's source is an actor, whose ident may equal a function
+    # id, so only the function ends of the edges count.
+    reached = {e.target for e in edges} | {
+        e.source for e in edges if e.kind is not EdgeKind.ASSOCIATION}
     warnings = tuple(
         _warn("diagram.orphan_function",
               f"function {fn.id!r} has no associations and no "
               "include/extend relationships")
-        for fn in uc.system_functions if fn.id not in touched)
+        for fn in uc.system_functions if fn.id not in reached)
 
     ellipses = tuple(EllipseNode(fn.id, fn.label) for fn in uc.system_functions)
-    return Diagram(uc.title, tuple(actors), ellipses, tuple(edges), warnings)
+    return Diagram(uc.title, tuple(actors.values()), ellipses, tuple(edges),
+                   warnings)
 
 
 def _wrap_label(label: str) -> tuple[tuple[str, ...], bool]:
@@ -168,17 +155,15 @@ def _wrap_label(label: str) -> tuple[tuple[str, ...], bool]:
     if len(lines) <= 3:
         return tuple(lines), False
     kept = lines[:3]
-    last = kept[2]
-    if len(last) + 1 > max_chars:
-        last = last[: max_chars - 1]
-    kept[2] = last + "…"
+    kept[2] = kept[2][: max_chars - 1] + "…"
     return tuple(kept), True
 
 
-def _column_height(count: int, item_h: float) -> float:
-    if count == 0:
-        return 0.0
-    return count * item_h + (count - 1) * GAP
+def _column(count: int, item_h: float, content_h: float) -> list[float]:
+    """Centre heights of a stack of ``count`` items, ``GAP`` apart, centred
+    in the content height."""
+    top = PADDING + (content_h - (count * item_h + (count - 1) * GAP)) / 2
+    return [top + i * (item_h + GAP) + item_h / 2 for i in range(count)]
 
 
 def layout(d: Diagram) -> PositionedDiagram:
@@ -191,32 +176,28 @@ def layout(d: Diagram) -> PositionedDiagram:
     n_ellipses = len(d.ellipses)
 
     boundary_w = ELLIPSE_W + 2 * PADDING
-    boundary_h = 2 * PADDING + _column_height(n_ellipses, ELLIPSE_H)
-    left_h = _column_height(len(left), ACTOR_H)
-    right_h = _column_height(len(right), ACTOR_H)
-    content_h = max(boundary_h, left_h, right_h)
-    canvas_h = content_h + 2 * PADDING
+    boundary_h = 2 * PADDING + max(0.0, n_ellipses * (ELLIPSE_H + GAP) - GAP)
+    # The taller actor column; with no actors it reads -GAP.
+    actors_h = max(len(left), len(right)) * (ACTOR_H + GAP) - GAP
+    content_h = max(boundary_h, actors_h)
 
-    x = PADDING
-    actor_centers: dict[str, tuple[float, float]] = {}
-    if left:
-        cx = x + ACTOR_W / 2
-        top = PADDING + (content_h - left_h) / 2
-        for i, actor in enumerate(left):
-            cy = top + i * (ACTOR_H + GAP) + ACTOR_H / 2
-            actor_centers[actor.ident] = (cx, cy)
-        x += ACTOR_W + COLUMN_GAP
-
-    boundary_x = x
+    boundary_x = PADDING + (ACTOR_W + COLUMN_GAP if left else 0.0)
     boundary_y = PADDING + (content_h - boundary_h) / 2
-    x += boundary_w
+    right_x = boundary_x + boundary_w + COLUMN_GAP + ACTOR_W / 2
+    canvas_w = (boundary_x + boundary_w
+                + (COLUMN_GAP + ACTOR_W if right else 0.0) + PADDING)
 
+    actor_centers: dict[str, tuple[float, float]] = {}
+    for column, cx in ((left, PADDING + ACTOR_W / 2), (right, right_x)):
+        for actor, cy in zip(column, _column(len(column), ACTOR_H, content_h)):
+            actor_centers[actor.ident] = (cx, cy)
+
+    ecx = boundary_x + PADDING + ELLIPSE_W / 2
     ellipse_centers: dict[str, tuple[float, float]] = {}
     ellipse_labels: dict[str, tuple[str, ...]] = {}
     warnings: list[Diagnostic] = []
-    ecx = boundary_x + PADDING + ELLIPSE_W / 2
-    for i, node in enumerate(d.ellipses):
-        ecy = boundary_y + PADDING + i * (ELLIPSE_H + GAP) + ELLIPSE_H / 2
+    ellipse_ys = _column(n_ellipses, ELLIPSE_H, content_h)
+    for node, ecy in zip(d.ellipses, ellipse_ys):
         ellipse_centers[node.id] = (ecx, ecy)
         lines, truncated = _wrap_label(node.label)
         ellipse_labels[node.id] = lines
@@ -226,19 +207,10 @@ def layout(d: Diagram) -> PositionedDiagram:
                 f"label of function {node.id!r} exceeds three wrapped lines "
                 "and was truncated"))
 
-    if right:
-        cx = x + COLUMN_GAP + ACTOR_W / 2
-        top = PADDING + (content_h - right_h) / 2
-        for i, actor in enumerate(right):
-            cy = top + i * (ACTOR_H + GAP) + ACTOR_H / 2
-            actor_centers[actor.ident] = (cx, cy)
-        x += COLUMN_GAP + ACTOR_W
-
-    canvas_w = x + PADDING
     return PositionedDiagram(
         diagram=d,
         canvas_w=canvas_w,
-        canvas_h=canvas_h,
+        canvas_h=content_h + 2 * PADDING,
         boundary=(boundary_x, boundary_y, boundary_w, boundary_h),
         actor_centers=actor_centers,
         ellipse_centers=ellipse_centers,
@@ -255,38 +227,31 @@ def _fmt(value: float) -> str:
     return f"{value:.1f}"
 
 
-def _node_center(p: PositionedDiagram, node: str) -> tuple[float, float]:
-    if node in p.actor_centers:
-        return p.actor_centers[node]
-    return p.ellipse_centers[node]
-
-
-def _anchor(p: PositionedDiagram, node: str,
-            toward: tuple[float, float]) -> tuple[float, float]:
-    """Point where the edge leaves the node's outline, heading ``toward``."""
-    cx, cy = _node_center(p, node)
+def _clip(center: tuple[float, float], toward: tuple[float, float],
+          actor: bool) -> tuple[float, float]:
+    """Point where an edge leaves a node's outline, heading ``toward``: an
+    actor's box, or else a function's ellipse."""
+    cx, cy = center
     dx, dy = toward[0] - cx, toward[1] - cy
     if dx == 0 and dy == 0:
-        return (cx, cy)
-    if node in p.actor_centers:
-        half_w = ACTOR_W / 2
-        half_h = ACTOR_H / 2
-        t = 1 / max(abs(dx) / half_w, abs(dy) / half_h)
+        return center
+    if actor:
+        t = 1 / max(abs(dx) / (ACTOR_W / 2), abs(dy) / (ACTOR_H / 2))
     else:
-        rx = ELLIPSE_W / 2
-        ry = ELLIPSE_H / 2
-        t = 1 / math.sqrt((dx / rx) ** 2 + (dy / ry) ** 2)
+        t = 1 / math.sqrt((dx / (ELLIPSE_W / 2)) ** 2
+                          + (dy / (ELLIPSE_H / 2)) ** 2)
     t = min(t, 1.0)
     return (cx + dx * t, cy + dy * t)
 
 
 def _edge_endpoints(p: PositionedDiagram,
                     edge: Edge) -> tuple[tuple[float, float], tuple[float, float]]:
-    source_center = _node_center(p, edge.source)
-    target_center = _node_center(p, edge.target)
-    start = _anchor(p, edge.source, target_center)
-    end = _anchor(p, edge.target, source_center)
-    return start, end
+    """An association runs from an actor to a function; include and extend
+    run from a function to a function."""
+    association = edge.kind is EdgeKind.ASSOCIATION
+    source = (p.actor_centers if association else p.ellipse_centers)[edge.source]
+    target = p.ellipse_centers[edge.target]
+    return _clip(source, target, association), _clip(target, source, False)
 
 
 def _stick_figure(cx: float, cy: float, w: float, h: float) -> list[str]:
@@ -312,25 +277,21 @@ def _stick_figure(cx: float, cy: float, w: float, h: float) -> list[str]:
 
 def render_svg(p: PositionedDiagram) -> bytes:
     """Render to SVG 1.1; byte-identical output for identical input."""
-    out: list[str] = []
-    out.append('<?xml version="1.0" encoding="UTF-8"?>')
-    out.append(
+    out = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{_fmt(p.canvas_w)}" height="{_fmt(p.canvas_h)}" '
         f'viewBox="0 0 {_fmt(p.canvas_w)} {_fmt(p.canvas_h)}" '
-        f'font-family="sans-serif" font-size="{_fmt(FONT_SIZE)}">')
+        f'font-family="sans-serif" font-size="{_fmt(FONT_SIZE)}">']
 
-    needs_marker = any(e.kind is not EdgeKind.ASSOCIATION
-                       for e in p.diagram.edges)
-    if needs_marker:
-        out.append("<defs>")
-        out.append(
+    if any(e.kind is not EdgeKind.ASSOCIATION for e in p.diagram.edges):
+        out += [
+            "<defs>",
             '<marker id="arrowhead" markerWidth="12" markerHeight="10" '
-            'refX="10" refY="5" orient="auto" markerUnits="userSpaceOnUse">')
-        out.append('<polyline points="1,1 10,5 1,9" fill="none" '
-                   'stroke="black"/>')
-        out.append("</marker>")
-        out.append("</defs>")
+            'refX="10" refY="5" orient="auto" markerUnits="userSpaceOnUse">',
+            '<polyline points="1,1 10,5 1,9" fill="none" stroke="black"/>',
+            "</marker>",
+            "</defs>"]
 
     bx, by, bw, bh = p.boundary
     out.append(
@@ -348,8 +309,8 @@ def render_svg(p: PositionedDiagram) -> bytes:
         cx, cy = p.actor_centers[actor.ident]
         out.extend(_stick_figure(cx, cy, ACTOR_W, ACTOR_H))
 
-    for edge in p.diagram.edges:
-        (x1, y1), (x2, y2) = _edge_endpoints(p, edge)
+    ends = [(edge, *_edge_endpoints(p, edge)) for edge in p.diagram.edges]
+    for edge, (x1, y1), (x2, y2) in ends:
         if edge.kind is EdgeKind.ASSOCIATION:
             out.append(
                 f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" '
@@ -369,9 +330,8 @@ def render_svg(p: PositionedDiagram) -> bytes:
     for node in p.diagram.ellipses:
         cx, cy = p.ellipse_centers[node.id]
         lines = p.ellipse_labels[node.id]
-        n = len(lines)
         for i, text in enumerate(lines):
-            ty = cy + (i - (n - 1) / 2) * line_h + FONT_SIZE / 3
+            ty = cy + (i - (len(lines) - 1) / 2) * line_h + FONT_SIZE / 3
             out.append(
                 f'<text x="{_fmt(cx)}" y="{_fmt(ty)}" text-anchor="middle">'
                 f"{html.escape(text, quote=False)}</text>")
@@ -381,16 +341,14 @@ def render_svg(p: PositionedDiagram) -> bytes:
         out.append(
             f'<text x="{_fmt(cx)}" y="{_fmt(ty)}" text-anchor="middle">'
             f"{html.escape(actor.name, quote=False)}</text>")
-    for edge in p.diagram.edges:
+    for edge, (x1, y1), (x2, y2) in ends:
         if edge.kind is EdgeKind.ASSOCIATION:
             continue
-        (x1, y1), (x2, y2) = _edge_endpoints(p, edge)
         mx, my = (x1 + x2) / 2, (y1 + y2) / 2
-        word = "include" if edge.kind is EdgeKind.INCLUDE else "extend"
         out.append(
             f'<text x="{_fmt(mx)}" y="{_fmt(my - 4)}" text-anchor="middle" '
             f'font-style="italic" font-size="{_fmt(FONT_SIZE - 2)}">'
-            f"«{word}»</text>")
+            f"«{edge.kind.value}»</text>")
 
     out.append("</svg>")
     return ("\n".join(out) + "\n").encode("utf-8")
@@ -409,15 +367,9 @@ def _puml_quote(text: str) -> str:
 
 def render_textual(d: Diagram) -> str:
     """PlantUML use-case description of the diagram, one element per line."""
-    lines: list[str] = []
-    for actor in d.actors:
-        lines.append(f"actor {_puml_quote(actor.name)} as {actor.ident}")
-    for node in d.ellipses:
-        lines.append(f"usecase {_puml_quote(node.label)} as {node.id}")
-    for edge in d.edges:
-        if edge.kind is EdgeKind.ASSOCIATION:
-            lines.append(f"{edge.source} --> {edge.target}")
-        else:
-            lines.append(
-                f"{edge.source} .> {edge.target} : <<{edge.kind.value}>>")
+    lines = [f"actor {_puml_quote(a.name)} as {a.ident}" for a in d.actors]
+    lines += [f"usecase {_puml_quote(n.label)} as {n.id}" for n in d.ellipses]
+    lines += [f"{e.source} --> {e.target}" if e.kind is EdgeKind.ASSOCIATION
+              else f"{e.source} .> {e.target} : <<{e.kind.value}>>"
+              for e in d.edges]
     return "\n".join(lines) + "\n"

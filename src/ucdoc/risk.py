@@ -241,60 +241,40 @@ def classify(uc: UseCase, tax: Taxonomy) -> RiskAssessment:
     """
     require_valid(uc)
 
-    matched: list[AreaMatch] = []
-    seen: set[str] = set()
+    matched: dict[str, AreaMatch] = {}  # by area id; the first hit wins
     for ref in uc.application_areas:
-        for _, entry in tax._scan(ref):
-            if entry.area_id in seen:
-                continue
-            seen.add(entry.area_id)
-            matched.append(AreaMatch(entry.area_id, entry.tier,
-                                     entry.area_label, entry.sub_use_label))
+        for _, e in tax._scan(ref):
+            matched.setdefault(e.area_id, AreaMatch(
+                e.area_id, e.tier, e.area_label, e.sub_use_label))
+    misuse_flags = tuple(
+        MisuseFlag(m.description, hit.area_id, hit.tier, hit.area_label,
+                   hit.sub_use_label)
+        for m in uc.misuses
+        if (hit := m.area_ref and match_area(m.area_ref, tax)) is not None)
 
-    misuse_flags: list[MisuseFlag] = []
-    for misuse in uc.misuses:
-        if misuse.area_ref is None:
-            continue
-        entry = match_area(misuse.area_ref, tax)
-        if entry is not None:
-            misuse_flags.append(MisuseFlag(
-                misuse.description, entry.area_id, entry.tier,
-                entry.area_label, entry.sub_use_label))
+    def hits(tier: Tier, what: str) -> list[str]:
+        return [f"intended application area '{m.area_id}' matches the "
+                f"{what} '{m.display()}'"
+                for m in matched.values() if m.tier is tier]
 
-    prohibited = [m for m in matched if m.tier is Tier.PROHIBITED]
-    high_risk = [m for m in matched if m.tier is Tier.HIGH_RISK]
-    rationale: list[str] = []
-
-    if prohibited:
-        level = RiskLevel.UNACCEPTABLE
-        for m in prohibited:
-            rationale.append(
-                f"intended application area '{m.area_id}' matches the "
-                f"prohibited practice '{m.display()}'")
-    elif uc.safety_component:
-        level = RiskLevel.HIGH
-        rationale.append(
+    # R1–R5 in order: the first rule with a reason decides the level.
+    ladder = (
+        (RiskLevel.UNACCEPTABLE, hits(Tier.PROHIBITED, "prohibited practice")),
+        (RiskLevel.HIGH, [
             "declared as a safety component of a product, which places the "
-            "system in the high-risk tier")
-    elif high_risk:
-        level = RiskLevel.HIGH
-        for m in high_risk:
-            rationale.append(
-                f"intended application area '{m.area_id}' matches the "
-                f"high-risk area '{m.display()}'")
-    elif uc.affective_capabilities:
-        level = RiskLevel.TRANSPARENCY
-        tags = ", ".join(uc.affective_capabilities)
-        rationale.append(
-            f"affective capabilities declared ({tags}); transparency "
-            "obligations apply")
-    else:
-        level = RiskLevel.MINIMAL
-        rationale.append(
+            "system in the high-risk tier"] if uc.safety_component else []),
+        (RiskLevel.HIGH, hits(Tier.HIGH_RISK, "high-risk area")),
+        (RiskLevel.TRANSPARENCY, [
+            "affective capabilities declared "
+            f"({', '.join(uc.affective_capabilities)}); transparency "
+            "obligations apply"] if uc.affective_capabilities else []),
+        (RiskLevel.MINIMAL, [
             "no prohibited or high-risk area matched, not a safety "
-            "component, and no affective capabilities declared; minimal risk")
-
-    return RiskAssessment(level, tuple(matched), tuple(misuse_flags),
+            "component, and no affective capabilities declared; minimal "
+            "risk"]),
+    )
+    level, rationale = next(rule for rule in ladder if rule[1])
+    return RiskAssessment(level, tuple(matched.values()), misuse_flags,
                           tuple(rationale))
 
 

@@ -29,6 +29,7 @@ from ucdoc import (
     layout,
     parse_document,
     render_svg,
+    render_textual,
     serialize_canonical,
 )
 from ucdoc.cli import run as cli_run
@@ -133,7 +134,10 @@ def test_criterion_5_diagram_geometry(fixture_use_cases):
         first, second = render_svg(positioned), render_svg(positioned)
         assert first == second
         assert_golden(first, f"{name}.svg")
-    print("PASS criterion 5: diagram geometry (500 samples) and frozen SVGs")
+        puml = render_textual(build_diagram(uc)).encode("utf-8")
+        assert_golden(puml, f"{name}.puml")
+    print("PASS criterion 5: diagram geometry (500 samples), frozen SVGs and "
+          "PlantUML")
 
 
 def test_criterion_6_docgen_label_contract(fixture_use_cases):

@@ -802,6 +802,19 @@ def test_console_reads_stdin_for_dash(prefix):
     assert out == b"1 file(s), 1 use case(s), 0 error(s), 0 warning(s)\n"
 
 
+def test_stdin_given_twice_is_a_usage_error():
+    # `validate - -` counted the use cases on stdin twice through run() and
+    # once in a process, where the second read finds the stream exhausted.
+    text = Path(SMART_CAMERA).read_text(encoding="utf-8")
+    code, out, err = cli("validate", "-", SMART_CAMERA, "-", stdin=text)
+    assert (code, out) == (3, "")
+    assert err == "ucdoc: error: argument path: - (stdin) given more than once\n"
+    proc = console("validate", "-", "-", stdin=subprocess.PIPE)
+    out, err = proc.communicate(Path(SMART_CAMERA).read_bytes(), timeout=60)
+    assert (proc.returncode, out) == (3, b"")
+    assert b"argument path: - (stdin) given more than once" in err
+
+
 def test_console_rejects_a_lone_surrogate_without_a_traceback(tmp_path):
     # A new process encodes its stdout, so a lone surrogate that reached the
     # output would end in a UnicodeEncodeError traceback.

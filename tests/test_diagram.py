@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import random
 import re
 import xml.etree.ElementTree as ET
@@ -19,13 +20,17 @@ from ucdoc import (
 from ucdoc.diagram import (
     ACTOR_H,
     ACTOR_W,
+    COLUMN_GAP,
     ELLIPSE_H,
     ELLIPSE_W,
     GAP,
     PADDING,
+    ActorNode,
+    Diagram,
     Side,
 )
-from ucdoc.model import ValidationFailedError
+from ucdoc.cli import run
+from ucdoc.model import ValidationFailedError, actor_ident
 from test_model import base_use_case
 from test_parser import MINIMAL, parse_one
 
@@ -134,6 +139,21 @@ def test_layout_is_deterministic():
     assert layout(d) == layout(d)
 
 
+def test_layout_of_hand_built_diagrams_with_empty_columns():
+    # layout is public, so a diagram may lack actors on a side, or ellipses.
+    bw = ELLIPSE_W + 2 * PADDING
+    empty = layout(Diagram("T", (), (), ()))
+    assert empty.boundary == (PADDING, PADDING, bw, 2 * PADDING)
+    assert (empty.canvas_w, empty.canvas_h) == (bw + 2 * PADDING, 4 * PADDING)
+    right = layout(Diagram("T", (ActorNode("R", "r", Side.RIGHT),), (), ()))
+    assert right.boundary == (PADDING, PADDING + (ACTOR_H - 2 * PADDING) / 2,
+                              bw, 2 * PADDING)
+    assert right.actor_centers == {
+        "r": (PADDING + bw + COLUMN_GAP + ACTOR_W / 2, PADDING + ACTOR_H / 2)}
+    assert (right.canvas_w, right.canvas_h) == (
+        PADDING + bw + COLUMN_GAP + ACTOR_W + PADDING, ACTOR_H + 2 * PADDING)
+
+
 def test_geometry_invariants_random(subtests=None):
     rng = random.Random(314)
     for _ in range(100):
@@ -227,6 +247,126 @@ def test_label_truncation_warning():
     lines = p.ellipse_labels["scan"]
     assert len(lines) == 3
     assert lines[-1].endswith("…")
+
+
+# ---------------------------------------------------------------------------
+# an actor and a function that share a name
+
+# The user's ident, photographer, is also the id of a function that no edge
+# reaches.
+SHARED_NAME_DOC = """\
+usecase "Shared name" {
+  id: shared-name
+  intended_purpose: "p"
+  user {
+    name: "Photographer"
+    kind: human
+  }
+  application_areas: [other("leisure photography")]
+  inputs: ["i"]
+  outputs: ["o"]
+  functions {
+    photographer: "Portrait"
+    shoot: "Shoot"
+  }
+  scenario {
+    1 photographer: "takes a picture" -> shoot
+  }
+}
+"""
+
+
+def svg_edge_ends(svg: bytes) -> list:
+    """Start and end of every drawn edge, in drawing order."""
+    ends = []
+    for el in ET.fromstring(svg).iter():
+        if el.tag.endswith("}line"):
+            x1, y1, x2, y2 = (float(el.get(k)) for k in ("x1", "y1", "x2", "y2"))
+        elif el.tag.endswith("}path"):
+            x1, y1, x2, y2 = map(float, re.findall(r"-?[0-9.]+", el.get("d")))
+        else:
+            continue
+        ends.append(((x1, y1), (x2, y2)))
+    return ends
+
+
+def rename_function(uc, old: str, new: str):
+    """``uc`` with function ``old`` called ``new`` in every reference."""
+    def ref(name):
+        return new if name == old else name
+
+    def steps(seq):
+        return tuple(replace(s, function=s.function and ref(s.function))
+                     for s in seq)
+
+    return replace(
+        uc,
+        system_functions=tuple(
+            replace(fn, id=ref(fn.id), includes=tuple(map(ref, fn.includes)),
+                    extends=tuple(map(ref, fn.extends)))
+            for fn in uc.system_functions),
+        main_scenario=steps(uc.main_scenario),
+        extensions=tuple(replace(e, steps=steps(e.steps))
+                         for e in uc.extensions),
+        associations=tuple(replace(a, function=ref(a.function))
+                           for a in uc.associations))
+
+
+def test_orphan_function_named_like_the_user_is_reported():
+    # The actor's ident used to count as a reached function.
+    d = build_diagram(parse_one(SHARED_NAME_DOC))
+    assert [(w.code, w.message) for w in d.warnings] == [(
+        "diagram.orphan_function",
+        "function 'photographer' has no associations and no include/extend "
+        "relationships")]
+
+
+def test_association_to_function_named_like_its_actor_ends_on_the_ellipse():
+    # Both ends used to be looked up as the actor: a zero-length line.
+    src = SHARED_NAME_DOC.replace("-> shoot", "-> photographer")
+    src = src.replace('    shoot: "Shoot"\n', "")
+    p = layout(build_diagram(parse_one(src)))
+    ax, ay = p.actor_centers["photographer"]
+    ex, ey = p.ellipse_centers["photographer"]
+    assert ay == ey
+    assert svg_edge_ends(render_svg(p)) == [
+        ((ax + ACTOR_W / 2, ay), (ex - ELLIPSE_W / 2, ey))]
+
+
+def test_render_strict_fails_on_orphan_named_like_the_user(tmp_path):
+    src = tmp_path / "shared.ucdl"
+    src.write_text(SHARED_NAME_DOC, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    code = run(["render", "--strict", str(src), "--out",
+                str(tmp_path / "shared.svg")], stdout=out, stderr=err)
+    assert code == 1
+    assert err.getvalue().count("[diagram.orphan_function]") == 1
+
+
+def test_edges_end_on_their_nodes_when_a_function_has_the_users_name():
+    rng = random.Random(319)
+    shared_ends = 0
+    for _ in range(100):
+        uc = make_use_case(rng)
+        user = actor_ident(uc.user.name)
+        ids = [fn.id for fn in uc.system_functions]
+        if user not in ids:
+            uc = rename_function(uc, ids[0], user)
+        p = layout(build_diagram(uc))
+        ends = svg_edge_ends(render_svg(p))
+        assert len(ends) == len(p.diagram.edges)
+        for edge, ((x1, y1), (x2, y2)) in zip(p.diagram.edges, ends):
+            if edge.kind is EdgeKind.ASSOCIATION:
+                cx, cy = p.actor_centers[edge.source]
+                on_box = max(abs(x1 - cx) / (ACTOR_W / 2),
+                             abs(y1 - cy) / (ACTOR_H / 2))
+                assert on_box == pytest.approx(1, abs=0.01), edge
+            cx, cy = p.ellipse_centers[edge.target]
+            on_ellipse = (((x2 - cx) / (ELLIPSE_W / 2)) ** 2
+                          + ((y2 - cy) / (ELLIPSE_H / 2)) ** 2)
+            assert on_ellipse == pytest.approx(1, abs=0.01), edge
+            shared_ends += edge.target == user
+    assert shared_ends >= 100
 
 
 # ---------------------------------------------------------------------------

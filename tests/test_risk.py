@@ -258,6 +258,14 @@ def test_capabilities_give_transparency():
     assert a.level is RiskLevel.TRANSPARENCY
 
 
+def test_an_empty_capability_tag_still_gives_transparency():
+    # The rule tests the declared tags, not their joined text ("").
+    a = classify(minimal_uc(affective_capabilities=("",)), TAX)
+    assert a.level is RiskLevel.TRANSPARENCY
+    assert a.rationale == ("affective capabilities declared (); transparency "
+                           "obligations apply",)
+
+
 def test_misuse_never_escalates():
     uc = minimal_uc(misuses=(
         Misuse("worst case",
