@@ -37,6 +37,7 @@ from .model import (
     Severity,
     TaxonomyError,
     UseCase,
+    _writer,
     validate_use_case,
 )
 from .parser import parse_document
@@ -159,7 +160,7 @@ def _cmd_validate(ns, stdin, out, err) -> ExitStatus:
 
 
 def _cmd_classify(ns, stdin, out, err) -> ExitStatus:
-    from .risk import assessment_to_dict, classify, explain, misuse_diagnostics
+    from .risk import _Classified, classify, explain, misuse_diagnostics
 
     tax = _resolve_taxonomy(ns)
     name, use_cases, errors = _parse(ns.path, stdin)
@@ -174,10 +175,8 @@ def _cmd_classify(ns, stdin, out, err) -> ExitStatus:
             # explain() writes the misuse flags; here they only count
             code = max(code, _status(misuse_diagnostics(a), ns.strict))
     if ns.format == "json":
-        import json
-
-        payload = [{"id": uc.id, **assessment_to_dict(a)} for uc, a in assessed]
-        out.write(json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
+        items = tuple(_Classified(uc.id, a) for uc, a in assessed)
+        out.write(_writer(tuple[_Classified, ...])(items) + "\n")
     else:
         for i, (uc, assessment) in enumerate(assessed):
             if i:

@@ -366,10 +366,27 @@ def _puml_quote(text: str) -> str:
 
 
 def render_textual(d: Diagram) -> str:
-    """PlantUML use-case description of the diagram, one element per line."""
+    """PlantUML use-case description of the diagram, one element per line.
+
+    A node's alias is its ident or id, but a function whose id is an actor's
+    ident is called ``uc_<id>``, then ``uc_<id>_2``… until no node has it.
+    """
+    actors = {a.ident for a in d.actors}
+    taken = actors | {n.id for n in d.ellipses}
+    alias = {n.id: n.id for n in d.ellipses}
+    for n in d.ellipses:  # in order, so that the output is deterministic
+        if n.id in actors:
+            name, suffix = f"uc_{n.id}", 1
+            while name in taken:
+                suffix += 1
+                name = f"uc_{n.id}_{suffix}"
+            taken.add(name)
+            alias[n.id] = name
     lines = [f"actor {_puml_quote(a.name)} as {a.ident}" for a in d.actors]
-    lines += [f"usecase {_puml_quote(n.label)} as {n.id}" for n in d.ellipses]
-    lines += [f"{e.source} --> {e.target}" if e.kind is EdgeKind.ASSOCIATION
-              else f"{e.source} .> {e.target} : <<{e.kind.value}>>"
+    lines += [f"usecase {_puml_quote(n.label)} as {alias[n.id]}"
+              for n in d.ellipses]
+    lines += [f"{e.source} --> {alias[e.target]}"
+              if e.kind is EdgeKind.ASSOCIATION else
+              f"{alias[e.source]} .> {alias[e.target]} : <<{e.kind.value}>>"
               for e in d.edges]
     return "\n".join(lines) + "\n"

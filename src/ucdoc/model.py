@@ -56,7 +56,7 @@ import re
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from enum import Enum, IntEnum
 from functools import cached_property, lru_cache
-from operator import attrgetter, is_
+from operator import is_
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from .lexer import Diagnostic, Severity  # re-exported: the one finding record
@@ -513,7 +513,7 @@ def canonicalize(uc: UseCase) -> UseCase:
     is left untouched.  Idempotent, and rejects invalid input.
     """
     require_valid(uc)
-    trimmed = _convert(UseCase)[2](uc)
+    trimmed = _convert(UseCase)[1](uc)
     areas = tuple(sorted(trimmed.application_areas,
                          key=lambda r: (r.area_id, r.free_label or "")))
     capabilities = tuple(sorted(trimmed.affective_capabilities))
@@ -531,12 +531,12 @@ def canonicalize(uc: UseCase) -> UseCase:
 # ---------------------------------------------------------------------------
 # plain-data form
 #
-# One walk over each dataclass's fields and type hints gives the JSON codecs
-# of the model and the catalogue document, the trimming in :func:`canonicalize`
-# and, generated on first use, the writer of the JSON text.  The JSON keys are
-# the field names in field order; None is left out; ``Misuse.area_ref`` is
-# ``area``; a field with ``metadata={"flat": prefix}`` has its keys in the
-# enclosing object, each with ``prefix`` in front.
+# One walk over each dataclass's fields and type hints gives the JSON decoders,
+# the trimming in :func:`canonicalize` and, generated on first use, the one
+# writer of all JSON text.  The JSON keys are the field names in field order;
+# None is left out; ``Misuse.area_ref`` is ``area``; a field with
+# ``metadata={"flat": prefix}`` has its keys in the enclosing object, each
+# with ``prefix`` in front; an enum is its value, but a RiskLevel its label.
 
 _JSON_KEYS = {"area_ref": "area"}
 
@@ -554,18 +554,20 @@ def _expected(what: str, value: object) -> _BadValue:
     return _BadValue(f"expected {what}, got {type(value).__name__}")
 
 
+def _enum_members(tp) -> dict:  # enum ``tp``'s members by their JSON text
+    return {m.label if tp is RiskLevel else m.value: m for m in tp}
+
+
 @lru_cache(maxsize=None)
-def _convert(tp, prefix: Optional[str] = None) -> tuple:
-    """``(encode, decode, trim)`` for type ``tp``; None stands for identity.
+def _convert(tp) -> tuple:
+    """``(decode, trim)`` for type ``tp``; a ``trim`` of None changes nothing.
     ``decode`` checks types exactly (a bool is not an int); ``trim`` returns
-    the value itself when it changes nothing.  A dataclass given a ``prefix``
-    (``""`` too) puts it before each key, and its ``decode`` leaves unknown
-    keys to the caller.
+    the value itself when it changes nothing.
     """
     if get_origin(tp) is Union:  # Optional[T]; the JSON never holds null
         return _convert(next(a for a in get_args(tp) if a is not type(None)))
     if get_origin(tp) is tuple:  # tuple[T, ...], a JSON list
-        encode, decode, trim = _convert(get_args(tp)[0])
+        decode, trim = _convert(get_args(tp)[0])
 
         def decode_list(v):
             if type(v) is not list:
@@ -583,20 +585,18 @@ def _convert(tp, prefix: Optional[str] = None) -> tuple:
             items = [trim(x) for x in v]
             return v if all(map(is_, items, v)) else tuple(items)
 
-        return ((lambda v: [encode(x) for x in v]) if encode else list,
-                decode_list, trim and trim_list)
+        return decode_list, trim and trim_list
     if is_dataclass(tp):
-        return _convert_dataclass(tp, prefix)[:3]
-    if issubclass(tp, Enum):  # by value; a RiskLevel by its label
-        key = attrgetter("label" if tp is RiskLevel else "value")
-        members = {key(m): m for m in tp}
+        return _convert_dataclass(tp, None)[:2]
+    if issubclass(tp, Enum):
+        members = _enum_members(tp)
 
         def decode_enum(v):
             if type(v) is str and v in members:
                 return members[v]
             raise _BadValue(f"expected one of {list(members)}, got {v!r}")
 
-        return key, decode_enum, None
+        return decode_enum, None
 
     def decode_plain(v):  # str, int or bool
         if type(v) is not tp:
@@ -608,10 +608,12 @@ def _convert(tp, prefix: Optional[str] = None) -> tuple:
                 raise _BadValue("expected UTF-8 text, got a lone surrogate")
         return v
 
-    return None, decode_plain, str.strip if tp is str else None
+    return decode_plain, str.strip if tp is str else None
 
 
 def _convert_dataclass(cls, prefix: Optional[str]) -> tuple:
+    """``(decode, trim, keys)``; a flat member's ``prefix`` goes before each
+    key, and its ``decode`` leaves unknown keys to the caller."""
     hints = get_type_hints(cls)
     base = prefix or ""
     specs, known = [], set()  # a flat member's key in specs is None
@@ -625,27 +627,14 @@ def _convert_dataclass(cls, prefix: Optional[str]) -> tuple:
             converter, keys = _convert(hints[f.name]), (key,)
         known.update(keys)
         specs.append((f.name, key, f.default is MISSING, *converter))
-    names = [name for name, *_ in specs]
-    # attrgetter of a single name returns the bare value, not a 1-tuple.
-    values = (attrgetter(*names) if len(names) > 1
-              else lambda obj: (getattr(obj, names[0]),))
     has_flat = any(key is None for _, key, *_ in specs)
-
-    def encode(obj):
-        d = {}
-        for (_, key, _, enc, _, _), v in zip(specs, values(obj)):
-            if key is None:
-                d.update(enc(v))
-            elif v is not None:
-                d[key] = enc(v) if enc else v
-        return d
 
     def decode(raw, extra_keys=frozenset()):
         if type(raw) is not dict:
             raise _expected("object", raw)
         kwargs = {}
         try:
-            for name, key, need, _, dec, _ in specs:
+            for name, key, need, dec, _ in specs:
                 if key is None:
                     kwargs[name] = dec(raw)
                 elif key in raw:
@@ -665,21 +654,21 @@ def _convert_dataclass(cls, prefix: Optional[str]) -> tuple:
         return cls(**kwargs)
 
     def trim(obj):
-        changed = {name: new for (name, _, _, _, _, t), v
-                   in zip(specs, values(obj))
-                   if t and v is not None and (new := t(v)) is not v}
+        changed = {name: new for name, _, _, _, t in specs
+                   if t and (v := getattr(obj, name)) is not None
+                   and (new := t(v)) is not v}
         return replace(obj, **changed) if changed else obj
 
-    return encode, decode, trim, known  # and the keys it reads
+    return decode, trim, known  # and the keys it reads
 
 
 @lru_cache(maxsize=None)
 def _writer(tp):
-    """``write(value)``: ``json.dumps(value, indent=2, ensure_ascii=False)``
-    for a value of type ``tp``.  Its source is generated on first use from
-    the walk, with nested dataclasses and lists inlined, every piece put in
-    one list, and the key heads and indents as constants of the code."""
-    from json.encoder import encode_basestring as enc  # only export needs json
+    """``write(value)``: ``json``'s ``dumps(value, indent=2,
+    ensure_ascii=False)`` for a value of type ``tp``, from source generated
+    on first use from the walk: nested dataclasses and lists inlined, every
+    piece put in one list, the key heads and indents constants of the code."""
+    from json.encoder import encode_basestring as enc  # only writing needs json
     env = {"enc": enc, "irepr": int.__repr__}
     body = []
 
@@ -701,9 +690,10 @@ def _writer(tp):
         elif tp in (str, int, bool):
             body.append(ind + {str: "a(enc({}))", int: "a(irepr({}))",
                                bool: "a('true' if {} else 'false')"}[tp].format(x))
-        else:  # an enum: a table from ``_value_`` to its encoder's text
+        else:  # an enum: a table from ``_value_`` to its text
             table = f"t{len(env)}"
-            env[table] = {m._value_: enc(_convert(tp)[0](m)) for m in tp}
+            env[table] = {m._value_: enc(text)
+                          for text, m in _enum_members(tp).items()}
             body.append(f"{ind}a({table}[{x}._value_])")
 
     def members(cls, x, d, ind, prefix, lead):  # returns the next lead
@@ -734,8 +724,9 @@ def _writer(tp):
 
 
 def use_case_to_dict(uc: UseCase) -> dict:
-    """Plain-data mirror of a use case, keys in field order, for exports."""
-    return _convert(UseCase)[0](uc)
+    """Plain-data mirror of a use case, read back from the writer's text."""
+    import json
+    return json.loads(_writer(UseCase)(uc))
 
 
 def use_case_from_dict(d: dict) -> UseCase:
@@ -750,7 +741,7 @@ def use_case_from_dict(d: dict) -> UseCase:
 
 def _from_dict(cls, d: dict, extra_keys: frozenset = frozenset()):
     try:
-        return _convert(cls)[1](d, extra_keys)
+        return _convert(cls)[0](d, extra_keys)
     except _BadValue as exc:
         raise CatalogFormatError(
             f"{exc.path.removeprefix('.')}: {exc}" if exc.path else str(exc)

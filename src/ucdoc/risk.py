@@ -20,7 +20,7 @@ misclassification of the intended purpose.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property, lru_cache
 from importlib import resources
@@ -34,7 +34,7 @@ from .model import (
     Severity,
     TaxonomyError,
     UseCase,
-    _convert,
+    _writer,
     require_valid,
 )
 from .parser import _Panic, _Parser, _describe
@@ -134,6 +134,12 @@ class RiskAssessment:
     matched: tuple[AreaMatch, ...]
     misuse_flags: tuple[MisuseFlag, ...]
     rationale: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class _Classified:  # an item of ``classify --format json``
+    id: str
+    assessment: RiskAssessment = field(metadata={"flat": "risk_"})
 
 
 # ---------------------------------------------------------------------------
@@ -300,4 +306,6 @@ def misuse_diagnostics(assessment: RiskAssessment) -> list[Diagnostic]:
 
 def assessment_to_dict(assessment: RiskAssessment) -> dict:
     """Plain-data mirror for JSON outputs: ``risk_`` plus each field name."""
-    return _convert(RiskAssessment, "risk_")[0](assessment)
+    import json
+    doc = json.loads(_writer(RiskAssessment)(assessment))
+    return {"risk_" + key: value for key, value in doc.items()}

@@ -5,18 +5,25 @@ from __future__ import annotations
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
+import reference_json
 import ucdoc
-from ucdoc import model
-from conftest import FIXTURES_DIR, GOLDEN_DIR
+from ucdoc import (
+    ApplicationAreaRef, Misuse, builtin_taxonomy, canonicalize, classify,
+    model, parse_document, serialize_canonical,
+)
+from conftest import FIXTURES_DIR, GOLDEN_DIR, assert_golden
 from test_catalog import BAD_GOLDEN_ENTRIES, mutated_golden_catalog
+from test_risk import random_risk_uc
 from ucdoc.cli import ExitStatus, run
 
 SMART_CAMERA = str(FIXTURES_DIR / "smart_camera.ucdl")
@@ -247,6 +254,58 @@ def test_classify_json_is_pure():
     assert payload[0]["risk_level"] == "Transparency"
     assert payload[0]["risk_misuse_flags"][0]["area_id"] == (
         "employment.monitor_performance")
+
+
+def test_classify_json_matches_the_golden():
+    code, out, err = cli("classify", "--format", "json", DRIVER)
+    assert (code, err) == (0, "")
+    assert_golden(out.encode("utf-8"),
+                  "driver_attention_monitoring.classify.json")
+
+
+# Text the JSON writer has to escape or keep as it is: a quote, a
+# backslash, a tab, a newline, non-ASCII and astral characters.
+HARD_TEXT = ' «é» 情感\t"q" \\ 😀\nend'
+
+
+def with_hard_text(uc):
+    """``uc`` with ``HARD_TEXT`` in its free labels and misuse descriptions,
+    and one misuse more that the taxonomy flags."""
+    areas = tuple(replace(r, free_label=r.free_label + HARD_TEXT)
+                  if r.is_other else r for r in uc.application_areas)
+    misuses = tuple(replace(m, description=m.description + HARD_TEXT)
+                    for m in uc.misuses)
+    flagged = Misuse("covert" + HARD_TEXT,
+                     ApplicationAreaRef(builtin_taxonomy().entries[0].area_id))
+    return canonicalize(replace(uc, application_areas=areas,
+                                misuses=misuses + (flagged,)))
+
+
+def test_classify_json_is_json_dumps_of_the_reference(tmp_path):
+    # Byte for byte what json.dumps writes of the hand-built reference data;
+    # the writer is generated on the first call and reused after it.
+    rng = random.Random(1616)
+    model._writer.cache_clear()
+    sizes = []
+    for n in (0, 1, 5):
+        path = tmp_path / f"{n}.ucdl"
+        path.write_text("\n".join(
+            serialize_canonical(with_hard_text(replace(
+                random_risk_uc(rng), id=f"uc-{i}"))) for i in range(n)),
+            encoding="utf-8")
+        use_cases, errors = parse_document(path.read_text(encoding="utf-8"))
+        assert (errors, len(use_cases)) == ([], n)
+        expected = json.dumps(
+            [{"id": uc.id, **reference_json.assessment_data(
+                classify(uc, builtin_taxonomy()))} for uc in use_cases],
+            indent=2, ensure_ascii=False) + "\n"
+        escaped = json.dumps(HARD_TEXT.strip(), ensure_ascii=False)[1:-1]
+        assert (escaped in expected) == (n > 0)
+        for _ in range(2):
+            code, out, err = cli("classify", "--format", "json", str(path))
+            assert (code, out, err) == (0, expected, "")
+            sizes.append(model._writer.cache_info().currsize)
+    assert sizes == [1] * 6
 
 
 def test_classify_multiple_use_cases(tmp_path):

@@ -402,3 +402,56 @@ def test_textual_deterministic():
     for _ in range(20):
         d = build_diagram(make_use_case(rng))
         assert render_textual(d) == render_textual(d)
+
+
+def test_textual_renames_a_function_named_like_an_actor():
+    # photographer is the user's ident and a function id; uc_photographer is
+    # taken by another function, so the renamed one becomes uc_photographer_2.
+    src = SHARED_NAME_DOC.replace(
+        '    photographer: "Portrait"\n    shoot: "Shoot"\n',
+        '    photographer: "Portrait" includes: [uc_photographer]\n'
+        '    uc_photographer: "Other"\n'
+        '    shoot: "Shoot" extends: [photographer]\n')
+    assert render_textual(build_diagram(parse_one(src))) == (
+        'actor "Photographer" as photographer\n'
+        'usecase "Portrait" as uc_photographer_2\n'
+        'usecase "Other" as uc_photographer\n'
+        'usecase "Shoot" as shoot\n'
+        'photographer --> shoot\n'
+        'uc_photographer_2 .> uc_photographer : <<include>>\n'
+        'shoot .> uc_photographer_2 : <<extend>>\n')
+
+
+def test_textual_declares_each_alias_once_and_edges_name_their_nodes():
+    # A function is named like the user in every use case, and in every
+    # second one another function takes the alias that one is renamed to.
+    rng = random.Random(320)
+    renamed = 0
+    for i in range(100):
+        uc = make_use_case(rng)
+        user = actor_ident(uc.user.name)
+        ids = [fn.id for fn in uc.system_functions]
+        if user not in ids:
+            uc = rename_function(uc, ids[0], user)
+        others = [fn.id for fn in uc.system_functions if fn.id != user]
+        if i % 2 and others and f"uc_{user}" not in others:
+            uc = rename_function(uc, others[0], f"uc_{user}")
+        d = build_diagram(uc)
+        lines = render_textual(d).splitlines()
+        n_nodes = len(d.actors) + len(d.ellipses)
+        decls = [re.fullmatch(r'(actor|usecase) ".*" as (\S+)', line)
+                 for line in lines[:n_nodes]]
+        aliases = [m[2] for m in decls]
+        assert [m[1] for m in decls] == (["actor"] * len(d.actors)
+                                         + ["usecase"] * len(d.ellipses))
+        assert len(set(aliases)) == len(aliases)
+        actor = dict(zip((a.ident for a in d.actors), aliases))
+        function = dict(zip((n.id for n in d.ellipses),
+                            aliases[len(d.actors):]))
+        assert lines[n_nodes:] == [
+            f"{actor[e.source]} --> {function[e.target]}"
+            if e.kind is EdgeKind.ASSOCIATION else
+            f"{function[e.source]} .> {function[e.target]} : <<{e.kind.value}>>"
+            for e in d.edges]
+        renamed += function[user] != user
+    assert renamed == 100

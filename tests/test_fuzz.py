@@ -12,9 +12,11 @@ golden catalogue is edited as JSON (a value of another type, a key dropped
 or added, deep nesting, a lone surrogate), and ``load_catalog_json`` raises
 nothing but ``CatalogFormatError``; what it loads exports, and the export
 loads back to the same bytes.  The catalogue's JSON writer matches
-``json.dumps`` byte for byte, on any text and on one example of each shape
-it inlines, and ``cli.run`` over generated argv ends in an exit status from
-0 to 3, and in 3 when a path is empty.
+``json.dumps`` over the hand-built data of ``reference_json`` byte for byte,
+on any text and on one example of each shape it inlines, and so do
+``use_case_to_dict`` and ``assessment_to_dict``.  ``cli.run`` over
+generated argv ends in an exit status from 0 to 3, and in 3 when a path is
+empty.
 """
 
 from __future__ import annotations
@@ -34,9 +36,11 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import reference_json
 from conftest import FIXTURE_NAMES, FIXTURES_DIR, GOLDEN_DIR, fixture_text
 from support import make_use_case
 from test_model import base_use_case
+from test_risk import random_risk_uc
 from ucdoc import (
     CatalogFormatError, TaxonomyError, build_catalog, builtin_taxonomy,
     classify, export_json, load_catalog_json, load_taxonomy, parse_document,
@@ -268,14 +272,14 @@ def test_json_writer_matches_json_dumps(leaf):
 
 
 def old_export_json(cat) -> bytes:
-    """The catalogue export as ``json.dumps`` writes it: the reference."""
+    """The catalogue export as ``json.dumps`` writes the reference data."""
     doc = {
         "schema": SCHEMA,
         "taxonomy_version": cat.taxonomy_version,
         "generated_fields": list(GENERATED_FIELDS),
         "entries": [{"source_path": entry.source_path,
-                     **use_case_to_dict(entry.use_case),
-                     **assessment_to_dict(entry.assessment)}
+                     **reference_json.data(entry.use_case),
+                     **reference_json.assessment_data(entry.assessment)}
                     for entry in cat.entries],
     }
     return (json.dumps(doc, indent=2, ensure_ascii=False) + "\n").encode()
@@ -345,10 +349,13 @@ def assert_exports_as_json_dumps(*entries):
     assert export_json(cat) == old_export_json(cat)
 
 
-@pytest.mark.parametrize(
+EVERY_ENUM_MEMBER = pytest.mark.parametrize(
     "member", [*RiskLevel, *GoalLevel, *ActorKind, *ActorRole, *Tier],
     ids=lambda m: f"{type(m).__name__}.{m.name}")
-def test_export_json_writes_every_enum_member(member):
+
+
+def with_member(member):
+    """A use case and an assessment, one of them holding enum ``member``."""
     uc, assessment = base_use_case(), ASSESSMENT
     if isinstance(member, RiskLevel):
         assessment = replace(assessment, level=member)
@@ -360,7 +367,12 @@ def test_export_json_writes_every_enum_member(member):
     else:
         field = "kind" if isinstance(member, ActorKind) else "role"
         uc = replace(uc, user=replace(uc.user, **{field: member}))
-    assert_exports_as_json_dumps((uc, assessment))
+    return uc, assessment
+
+
+@EVERY_ENUM_MEMBER
+def test_export_json_writes_every_enum_member(member):
+    assert_exports_as_json_dumps(with_member(member))
 
 
 def test_export_json_leaves_out_every_optional_at_none():
@@ -393,6 +405,26 @@ def test_export_json_writes_every_list_empty():
     assert_exports_as_json_dumps((uc, emptied(ASSESSMENT)),
                                  (nested, ASSESSMENT))
     assert_exports_as_json_dumps()  # no entries at all
+
+
+def assert_to_dict_is_reference(uc, assessment):
+    for got, want in ((use_case_to_dict(uc), reference_json.data(uc)),
+                      (assessment_to_dict(assessment),
+                       reference_json.assessment_data(assessment))):
+        assert got == want
+        assert json.dumps(got) == json.dumps(want)  # the key order too
+
+
+@EVERY_ENUM_MEMBER
+def test_to_dict_matches_the_reference_on_every_enum_member(member):
+    assert_to_dict_is_reference(*with_member(member))
+
+
+def test_to_dict_matches_the_reference_on_seeded_use_cases():
+    rng = random.Random(1616)
+    for _ in range(60):
+        uc = random_risk_uc(rng)
+        assert_to_dict_is_reference(uc, classify(uc, builtin_taxonomy()))
 
 
 # ---------------------------------------------------------------------------
