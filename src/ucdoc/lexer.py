@@ -221,7 +221,14 @@ def _word_end(m: re.Match, start: int) -> int:
 def is_word(text: str) -> bool:
     """True when ``text`` lexes as exactly one IDENT, INT or BRANCH token."""
     m = _WORD_RE.fullmatch(text)
-    return m is not None and (text.isascii() or _word_end(m, 0) == len(text))
+    if m is None or not (text.isascii() or _word_end(m, 0) == len(text)):
+        return False
+    if text.isdecimal():
+        try:
+            int(text)
+        except ValueError:  # lex reports more digits than int() reads
+            return False
+    return True
 
 
 def dedent_block(content: str) -> str:

@@ -134,9 +134,7 @@ class CatalogFormatError(ValueError):
 class QueryError(ValueError):
     """Raised for filters that cannot match anything (unknown area id)."""
 
-    def __init__(self, message: str, code: str = "query.unknown_area"):
-        self.code = code
-        super().__init__(message)
+    code = "query.unknown_area"
 
 
 @dataclass(frozen=True)

@@ -4,24 +4,27 @@ Grammar (EBNF; whitespace-insensitive between tokens, ``#`` line comments)::
 
     document    = { usecase } ;
     usecase     = "usecase" string "{" { field } "}" ;
-    field       = scalar | list_field | actor_blk | persons_blk
+    field       = key ":" ( name | list ) | actor_blk | persons_blk
                 | functions_blk | scenario_blk | extension_blk | misuse_blk ;
-    scalar      = key ":" ( string | bool | ident ) ;
-    list_field  = key ":" "[" [ item { "," item } ] "]" ;
-    item        = ident | "other" "(" string ")" | string
-                | ident "->" ident ;                    (associations only)
-    actor_blk   = "user" "{" "name" ":" string "kind" ":" ident "}" ;
+    name        = ident | integer | branch_id | string ;
+    list        = "[" [ item { "," item } [ "," ] ] "]" ;
+    item        = name | "other" "(" string ")"
+                | name "->" name ;                      (associations only)
+    record      = "{" { key ":" ( name | item ) } "}" ; (a key at most once)
+    actor_blk   = "user" record ;                       (keys name, kind)
     persons_blk = ( "target_persons" | "secondary_actors" )
-                  "{" { "person" "{" "name" ":" string "kind" ":" ident "}" } "}" ;
+                  "{" { "person" record } "}" ;
     functions_blk = "functions" "{" { fn_entry } "}" ;
-    fn_entry    = ident ":" string [ "includes" ":" ident_list ]
-                  [ "extends" ":" ident_list ] ;
+    fn_entry    = name ":" string { ( "includes" | "extends" ) ":" list } ;
     scenario_blk  = "scenario" "{" { step } "}" ;
-    step        = integer ident ":" string [ "->" ident ] ;
-    extension_blk = "extension" branch_id string "{" { step } "}" ;
-    misuse_blk  = "misuse" "{" "description" ":" string
-                  [ "area" ":" item ] "}" ;
+    step        = integer ( ident | integer | branch_id ) ":" string
+                  [ "->" name ] ;
+    extension_blk = "extension" ( branch_id | ident ) string "{" { step } "}" ;
+    misuse_blk  = "misuse" record ;                     (keys description, area)
 
+Which keys a record takes, the value each key reads and how the serializer
+writes it back are one entry of the record tables at the end of this module
+(``_USE_CASE``, ``_ACTOR``, ``_MISUSE``, ``_FUNCTION``), in canonical order.
 The use-case title is the header string; every other element is a field.
 ``schema_version`` is accepted and ignored so documents can carry a format
 marker.  Parsing never raises: every problem is collected as a
@@ -41,7 +44,7 @@ from typing import Callable, Iterator, Optional
 from .lexer import (
     ARROW, BRANCH, COLON, COMMA, EOF, IDENT, INT, LBRACE, LBRACKET, LPAREN,
     RBRACE, RBRACKET, RPAREN, STRING, Diagnostic, LineIndex, Severity, Token,
-    TokenKind, lex,
+    TokenKind, escape_string, is_word, lex,
 )
 from .model import (
     Actor,
@@ -60,38 +63,13 @@ from .model import (
 )
 
 _USECASE_KW = "usecase"
+_PERSON_KW = "person"
 
 _LEVELS = {lv.value: lv for lv in GoalLevel}
 _BOOLS = {"true": True, "false": False}
 _ACTOR_KINDS = {k.value: k for k in ActorKind}
 
 _WORD_KINDS = (IDENT, BRANCH, INT)
-
-# The readers of each ``{ key: value … }`` record, called with the parser.
-_ACTOR_FIELDS = {
-    "name": lambda p: p.parse_string("actor name string"),
-    "kind": lambda p: p.parse_choice(_ACTOR_KINDS, "kind"),
-}
-_MISUSE_FIELDS = {
-    "description": lambda p: p.parse_string("misuse description string"),
-    "area": lambda p: p.parse_area_item(),
-}
-# ... and of each ``key: value`` field of a use case.
-_VALUES = {
-    "id": lambda p: p.parse_word_or_string("use case id"),
-    **{key: lambda p, what=f"string value for {key!r}": p.parse_string(what)
-       for key in ("intended_purpose", "context_of_use", "trigger",
-                   "success_guarantee", "minimal_guarantee")},
-    "safety_component": lambda p: p.parse_choice(_BOOLS, "safety_component"),
-    "level": lambda p: p.parse_choice(_LEVELS, "level"),
-    "application_areas": lambda p: p.parse_list(p.parse_area_item),
-    "affective_capabilities": lambda p: p.parse_words("capability tag"),
-    **{key: lambda p, what=f"string in {key!r} list": p.parse_words(what)
-       for key in ("inputs", "outputs", "preconditions")},
-    "associations": lambda p: p.parse_list(p.parse_association_item),
-}
-# The blocks that may come more than once; each adds to a tuple.
-_REPEATED = {"extension", "misuse"}
 
 
 class _Panic(Exception):
@@ -240,32 +218,30 @@ class _Parser:
         key = tok.text
         # an IDENT is never the last token
         after = self.tokens[self.pos + 1].kind if tok.kind is IDENT else None
-        block = self._BLOCKS.get(key)
+        attr, read, _, shape = _USE_CASE.get(key, _NO_FIELD)
         if after is COLON:
             self.pos += 2
-            if block is not None:
+            if shape:
                 self.error(f"field {key!r} takes a block, not a ':' value",
                            tok, code="field.value")
                 self.skip_value()
                 return
             fresh = self.mark_seen(tok)
-            read = _VALUES.get(key)
             if read is None:
                 if key != "schema_version":
                     self.error(f"unknown field {key!r}", tok,
                                code="field.unknown")
                 self.skip_value()
             elif fresh:
-                fields[key] = read(self)
+                fields[attr] = read(self, key)
             else:
-                read(self)
-        elif block is not None:
+                read(self, key)
+        elif shape:
             self.pos += 1
-            field, read = block
-            if key in _REPEATED:
-                fields[field] += (read(self, key),)
+            if shape == _EACH:
+                fields[attr] += (read(self, key),)
             elif self.mark_seen(tok):
-                fields[field] = read(self, key)
+                fields[attr] = read(self, key)
             else:
                 read(self, key)
         elif after is LBRACE:
@@ -365,43 +341,42 @@ class _Parser:
             yield
         self.advance()
 
-    def record(self, what: str, readers: dict[str, Callable[[_Parser], object]]
-               ) -> dict[str, object]:
-        """Read ``{ key: value … }``, each value by its key's reader; a key
-        may come once, in any order, or not at all."""
-        keys = " or ".join(f"'{key}'" for key in readers)
+    def record(self, what: str, table: dict[str, _Field]) -> dict[str, object]:
+        """Read ``{ key: value … }``, each value by its key's reader, into a
+        dict by attribute; a key may come once, in any order, or not at all."""
+        keys = " or ".join(f"'{key}'" for key in table)
         values: dict[str, object] = {}
+        seen: set[str] = set()
         for _ in self.block(what):
             key = self.expect(IDENT, keys)
             self.expect(COLON, "':'")
-            if key.text in values:
+            entry = table.get(key.text)
+            if key.text in seen:
                 self.error(f"duplicate field {key.text!r}", key,
                            code="field.duplicate")
                 self.skip_value()
-            elif key.text in readers:
-                values[key.text] = readers[key.text](self)
+            elif entry is not None:
+                values[entry[0]] = entry[1](self, key.text)
             else:
                 self.error(f"unknown field {key.text!r} in {what} block",
                            key, code="field.unknown")
                 self.skip_value()
-                values[key.text] = None     # so a repeat is a duplicate
+            seen.add(key.text)
         return values
 
     def parse_actor_body(self, role: ActorRole) -> Actor:
         """Parse ``{ name: "…" kind: ident }`` (either order, both optional)."""
-        fields = self.record("actor", _ACTOR_FIELDS)
+        fields = self.record("actor", _ACTOR)
         return Actor(fields.get("name", ""), fields.get("kind", ActorKind.HUMAN),
                      role)
 
-    def parse_persons(self, key: str) -> tuple[Actor, ...]:
-        role = (ActorRole.TARGET_PERSON if key == "target_persons"
-                else ActorRole.SECONDARY)
+    def parse_persons(self, key: str, role: ActorRole) -> tuple[Actor, ...]:
         actors: list[Actor] = []
         for _ in self.block(key):
-            person = self.expect(IDENT, "'person'")
-            if person.text != "person":
-                self.error(f"expected 'person' block, found {person.text!r}",
-                           person, expected=("person",))
+            person = self.expect(IDENT, f"'{_PERSON_KW}'")
+            if person.text != _PERSON_KW:
+                self.error(f"expected '{_PERSON_KW}' block, found "
+                           f"{person.text!r}", person, expected=(_PERSON_KW,))
                 raise _Panic
             actors.append(self.parse_actor_body(role))
         return tuple(actors)
@@ -412,19 +387,20 @@ class _Parser:
             name = self.cur()
             fn_id = self.parse_word_or_string("function id")
             self.expect(COLON, "':'")
-            if name.kind is IDENT and fn_id in ("includes", "extends"):
-                refs = self.parse_words("function id")
+            if name.kind is IDENT and fn_id in _FUNCTION:
+                attr, read, _, _ = _FUNCTION[fn_id]
+                refs = read(self, fn_id)
                 if not functions:
                     self.error(
                         f"{fn_id!r} annotation with no preceding function",
                         name)
-                elif getattr(functions[-1], fn_id):
+                elif getattr(functions[-1], attr):
                     self.error(
                         f"duplicate {fn_id!r} annotation on "
                         f"function {functions[-1].id!r}",
                         name, code="field.duplicate")
                 else:
-                    functions[-1] = replace(functions[-1], **{fn_id: refs})
+                    functions[-1] = replace(functions[-1], **{attr: refs})
             else:
                 functions.append(SystemFunction(
                     fn_id, self.parse_string("function label string")))
@@ -461,20 +437,167 @@ class _Parser:
         return Extension(branch.text, condition, self.parse_steps(key))
 
     def parse_misuse(self, key: str) -> Misuse:
-        fields = self.record(key, _MISUSE_FIELDS)
-        return Misuse(fields.get("description", ""), fields.get("area"))
+        return Misuse(**{"description": "", **self.record(key, _MISUSE)})
 
-    # The ``UseCase`` field and the reader of each block, by key; a reader
-    # is called with the key, after it.
-    _BLOCKS = {
-        "user": ("user", lambda p, key: p.parse_actor_body(ActorRole.USER)),
-        "target_persons": ("target_persons", parse_persons),
-        "secondary_actors": ("secondary_actors", parse_persons),
-        "functions": ("system_functions", parse_functions),
-        "scenario": ("main_scenario", parse_steps),
-        "extension": ("extensions", parse_extension),
-        "misuse": ("misuses", parse_misuse),
-    }
+
+# -- the records -----------------------------------------------------------
+#
+# One table per UCDL record, in canonical order: key -> (attribute, reader,
+# writer, shape).  A reader is called with the parser and the key, after the
+# key (and its ':'); a writer with the value and the indent of the key, and
+# returns the text after the key.
+
+_VALUE, _BLOCK, _EACH = range(3)    # key: value, key { … }, and a block that
+                                    # may come again, each adding an item
+_Field = tuple[str, Callable, Optional[Callable], int]
+_NO_FIELD = (None, None, None, _VALUE)
+_INDENT = "  "
+
+
+def _write_record(table: dict[str, _Field], obj: object, pad: str) -> str:
+    """The fields of ``obj`` in ``table`` order, one per line at indent
+    ``pad``; a value of ``""``, ``()`` or None is left out."""
+    lines = []
+    for key, (attr, _, write, shape) in table.items():
+        value = getattr(obj, attr)
+        if value in ("", (), None):
+            continue
+        sep = " " if shape else ": "
+        for item in value if shape == _EACH else (value,):
+            lines.append(f"{pad}{key}{sep}{write(item, pad)}\n")
+    return "".join(lines)
+
+
+def _word(text: str) -> str:
+    return text if is_word(text) else escape_string(text)
+
+
+def _prose(value: str, pad: str) -> str:
+    """A triple-quoted block when multi-line, else an escaped string.  A
+    block would drop an indent common to all its lines, so such a value is
+    escaped too."""
+    lines = value.split("\n")
+    if len(lines) == 1 or '"""' in value or min(
+            (len(ln) - len(ln.lstrip()) for ln in lines if ln.strip()),
+            default=0):
+        return escape_string(value)
+    body = "".join(f"{pad}{_INDENT}{ln}\n" for ln in lines)
+    return f'"""\n{body}{pad}"""'
+
+
+def _block(body: str, pad: str) -> str:
+    return "{\n" + body + pad + "}"
+
+
+def _nested(table: dict[str, _Field]) -> Callable:
+    return lambda obj, pad: _block(_write_record(table, obj, pad + _INDENT), pad)
+
+
+def _list(write_item: Callable[[object], str]) -> Callable:
+    return lambda items, pad: "[" + ", ".join(map(write_item, items)) + "]"
+
+
+def _area(ref: ApplicationAreaRef) -> str:
+    if ref.is_other:
+        return f"{OTHER_AREA}({escape_string(ref.free_label or '')})"
+    return ref.area_id
+
+
+def _write_steps(steps: tuple[ScenarioStep, ...], pad: str) -> str:
+    return _block("".join(
+        f"{pad}{_INDENT}{s.index} {s.actor}: {escape_string(s.action)}"
+        + ("" if s.function is None else f" -> {_word(s.function)}") + "\n"
+        for s in steps), pad)
+
+
+def _choice(table: dict[str, object]) -> tuple:
+    names = {value: name for name, value in table.items()}
+    return (lambda p, key: p.parse_choice(table, key),
+            lambda value, pad: names[value], _VALUE)
+
+
+_PROSE = (lambda p, key: p.parse_string(f"string value for {key!r}"), _prose,
+          _VALUE)
+_TEXTS = (lambda p, key: p.parse_words(f"string in {key!r} list"),
+          _list(escape_string), _VALUE)
+_REFS = (lambda p, key: p.parse_words("function id"), _list(_word), _VALUE)
+
+_ACTOR: dict[str, _Field] = {
+    "name": ("name", lambda p, key: p.parse_string("actor name string"),
+             lambda name, pad: escape_string(name), _VALUE),
+    "kind": ("kind", *_choice(_ACTOR_KINDS)),
+}
+_MISUSE: dict[str, _Field] = {
+    "description": ("description",
+                    lambda p, key: p.parse_string("misuse description string"),
+                    _prose, _VALUE),
+    "area": ("area_ref", lambda p, key: p.parse_area_item(),
+             lambda ref, pad: _area(ref), _VALUE),
+}
+# The annotations that may follow a function's ``id: "label"`` line.
+_FUNCTION: dict[str, _Field] = {
+    "includes": ("includes", *_REFS),
+    "extends": ("extends", *_REFS),
+}
+_write_actor = _nested(_ACTOR)
+
+
+def _persons(role: ActorRole) -> tuple:
+    def write(actors: tuple[Actor, ...], pad: str) -> str:
+        inner = pad + _INDENT
+        return _block("".join(f"{inner}{_PERSON_KW} {_write_actor(a, inner)}\n"
+                              for a in actors), pad)
+    return lambda p, key: p.parse_persons(key, role), write, _BLOCK
+
+
+def _write_functions(functions: tuple[SystemFunction, ...], pad: str) -> str:
+    inner = pad + _INDENT
+    return _block("".join(
+        f"{inner}{_word(fn.id)}: {escape_string(fn.label)}\n"
+        + _write_record(_FUNCTION, fn, inner) for fn in functions), pad)
+
+
+_USE_CASE: dict[str, _Field] = {
+    "id": ("id", lambda p, key: p.parse_word_or_string("use case id"),
+           lambda uc_id, pad: _word(uc_id), _VALUE),
+    "intended_purpose": ("intended_purpose", *_PROSE),
+    "level": ("level", *_choice(_LEVELS)),
+    "safety_component": ("safety_component", *_choice(_BOOLS)),
+    "affective_capabilities": (
+        "affective_capabilities",
+        lambda p, key: p.parse_words("capability tag"), _list(_word), _VALUE),
+    "user": ("user", lambda p, key: p.parse_actor_body(ActorRole.USER),
+             _write_actor, _BLOCK),
+    "target_persons": ("target_persons", *_persons(ActorRole.TARGET_PERSON)),
+    "secondary_actors": ("secondary_actors", *_persons(ActorRole.SECONDARY)),
+    "context_of_use": ("context_of_use", *_PROSE),
+    "application_areas": (
+        "application_areas", lambda p, key: p.parse_list(p.parse_area_item),
+        _list(_area), _VALUE),
+    "inputs": ("inputs", *_TEXTS),
+    "outputs": ("outputs", *_TEXTS),
+    "preconditions": ("preconditions", *_TEXTS),
+    "trigger": ("trigger", *_PROSE),
+    "success_guarantee": ("success_guarantee", *_PROSE),
+    "minimal_guarantee": ("minimal_guarantee", *_PROSE),
+    "functions": ("system_functions", _Parser.parse_functions,
+                  _write_functions, _BLOCK),
+    "associations": (
+        "associations", lambda p, key: p.parse_list(p.parse_association_item),
+        _list(lambda a: f"{_word(a.actor)} -> {_word(a.function)}"), _VALUE),
+    "scenario": ("main_scenario", _Parser.parse_steps, _write_steps, _BLOCK),
+    "extension": ("extensions", _Parser.parse_extension,
+                  lambda ext, pad: f"{ext.branch_id} {escape_string(ext.condition)} "
+                  + _write_steps(ext.steps, pad), _EACH),
+    "misuse": ("misuses", _Parser.parse_misuse, _nested(_MISUSE), _EACH),
+}
+
+
+def _write_use_case(uc: UseCase) -> str:
+    """The UCDL text of ``uc``: its header, then its fields as ``_USE_CASE``
+    says."""
+    body = _block(_write_record(_USE_CASE, uc, _INDENT), "")
+    return f"{_USECASE_KW} {escape_string(uc.title)} {body}\n"
 
 
 def parse_document(source: str) -> tuple[list[UseCase], list[Diagnostic]]:

@@ -37,7 +37,7 @@ from .model import (
     _writer,
     require_valid,
 )
-from .parser import _Panic, _Parser, _describe
+from .parser import _VALUE, _Panic, _Parser, _describe
 
 _BUILTIN_RESOURCE = "aiact_taxonomy.ucdl"
 
@@ -161,11 +161,16 @@ def load_taxonomy(text: str, file: Optional[str] = None) -> Taxonomy:
 
 
 _TIERS = {tier.value: tier for tier in Tier}
+# The UCDL record table of an entry; a taxonomy is never written.
 _ENTRY_FIELDS = {
-    "tier": lambda r: r.parse_choice(_TIERS, "tier"),
-    "area": lambda r: r.parse_string("area label string"),
-    "sub_use": lambda r: r.parse_string("sub-use label string"),
-    "keywords": lambda r: r.parse_list(r.keyword),
+    "tier": ("tier", lambda r, key: r.parse_choice(_TIERS, key), None, _VALUE),
+    "area": ("area_label", lambda r, key: r.parse_string("area label string"),
+             None, _VALUE),
+    "sub_use": ("sub_use_label",
+                lambda r, key: r.parse_string("sub-use label string"),
+                None, _VALUE),
+    "keywords": ("keywords", lambda r, key: r.parse_list(r.keyword), None,
+                 _VALUE),
 }
 
 
@@ -194,12 +199,11 @@ class _TaxonomyReader(_Parser):
             if name.text in entries:
                 self.error(f"duplicate taxonomy entry {name.text!r}", name)
             fields = self.record("entry", _ENTRY_FIELDS)
-            if not all(fields.get(key) for key in ("tier", "area", "sub_use")):
+            if not all(fields.get(attr)
+                       for attr in ("tier", "area_label", "sub_use_label")):
                 self.error(f"entry {name.text!r} needs tier, area and sub_use",
                            name)
-            entries[name.text] = TaxonomyEntry(
-                name.text, fields["tier"], fields["area"], fields["sub_use"],
-                fields.get("keywords", ()))
+            entries[name.text] = TaxonomyEntry(name.text, **fields)
         if not entries:
             self.error("taxonomy has no entries")
         return version, tuple(entries.values())

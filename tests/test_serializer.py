@@ -1,16 +1,26 @@
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import replace
 
+import pytest
+
+from conftest import FIXTURE_NAMES, assert_golden, fixture_text
 from support import make_use_case
 from ucdoc import (
+    Actor,
+    ActorKind,
+    ActorRole,
+    Association,
+    SystemFunction,
     canonicalize,
     parse_document,
     serialize_canonical,
     serialize_document,
 )
 from test_model import base_use_case
+from ucdoc.lexer import is_word
 
 
 def test_canonical_text_is_exact():
@@ -54,6 +64,16 @@ def test_canonical_text_is_exact():
 '''
 
 
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_fixture_canonical_text_matches_golden(name):
+    # Together the fixtures write every key, triple-quoted prose, other(…)
+    # areas and misuse areas.
+    use_cases, errors = parse_document(fixture_text(name))
+    assert errors == []
+    assert_golden(serialize_document(use_cases).encode("utf-8"),
+                  f"{name}.ucdl")
+
+
 def test_idempotence():
     rng = random.Random(99)
     for _ in range(50):
@@ -93,6 +113,24 @@ def test_nasty_id_is_quoted():
     reparsed, errors = parse_document(text)
     assert errors == []
     assert reparsed[0].id == "1-a"
+
+
+def test_overlong_digit_words_are_quoted():
+    # The lexer drops a run of more digits than int() reads
+    # (lex.number_too_long), so such a word is written as a string: as an
+    # id, a capability tag, a function id and an association actor.
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    assert not is_word(digits)
+    assert is_word(digits[1:])
+    base = base_use_case()
+    uc = canonicalize(replace(
+        base, id=digits, affective_capabilities=(digits,),
+        target_persons=(Actor(digits, ActorKind.HUMAN, ActorRole.TARGET_PERSON),),
+        system_functions=base.system_functions + (SystemFunction(digits, "Long"),),
+        associations=(Association(digits, digits),)))
+    text = serialize_canonical(uc)
+    assert f'id: "{digits}"' in text
+    assert parse_document(text) == ([uc], [])
 
 
 def test_optional_fields_are_omitted_when_empty():
