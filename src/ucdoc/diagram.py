@@ -30,6 +30,7 @@ from .model import (
     Diagnostic,
     SYSTEM_ACTOR,
     Severity,
+    SystemFunction,
     UseCase,
     actor_ident,
     require_valid,
@@ -55,12 +56,6 @@ class ActorNode:
 
 
 @dataclass(frozen=True)
-class EllipseNode:
-    id: str
-    label: str
-
-
-@dataclass(frozen=True)
 class Edge:
     kind: EdgeKind
     source: str
@@ -71,7 +66,7 @@ class Edge:
 class Diagram:
     boundary_label: str
     actors: tuple[ActorNode, ...]
-    ellipses: tuple[EllipseNode, ...]
+    ellipses: tuple[SystemFunction, ...]   # drawn by id and label
     edges: tuple[Edge, ...]
     warnings: tuple[Diagnostic, ...] = ()
 
@@ -142,9 +137,8 @@ def build_diagram(uc: UseCase) -> Diagram:
               "include/extend relationships")
         for fn in uc.system_functions if fn.id not in reached)
 
-    ellipses = tuple(EllipseNode(fn.id, fn.label) for fn in uc.system_functions)
-    return Diagram(uc.title, tuple(actors.values()), ellipses, tuple(edges),
-                   warnings)
+    return Diagram(uc.title, tuple(actors.values()), uc.system_functions,
+                   tuple(edges), warnings)
 
 
 def _wrap_label(label: str) -> tuple[tuple[str, ...], bool]:

@@ -37,6 +37,7 @@ diagnostic is made.
 
 from __future__ import annotations
 
+import io
 import os
 import re
 from bisect import bisect_right
@@ -66,6 +67,7 @@ class TokenKind(Enum):
 # Enum attribute lookup that takes about ten times as long as a global.
 (IDENT, BRANCH, INT, STRING, LBRACE, RBRACE, LBRACKET, RBRACKET, LPAREN,
  RPAREN, COLON, COMMA, ARROW, EOF) = TokenKind
+_WORD_KINDS = (IDENT, BRANCH, INT)   # the tokens of a bare word
 
 
 class SourceSpan(NamedTuple):
@@ -186,8 +188,6 @@ _IDENT_G, _NUMBER_G, _TRIPLE_G, _PLAIN_G, _STRING_G, _END_G = (
 _KIND = (None, None, *_PUNCTUATION.values())
 _TEXT = (None, None, *_PUNCTUATION)
 
-_WORD_RE = re.compile(f"{_NUMBER}|{_IDENT}")
-
 _ESCAPE_RE = re.compile(r"\\(.)")
 
 
@@ -218,17 +218,19 @@ def _word_end(m: re.Match, start: int) -> int:
     return end
 
 
+def read_token(text: str) -> Optional[Token]:
+    """The one token ``text`` lexes as once written to a file and read back
+    by :func:`read_ucdl`, whose text-mode read turns CR LF and a lone CR
+    into LF; None when it lexes as no token, several, or with a problem."""
+    tokens, problems = lex(io.StringIO(text, newline=None).read())
+    return tokens[0] if len(tokens) == 2 and not problems else None
+
+
 def is_word(text: str) -> bool:
-    """True when ``text`` lexes as exactly one IDENT, INT or BRANCH token."""
-    m = _WORD_RE.fullmatch(text)
-    if m is None or not (text.isascii() or _word_end(m, 0) == len(text)):
-        return False
-    if text.isdecimal():
-        try:
-            int(text)
-        except ValueError:  # lex reports more digits than int() reads
-            return False
-    return True
+    """True when ``text`` reads back as one IDENT, INT or BRANCH token that
+    is all of ``text``, so it may be written bare."""
+    tok = read_token(text)
+    return tok is not None and tok.kind in _WORD_KINDS and tok.text == text
 
 
 def dedent_block(content: str) -> str:

@@ -258,8 +258,7 @@ def actor_ident(name: str) -> str:
     """Identifier an actor is referenced by in scenario steps.
 
     Lowercased, with every run of characters outside [a-z0-9] collapsed to a
-    single underscore; stays within the ASCII identifier alphabet so it can
-    always be written as a bare token.
+    single underscore, so it stays within the ASCII identifier alphabet.
     """
     return re.sub(r"[^a-z0-9]+", "_", name.lower()).strip("_")
 
@@ -442,7 +441,8 @@ def _validate(uc: UseCase) -> list[Diagnostic]:
             "scenario.empty", "main scenario has no steps", "main_scenario"))
     _check_steps(uc.main_scenario, "main_scenario", known_actors, function_ids, diags)
 
-    main_indices = {s.index for s in uc.main_scenario}
+    # As digit strings: a branch prefix may have more digits than int() reads.
+    main_indices = {str(s.index) for s in uc.main_scenario}
     seen_branches: set[str] = set()
     for i, ext in enumerate(uc.extensions):
         here = f"extensions[{i}]"
@@ -453,7 +453,7 @@ def _validate(uc: UseCase) -> list[Diagnostic]:
                 "by one letter (e.g. '3a')",
                 here))
         else:
-            prefix = int(ext.branch_id[:-1])
+            prefix = ext.branch_id[:-1]
             if prefix not in main_indices:
                 diags.append(_error(
                     "extension.unknown_step",

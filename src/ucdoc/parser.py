@@ -17,8 +17,7 @@ Grammar (EBNF; whitespace-insensitive between tokens, ``#`` line comments)::
     functions_blk = "functions" "{" { fn_entry } "}" ;
     fn_entry    = name ":" string { ( "includes" | "extends" ) ":" list } ;
     scenario_blk  = "scenario" "{" { step } "}" ;
-    step        = integer ( ident | integer | branch_id ) ":" string
-                  [ "->" name ] ;
+    step        = integer name ":" string [ "->" name ] ;
     extension_blk = "extension" ( branch_id | ident ) string "{" { step } "}" ;
     misuse_blk  = "misuse" record ;                     (keys description, area)
 
@@ -43,8 +42,8 @@ from typing import Callable, Iterator, Optional
 
 from .lexer import (
     ARROW, BRANCH, COLON, COMMA, EOF, IDENT, INT, LBRACE, LBRACKET, LPAREN,
-    RBRACE, RBRACKET, RPAREN, STRING, Diagnostic, LineIndex, Severity, Token,
-    TokenKind, escape_string, is_word, lex,
+    RBRACE, RBRACKET, RPAREN, STRING, _WORD_KINDS, Diagnostic, LineIndex,
+    Severity, Token, TokenKind, escape_string, is_word, lex, read_token,
 )
 from .model import (
     Actor,
@@ -68,8 +67,6 @@ _PERSON_KW = "person"
 _LEVELS = {lv.value: lv for lv in GoalLevel}
 _BOOLS = {"true": True, "false": False}
 _ACTOR_KINDS = {k.value: k for k in ActorKind}
-
-_WORD_KINDS = (IDENT, BRANCH, INT)
 
 
 class _Panic(Exception):
@@ -409,7 +406,7 @@ class _Parser:
     def parse_step(self) -> ScenarioStep:
         index = self.expect(INT, "step index")
         actor = self.cur()
-        if actor.kind not in _WORD_KINDS:
+        if actor.kind is not STRING and actor.kind not in _WORD_KINDS:
             self.error(f"expected step actor, found {_describe(actor)}",
                        expected=("actor identifier",))
             raise _Panic
@@ -420,7 +417,7 @@ class _Parser:
         if self.at(ARROW):
             self.pos += 1
             function = self.parse_word_or_string("function id")
-        ident = actor.text if actor.text == "system" else actor_ident(actor.text)
+        ident = actor_ident(actor.value if actor.kind is STRING else actor.text)
         return ScenarioStep(int(index.value), ident, action, function)
 
     def parse_steps(self, key: str) -> tuple[ScenarioStep, ...]:
@@ -473,16 +470,15 @@ def _word(text: str) -> str:
 
 
 def _prose(value: str, pad: str) -> str:
-    """A triple-quoted block when multi-line, else an escaped string.  A
-    block would drop an indent common to all its lines, so such a value is
-    escaped too."""
-    lines = value.split("\n")
-    if len(lines) == 1 or '"""' in value or min(
-            (len(ln) - len(ln.lstrip()) for ln in lines if ln.strip()),
-            default=0):
-        return escape_string(value)
-    body = "".join(f"{pad}{_INDENT}{ln}\n" for ln in lines)
-    return f'"""\n{body}{pad}"""'
+    """A triple-quoted block when multi-line and the block reads back as
+    ``value``, else an escaped string."""
+    if "\n" in value:
+        body = "".join(f"{pad}{_INDENT}{ln}\n" for ln in value.split("\n"))
+        block = f'"""\n{body}{pad}"""'
+        tok = read_token(block)
+        if tok is not None and tok.value == value:
+            return block
+    return escape_string(value)
 
 
 def _block(body: str, pad: str) -> str:
@@ -505,7 +501,7 @@ def _area(ref: ApplicationAreaRef) -> str:
 
 def _write_steps(steps: tuple[ScenarioStep, ...], pad: str) -> str:
     return _block("".join(
-        f"{pad}{_INDENT}{s.index} {s.actor}: {escape_string(s.action)}"
+        f"{pad}{_INDENT}{s.index} {_word(s.actor)}: {escape_string(s.action)}"
         + ("" if s.function is None else f" -> {_word(s.function)}") + "\n"
         for s in steps), pad)
 

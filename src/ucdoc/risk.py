@@ -77,9 +77,10 @@ class Taxonomy:
         return {entry.area_id: entry for entry in self.entries}
 
     @cached_property
-    def _keywords(self) -> list[tuple[str, re.Pattern[str], int]]:
-        # (keyword, whole-word pattern, entry index), in taxonomy order.
-        return [(kw, re.compile(r"\b" + re.escape(kw) + r"\b"), i)
+    def _keywords(self) -> list[tuple[str, str, int]]:
+        # (keyword, whole-word pattern, entry index), in taxonomy order; _scan
+        # compiles a pattern, through re's cache, once a label holds its word.
+        return [(kw, r"\b" + re.escape(kw) + r"\b", i)
                 for i, entry in enumerate(self.entries) for kw in entry.keywords]
 
     def find(self, area_id: str) -> Optional[TaxonomyEntry]:
@@ -97,7 +98,7 @@ class Taxonomy:
         label = (ref.free_label or "").lower()
         # A whole-word match is a substring: ``in`` screens before the regex.
         found = [i for kw, pattern, i in self._keywords
-                 if kw in label and pattern.search(label)]
+                 if kw in label and re.search(pattern, label)]
         return [(found.count(i), self.entries[i]) for i in dict.fromkeys(found)]
 
 

@@ -2,14 +2,14 @@
 
 :func:`serialize_canonical` writes a validated use case in one fixed form:
 canonical field order, two-space indentation, LF newlines, trailing newline.
-Values that lex as a single bare word are written unquoted; anything else is
-emitted as an escaped single-line string, except prose fields, which use an
-indented triple-quoted block when they contain newlines.  The field order,
-how each value is spelled and the rule that leaves a value of ``""``, ``()``
-or None out are the parser's record tables (:mod:`ucdoc.parser`), which read
-each key and write it from the same entry.  So the emitter and the parser
-are inverses: parsing the output of ``serialize_canonical`` reproduces the
-input use case exactly, and re-serializing is a no-op.
+A value is written bare, or multi-line prose as a triple-quoted block, only
+when :func:`~ucdoc.lexer.read_token` reads that back as the value; anything
+else is an escaped single-line string.  The field order, how each value is
+spelled and the rule that leaves a value of ``""``, ``()`` or None out are
+the parser's record tables (:mod:`ucdoc.parser`), which read each key and
+write it from the same entry.  So the emitter and the parser are inverses:
+parsing the output of ``serialize_canonical``, in memory or from a file,
+reproduces the input use case exactly, and re-serializing is a no-op.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import json
 import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -166,6 +167,16 @@ def test_invalid_use_case_excluded_with_diagnostics():
     codes = {d.code for d in diagnostics}
     assert "inputs.empty" in codes
     assert all(d.location.startswith("inv.ucdl") for d in diagnostics)
+
+
+def test_overlong_branch_prefix_is_a_finding():
+    # A valid branch token whose digits are more than int() reads.
+    branch = "1" * (sys.get_int_max_str_digits() + 1) + "a"
+    text = serialize_canonical(u()).replace("extension 2a", f"extension {branch}")
+    cat, diagnostics = build_catalog([("b.ucdl", text)], TAX)
+    assert cat.entries == ()
+    assert [(d.code, d.location) for d in diagnostics] == [
+        ("extension.unknown_step", "b.ucdl:extensions[0]")]
 
 
 def test_empty_sources():
@@ -511,6 +522,10 @@ BAD_GOLDEN_ENTRIES = {
         r"entry 0: risk_level: expected one of \['Minimal'.*got 'high'"),
     "missing-risk-matched": (lambda es: es[0].pop("risk_matched"),
                              "entry 0: risk_matched: missing key"),
+    "branch-digits": (  # a valid branch token of more digits than int() reads
+        lambda es: es[0]["extensions"][0].update(
+            branch_id="1" * (sys.get_int_max_str_digits() + 1) + "a"),
+        r"entry 0: extensions\[0\]: \[extension\.unknown_step\]"),
     # json.loads reads "\\ud800" as a lone surrogate, which no UTF-8 can hold
     "lone-surrogate": (
         lambda es: es[0].update(affective_capabilities=["\ud800"]),

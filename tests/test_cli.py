@@ -214,6 +214,17 @@ def test_validate_invalid_use_case(tmp_path):
     assert out == "1 file(s), 1 use case(s), 1 error(s), 0 warning(s)\n"
 
 
+def test_validate_overlong_branch_prefix_is_a_finding(tmp_path):
+    # A valid branch token whose digits are more than int() reads.
+    branch = "1" * (sys.get_int_max_str_digits() + 1) + "a"
+    path = tmp_path / "branch.ucdl"
+    path.write_text(ORPHANS_DOC[:-2] + f'  extension {branch} "c" {{\n'
+                    '    1 system: "x"\n  }\n}\n', encoding="utf-8")
+    code, _, err = cli("validate", str(path))
+    assert code == ExitStatus.FINDINGS
+    assert f"{path}:extensions[0]: error: [extension.unknown_step]" in err
+
+
 def test_validate_strict_is_gone():
     code, _, err = cli("validate", "--strict", SMART_CAMERA)
     assert code == ExitStatus.USAGE

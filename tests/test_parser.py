@@ -245,6 +245,19 @@ def test_triple_quoted_prose_field():
     assert uc.intended_purpose == "line one\nline two"
 
 
+def test_step_actor_may_be_quoted():
+    # A quoted step actor reads as the ident of its text, as in associations.
+    uc = parse_one(MINIMAL.replace('1 U: "does"', '1 "U": "does"'))
+    assert uc.main_scenario[0].actor == "u"
+
+
+@pytest.mark.parametrize("actor", ["{", "->", ":"])
+def test_step_actor_of_another_token_is_an_error(actor):
+    _, errors = parse_document(MINIMAL.replace("1 U:", f"1 {actor}:"))
+    assert errors[0].message == (f"expected step actor, found {actor!r} "
+                                 "(expected actor identifier)")
+
+
 def test_round_trip_property():
     rng = random.Random(20240818)
     for _ in range(150):

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import os
 import random
 import sys
+import tempfile
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import FIXTURE_NAMES, assert_golden, fixture_text
 from support import make_use_case
@@ -20,7 +23,10 @@ from ucdoc import (
     serialize_document,
 )
 from test_model import base_use_case
-from ucdoc.lexer import is_word
+from ucdoc.lexer import is_word, read_ucdl
+
+# The most digits int() reads; the lexer drops a longer number.
+LIMIT = sys.get_int_max_str_digits()
 
 
 def test_canonical_text_is_exact():
@@ -119,9 +125,7 @@ def test_overlong_digit_words_are_quoted():
     # The lexer drops a run of more digits than int() reads
     # (lex.number_too_long), so such a word is written as a string: as an
     # id, a capability tag, a function id and an association actor.
-    digits = "1" * (sys.get_int_max_str_digits() + 1)
-    assert not is_word(digits)
-    assert is_word(digits[1:])
+    digits = "1" * (LIMIT + 1)
     base = base_use_case()
     uc = canonicalize(replace(
         base, id=digits, affective_capabilities=(digits,),
@@ -131,6 +135,63 @@ def test_overlong_digit_words_are_quoted():
     text = serialize_canonical(uc)
     assert f'id: "{digits}"' in text
     assert parse_document(text) == ([uc], [])
+
+
+@pytest.mark.parametrize("text, word", [
+    ("scan", True), ("½", False), ("٣", True), ("a.", False), ("a-", False),
+    ("a#", False), (" a", False), ("1" * LIMIT, True), ("1" * (LIMIT + 1), False),
+])
+def test_is_word_is_one_word_token_of_the_whole_text(text, word):
+    assert is_word(text) is word
+
+
+def read_back(text: str) -> tuple:
+    """``parse_document`` of ``text`` written to a file byte for byte and
+    read again as ucdoc reads a file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "uc.ucdl")
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            f.write(text)
+        return parse_document(read_ucdl(path))
+
+
+# Prose that a triple-quoted block cannot always hold as it is: each line
+# ends in LF, CR LF or a lone CR, has its own indent and may hold a quote.
+PROSE = st.lists(
+    st.tuples(st.sampled_from(("\n", "\r\n", "\r")),
+              st.sampled_from(("", " ", "\t", "  ", " \t")),
+              st.sampled_from(("a", "b c", 'say """', 'q"', "\\n", ""))),
+    min_size=1, max_size=5,
+).map(lambda parts: "".join(map("".join, parts)).strip() or "p")
+# Digit runs about as long as int() reads, as a number or a branch label.
+DIGITS = st.builds(lambda n, tail: "1" * n + tail,
+                   st.sampled_from((LIMIT - 1, LIMIT, LIMIT + 1)),
+                   st.sampled_from(("", "a", "_b")))
+
+
+def perturbed(uc, prose, digits):
+    """``uc`` with ``prose`` in its prose fields and ``digits`` as its id
+    and as the name of an actor who takes the first step."""
+    if prose is not None:
+        uc = replace(uc, intended_purpose=prose, trigger=prose, misuses=tuple(
+            replace(m, description=prose) for m in uc.misuses))
+    if digits is not None:
+        first, *rest = uc.main_scenario
+        uc = replace(
+            uc, id=digits,
+            secondary_actors=uc.secondary_actors + (
+                Actor(digits, ActorKind.HUMAN, ActorRole.SECONDARY),),
+            main_scenario=(replace(first, actor=digits), *rest))
+    return canonicalize(uc)
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 2**32), st.none() | PROSE, st.none() | DIGITS)
+@example(0, "a\rb\nc", None)           # the CR read back as a line break
+@example(0, None, "1" * (LIMIT + 1))    # a step actor the lexer dropped
+def test_canonical_text_reads_back_from_a_file(seed, prose, digits):
+    uc = perturbed(make_use_case(random.Random(seed)), prose, digits)
+    assert read_back(serialize_canonical(uc)) == ([uc], [])
 
 
 def test_optional_fields_are_omitted_when_empty():
