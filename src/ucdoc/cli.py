@@ -28,7 +28,7 @@ from enum import IntEnum
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, TextIO
 
-from .lexer import read_ucdl
+from .lexer import FILE_TEXT, file_text, read_ucdl
 from .model import (
     CatalogFormatError,
     Diagnostic,
@@ -86,7 +86,7 @@ def _parse(path: str, stdin: Optional[str | TextIO]
     if path == "-":
         if stdin is None:
             raise _UsageError("no data on stdin")
-        text = stdin if isinstance(stdin, str) else stdin.read()
+        text = file_text(stdin) if isinstance(stdin, str) else stdin.read()
         return ("<stdin>", *parse_document(text))
     return (path, *parse_document(read_ucdl(path)))
 
@@ -361,7 +361,8 @@ def build_arg_parser() -> _ArgumentParser:
 def run(argv: list[str], stdin: Optional[str | TextIO] = None,
         stdout: Optional[TextIO] = None,
         stderr: Optional[TextIO] = None) -> int:
-    """Run one command; ``stdin`` is the text, or the stream, read for ``-``."""
+    """Run one command; ``stdin`` is the text, or the stream, read for ``-``.
+    A text is read as a UCDL file holding it reads; a stream as it is."""
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
     parser = build_arg_parser()
@@ -385,8 +386,8 @@ def run(argv: list[str], stdin: Optional[str | TextIO] = None,
 def main() -> None:
     stdin = sys.stdin  # None when the process has no standard input
     if stdin is not None:
-        # Read only for a path of "-", decoded as read_ucdl decodes a file.
-        stdin.reconfigure(encoding="utf-8-sig", errors="surrogateescape")
+        # Read only for a path of "-", and read as read_ucdl reads a file.
+        stdin.reconfigure(**FILE_TEXT)
     sys.exit(run(sys.argv[1:], stdin=stdin))
 
 

@@ -219,10 +219,10 @@ def _word_end(m: re.Match, start: int) -> int:
 
 
 def read_token(text: str) -> Optional[Token]:
-    """The one token ``text`` lexes as once written to a file and read back
-    by :func:`read_ucdl`, whose text-mode read turns CR LF and a lone CR
-    into LF; None when it lexes as no token, several, or with a problem."""
-    tokens, problems = lex(io.StringIO(text, newline=None).read())
+    """The one token a UCDL file holding ``text`` lexes as (see
+    :func:`file_text`); None when it lexes as no token, several, or with a
+    problem."""
+    tokens, problems = lex(file_text(text))
     return tokens[0] if len(tokens) == 2 and not problems else None
 
 
@@ -361,12 +361,22 @@ def lex(source: str) -> tuple[list[Token], list[Diagnostic]]:
     return tokens, _diagnostics(source, problems)
 
 
+# How a UCDL file's bytes read as text, for a path and standard input alike:
+# a leading UTF-8 byte-order mark is dropped, bytes that are not UTF-8 stay
+# as surrogates for lex to report, and CR LF and a lone CR read as LF.
+FILE_TEXT = {"encoding": "utf-8-sig", "errors": "surrogateescape", "newline": None}
+
+
 def read_ucdl(path: str | os.PathLike) -> str:
-    """Text of a UCDL file, without a leading UTF-8 byte-order mark.  Bytes
-    that are not UTF-8 stay in it as surrogates (``errors="surrogateescape"``),
-    for :func:`lex` to report."""
-    with open(path, encoding="utf-8-sig", errors="surrogateescape") as f:
+    """Text of a UCDL file, read by :data:`FILE_TEXT`'s rule."""
+    with open(path, **FILE_TEXT) as f:
         return f.read()
+
+
+def file_text(text: str) -> str:
+    """What a UCDL file holding ``text`` reads as: :data:`FILE_TEXT`'s rule
+    for text that is already decoded."""
+    return io.StringIO(text.removeprefix("\ufeff"), FILE_TEXT["newline"]).read()
 
 
 def escape_string(value: str) -> str:

@@ -246,9 +246,6 @@ class UseCase:
         head = (self.user,) if self.user is not None else ()
         return head + self.target_persons + self.secondary_actors
 
-    def actor_idents(self) -> set[str]:
-        return {actor_ident(a.name) for a in self.all_actors()} - {""}
-
     def function_ids(self) -> set[str]:
         return {f.id for f in self.system_functions}
 
@@ -263,77 +260,36 @@ def actor_ident(name: str) -> str:
     return re.sub(r"[^a-z0-9]+", "_", name.lower()).strip("_")
 
 
-def _error(code: str, message: str, location: str) -> Diagnostic:
-    return Diagnostic(Severity.ERROR, code, message, location)
-
-
-def _check_area_ref(ref: ApplicationAreaRef, location: str,
-                    diags: list[Diagnostic]) -> None:
-    if ref.is_other:
-        if ref.free_label is None or not ref.free_label.strip():
-            diags.append(_error(
-                "areas.other_label_missing",
-                "area 'other' requires a free-text label",
-                location))
-    else:
-        if not _AREA_ID_RE.fullmatch(ref.area_id):
-            diags.append(_error(
-                "areas.format",
-                f"area id {ref.area_id!r} is not a dotted identifier",
-                location))
-        if ref.free_label is not None:
-            diags.append(_error(
-                "areas.unexpected_label",
-                f"area {ref.area_id!r} carries a free-text label, which is "
-                "reserved for 'other'",
-                location))
-
-
-def _check_steps(steps: tuple[ScenarioStep, ...], location: str,
-                 known_actors: set[str], known_functions: set[str],
-                 diags: list[Diagnostic]) -> None:
-    indices = [s.index for s in steps]
-    if indices != list(range(1, len(indices) + 1)):
-        diags.append(_error(
-            "scenario.noncontiguous",
-            f"step indices {indices} are not contiguous from 1",
-            location))
-    for i, step in enumerate(steps):
-        here = f"{location}[{i}]"
-        if not step.action.strip():
-            diags.append(_error("scenario.action_empty", "step has no action", here))
-        if step.actor != SYSTEM_ACTOR and step.actor not in known_actors:
-            diags.append(_error(
-                "scenario.unknown_actor",
-                f"step actor {step.actor!r} matches no declared actor "
-                f"(and is not {SYSTEM_ACTOR!r})",
-                f"{here}.actor"))
-        if step.function is not None and step.function not in known_functions:
-            diags.append(_error(
-                "scenario.unknown_function",
-                f"step references unknown function {step.function!r}",
-                f"{here}.function"))
-
-
 def _validate(uc: UseCase) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
 
+    def error(code: str, message: str, location: str) -> None:
+        diags.append(Diagnostic(Severity.ERROR, code, message, location))
+
     if not uc.id:
-        diags.append(_error("id.missing", "use case has no id", "id"))
+        error("id.missing", "use case has no id", "id")
     elif not _SLUG_RE.fullmatch(uc.id):
-        diags.append(_error(
-            "id.format", f"id {uc.id!r} must match [a-z0-9_-]+", "id"))
+        error("id.format", f"id {uc.id!r} must match [a-z0-9_-]+", "id")
     if not uc.title.strip():
-        diags.append(_error("title.empty", "use case has no title", "title"))
+        error("title.empty", "use case has no title", "title")
     if not uc.intended_purpose.strip():
-        diags.append(_error(
-            "purpose.empty", "intended purpose is empty", "intended_purpose"))
+        error("purpose.empty", "intended purpose is empty", "intended_purpose")
+    for location, code, what in (
+            ("application_areas", "areas.empty", "application area"),
+            ("inputs", "inputs.empty", "input"),
+            ("outputs", "outputs.empty", "output"),
+            ("system_functions", "functions.empty", "system function")):
+        if not getattr(uc, location):
+            error(code, f"at least one {what} is required", location)
+    if not uc.main_scenario:
+        error("scenario.empty", "main scenario has no steps", "main_scenario")
 
     if uc.user is None:
-        diags.append(_error("user.missing", "use case has no user actor", "user"))
+        error("user.missing", "use case has no user actor", "user")
     # An actor may appear under several roles (e.g. the driver is both user
     # and target person) but must keep one kind, and identifiers must be
-    # unique within each role list.
+    # unique within each role list.  The identifiers kept here are the names
+    # a step or an association may use.
     kind_by_ident: dict[str, ActorKind] = {}
     for group, location, role in (
             ((uc.user,) if uc.user is not None else (), "user", ActorRole.USER),
@@ -343,145 +299,142 @@ def _validate(uc: UseCase) -> list[Diagnostic]:
         for i, actor in enumerate(group):
             here = location if location == "user" else f"{location}[{i}]"
             if actor.role is not role:
-                diags.append(_error(
-                    "actor.role",
-                    f"actor {actor.name!r} has role {actor.role.value!r}, "
-                    f"expected {role.value!r}",
-                    here))
+                error("actor.role",
+                      f"actor {actor.name!r} has role {actor.role.value!r}, "
+                      f"expected {role.value!r}",
+                      here)
             ident = actor_ident(actor.name)
             if not actor.name.strip():
                 code = "user.missing" if role is ActorRole.USER else "actor.name_empty"
-                diags.append(_error(code, "actor has no name", here))
+                error(code, "actor has no name", here)
                 continue
             if not ident:
-                diags.append(_error(
-                    "actor.ident_empty",
-                    f"actor name {actor.name!r} contains no [a-z0-9] characters "
-                    "and cannot be referenced from scenario steps",
-                    here))
+                error("actor.ident_empty",
+                      f"actor name {actor.name!r} contains no [a-z0-9] characters "
+                      "and cannot be referenced from scenario steps",
+                      here)
                 continue
             if ident == SYSTEM_ACTOR:
-                diags.append(_error(
-                    "actor.reserved_name",
-                    f"actor name {actor.name!r} collides with the reserved "
-                    f"{SYSTEM_ACTOR!r} step actor",
-                    here))
+                error("actor.reserved_name",
+                      f"actor name {actor.name!r} collides with the reserved "
+                      f"{SYSTEM_ACTOR!r} step actor",
+                      here)
             if ident in seen:
-                diags.append(_error(
-                    "actors.duplicate_name",
-                    f"actor identifier {ident!r} appears twice in {location}",
-                    here))
+                error("actors.duplicate_name",
+                      f"actor identifier {ident!r} appears twice in {location}",
+                      here)
             seen.add(ident)
-            if ident in kind_by_ident and kind_by_ident[ident] is not actor.kind:
-                diags.append(_error(
-                    "actors.kind_conflict",
-                    f"actor {actor.name!r} declared both as "
-                    f"{kind_by_ident[ident].value} and {actor.kind.value}",
-                    here))
-            kind_by_ident.setdefault(ident, actor.kind)
+            kind = kind_by_ident.setdefault(ident, actor.kind)
+            if kind is not actor.kind:
+                error("actors.kind_conflict",
+                      f"actor {actor.name!r} declared both as "
+                      f"{kind.value} and {actor.kind.value}",
+                      here)
 
-    if not uc.application_areas:
-        diags.append(_error(
-            "areas.empty", "at least one application area is required",
-            "application_areas"))
-    for i, ref in enumerate(uc.application_areas):
-        _check_area_ref(ref, f"application_areas[{i}]", diags)
-
+    refs = [(ref, f"application_areas[{i}]")
+            for i, ref in enumerate(uc.application_areas)]
     for i, misuse in enumerate(uc.misuses):
         if not misuse.description.strip():
-            diags.append(_error(
-                "misuse.description_empty", "misuse has no description",
-                f"misuses[{i}]"))
+            error("misuse.description_empty", "misuse has no description",
+                  f"misuses[{i}]")
         if misuse.area_ref is not None:
-            _check_area_ref(misuse.area_ref, f"misuses[{i}].area", diags)
-
-    if not uc.inputs:
-        diags.append(_error("inputs.empty", "at least one input is required", "inputs"))
-    if not uc.outputs:
-        diags.append(_error(
-            "outputs.empty", "at least one output is required", "outputs"))
+            refs.append((misuse.area_ref, f"misuses[{i}].area"))
+    for ref, here in refs:
+        if ref.is_other:
+            if ref.free_label is None or not ref.free_label.strip():
+                error("areas.other_label_missing",
+                      "area 'other' requires a free-text label",
+                      here)
+            continue
+        if not _AREA_ID_RE.fullmatch(ref.area_id):
+            error("areas.format",
+                  f"area id {ref.area_id!r} is not a dotted identifier",
+                  here)
+        if ref.free_label is not None:
+            error("areas.unexpected_label",
+                  f"area {ref.area_id!r} carries a free-text label, which is "
+                  "reserved for 'other'",
+                  here)
 
     function_ids = uc.function_ids()
-    if not uc.system_functions:
-        diags.append(_error(
-            "functions.empty", "at least one system function is required",
-            "system_functions"))
     seen_fn: set[str] = set()
     for i, fn in enumerate(uc.system_functions):
         here = f"system_functions[{i}]"
         if not _SLUG_RE.fullmatch(fn.id or ""):
-            diags.append(_error(
-                "functions.id_format",
-                f"function id {fn.id!r} must match [a-z0-9_-]+", here))
+            error("functions.id_format",
+                  f"function id {fn.id!r} must match [a-z0-9_-]+", here)
         elif fn.id in ("includes", "extends"):
-            diags.append(_error(
-                "functions.reserved_id",
-                f"function id {fn.id!r} is reserved for relationship "
-                "annotations", here))
+            error("functions.reserved_id",
+                  f"function id {fn.id!r} is reserved for relationship "
+                  "annotations", here)
         if fn.id in seen_fn:
-            diags.append(_error(
-                "functions.duplicate_id", f"duplicate function id {fn.id!r}", here))
+            error("functions.duplicate_id", f"duplicate function id {fn.id!r}", here)
         seen_fn.add(fn.id)
-        for rel_name, refs in (("includes", fn.includes), ("extends", fn.extends)):
-            for ref in refs:
-                if ref == fn.id:
-                    diags.append(_error(
-                        "functions.self_ref",
-                        f"function {fn.id!r} cannot {rel_name.rstrip('s')} itself",
-                        f"{here}.{rel_name}"))
-                elif ref not in function_ids:
-                    diags.append(_error(
-                        "functions.unknown_ref",
-                        f"{rel_name} references unknown function {ref!r}",
-                        f"{here}.{rel_name}"))
-
-    known_actors = uc.actor_idents()
-    if not uc.main_scenario:
-        diags.append(_error(
-            "scenario.empty", "main scenario has no steps", "main_scenario"))
-    _check_steps(uc.main_scenario, "main_scenario", known_actors, function_ids, diags)
+        for rel_name, targets in (("includes", fn.includes), ("extends", fn.extends)):
+            for target in targets:
+                if target == fn.id:
+                    error("functions.self_ref",
+                          f"function {fn.id!r} cannot {rel_name.rstrip('s')} itself",
+                          f"{here}.{rel_name}")
+                elif target not in function_ids:
+                    error("functions.unknown_ref",
+                          f"{rel_name} references unknown function {target!r}",
+                          f"{here}.{rel_name}")
 
     # As digit strings: a branch prefix may have more digits than int() reads.
     main_indices = {str(s.index) for s in uc.main_scenario}
+    step_lists = [(uc.main_scenario, "main_scenario")]
     seen_branches: set[str] = set()
     for i, ext in enumerate(uc.extensions):
         here = f"extensions[{i}]"
         if not _BRANCH_RE.fullmatch(ext.branch_id):
-            diags.append(_error(
-                "extension.branch_format",
-                f"branch id {ext.branch_id!r} must be a step index followed "
-                "by one letter (e.g. '3a')",
-                here))
-        else:
-            prefix = ext.branch_id[:-1]
-            if prefix not in main_indices:
-                diags.append(_error(
-                    "extension.unknown_step",
-                    f"branch {ext.branch_id!r} references main-scenario step "
-                    f"{prefix}, which does not exist",
-                    here))
+            error("extension.branch_format",
+                  f"branch id {ext.branch_id!r} must be a step index followed "
+                  "by one letter (e.g. '3a')",
+                  here)
+        elif ext.branch_id[:-1] not in main_indices:
+            error("extension.unknown_step",
+                  f"branch {ext.branch_id!r} references main-scenario step "
+                  f"{ext.branch_id[:-1]}, which does not exist",
+                  here)
         if ext.branch_id in seen_branches:
-            diags.append(_error(
-                "extension.duplicate_branch",
-                f"duplicate branch id {ext.branch_id!r}", here))
+            error("extension.duplicate_branch",
+                  f"duplicate branch id {ext.branch_id!r}", here)
         seen_branches.add(ext.branch_id)
         if not ext.condition.strip():
-            diags.append(_error(
-                "extension.condition_empty", "extension has no condition", here))
-        _check_steps(ext.steps, f"{here}.steps", known_actors, function_ids, diags)
+            error("extension.condition_empty", "extension has no condition", here)
+        step_lists.append((ext.steps, f"{here}.steps"))
+
+    for steps, location in step_lists:
+        indices = [s.index for s in steps]
+        if indices != list(range(1, len(indices) + 1)):
+            error("scenario.noncontiguous",
+                  f"step indices {indices} are not contiguous from 1",
+                  location)
+        for i, step in enumerate(steps):
+            here = f"{location}[{i}]"
+            if not step.action.strip():
+                error("scenario.action_empty", "step has no action", here)
+            if step.actor != SYSTEM_ACTOR and step.actor not in kind_by_ident:
+                error("scenario.unknown_actor",
+                      f"step actor {step.actor!r} matches no declared actor "
+                      f"(and is not {SYSTEM_ACTOR!r})",
+                      f"{here}.actor")
+            if step.function is not None and step.function not in function_ids:
+                error("scenario.unknown_function",
+                      f"step references unknown function {step.function!r}",
+                      f"{here}.function")
 
     for i, assoc in enumerate(uc.associations):
         here = f"associations[{i}]"
-        if assoc.actor not in known_actors:
-            diags.append(_error(
-                "assoc.unknown_actor",
-                f"association actor {assoc.actor!r} matches no declared actor",
-                here))
+        if assoc.actor not in kind_by_ident:
+            error("assoc.unknown_actor",
+                  f"association actor {assoc.actor!r} matches no declared actor",
+                  here)
         if assoc.function not in function_ids:
-            diags.append(_error(
-                "assoc.unknown_function",
-                f"association references unknown function {assoc.function!r}",
-                here))
+            error("assoc.unknown_function",
+                  f"association references unknown function {assoc.function!r}",
+                  here)
 
     diags.sort(key=Diagnostic.sort_key)
     return diags

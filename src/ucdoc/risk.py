@@ -60,9 +60,6 @@ class TaxonomyEntry:
     sub_use_label: str
     keywords: tuple[str, ...] = ()
 
-    def display(self) -> str:
-        return f"{self.area_label} > {self.sub_use_label}"
-
 
 @dataclass(frozen=True)
 class Taxonomy:

@@ -4,11 +4,14 @@ Every helper takes an explicit ``random.Random`` so failures reproduce from
 the seed printed by the calling test.  ``make_use_case`` always returns a
 use case that is already in canonical form (``canonicalize(uc) == uc``),
 which lets property tests compare round-tripped values by plain equality.
+``mutate_use_case`` edits one such value at the model level, with
+``dataclasses.replace``, into one that validation may reject.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from ucdoc import (
     Actor,
@@ -229,4 +232,81 @@ def make_use_case(rng: random.Random, *, area_pool=None,
     )
     canonical = canonicalize(uc)
     assert canonical == uc, "generator must produce canonical use cases"
+    return uc
+
+
+# Pools of values, most of which break a rule: blank text, ids that are not
+# slugs, reserved words, names of no identifier, and a trailing newline.
+_BAD_TEXT = ("", " ", "\n", "ok")
+_BAD_IDS = ("", "Bad Slug", "ok\n", "includes", "extends", "system", "ghost")
+_BAD_NAMES = ("", " ", "??!", "System", "\u00c4\u00d6")
+
+
+def _put(rng: random.Random, items: tuple, item) -> tuple:
+    """``items`` with ``item`` over a random one of them, or inserted."""
+    i = rng.randint(0, len(items))
+    if i < len(items) and rng.random() < 0.5:
+        return items[:i] + (item,) + items[i + 1:]
+    return items[:i] + (item,) + items[i:]
+
+
+def _mutate(rng: random.Random, uc: UseCase) -> UseCase:
+    names = [a.name for a in uc.all_actors()] + list(_BAD_NAMES)
+    idents = [actor_ident(n) for n in names] + list(_BAD_IDS)
+    fn_ids = [f.id for f in uc.system_functions] + list(_BAD_IDS)
+
+    def actor(role):
+        if rng.random() < 0.2:
+            role = rng.choice(list(ActorRole))
+        return Actor(rng.choice(names), rng.choice(list(ActorKind)), role)
+
+    def steps():
+        return tuple(ScenarioStep(
+            i + 1 if rng.random() < 0.8 else rng.randint(0, 5),
+            rng.choice(idents), rng.choice(_BAD_TEXT),
+            rng.choice(fn_ids + [None])) for i in range(rng.randint(0, 3)))
+
+    def area():
+        return ApplicationAreaRef(
+            rng.choice(("other", "media.analytics", "Bad.Area", "a.b\n")),
+            rng.choice((None, "", " ", "label")))
+
+    def function():
+        return SystemFunction(
+            rng.choice(fn_ids), "f", tuple(rng.sample(fn_ids, rng.randint(0, 2))),
+            tuple(rng.sample(fn_ids, rng.randint(0, 1))))
+
+    edits = {
+        "id": lambda: rng.choice(_BAD_IDS),
+        "title": lambda: rng.choice(_BAD_TEXT),
+        "intended_purpose": lambda: rng.choice(_BAD_TEXT),
+        "user": lambda: None if rng.random() < 0.3 else actor(ActorRole.USER),
+        "target_persons": lambda: _put(
+            rng, uc.target_persons, actor(ActorRole.TARGET_PERSON)),
+        "secondary_actors": lambda: _put(
+            rng, uc.secondary_actors, actor(ActorRole.SECONDARY)),
+        "application_areas": lambda: _put(rng, uc.application_areas, area())
+        if rng.random() < 0.8 else (),
+        "misuses": lambda: _put(rng, uc.misuses, Misuse(
+            rng.choice(_BAD_TEXT), area() if rng.random() < 0.5 else None)),
+        "inputs": lambda: (),
+        "outputs": lambda: (),
+        "system_functions": lambda: _put(rng, uc.system_functions, function())
+        if rng.random() < 0.8 else (),
+        "main_scenario": steps,
+        "extensions": lambda: _put(rng, uc.extensions, Extension(
+            rng.choice(("abc", "1a", "1a", "2b", "99z", "0a", "1a\n")),
+            rng.choice(_BAD_TEXT), steps())),
+        "associations": lambda: _put(rng, uc.associations, Association(
+            rng.choice(idents), rng.choice(fn_ids))),
+    }
+    name = rng.choice(list(edits))
+    return replace(uc, **{name: edits[name]()})
+
+
+def mutate_use_case(rng: random.Random) -> UseCase:
+    """A :func:`make_use_case` value given 1 to 4 random edits."""
+    uc = make_use_case(rng)
+    for _ in range(rng.randint(1, 4)):
+        uc = _mutate(rng, uc)
     return uc

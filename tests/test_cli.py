@@ -907,6 +907,27 @@ def test_console_without_dash_leaves_stdin_alone():
         proc.communicate()
 
 
+@pytest.mark.parametrize("newline", ["\r", "\r\n"], ids=["cr", "crlf"])
+def test_dash_reads_as_the_file_does(tmp_path, newline):
+    # Standard input is read by read_ucdl's rule, universal newlines
+    # included: a lone CR used to leave the leading comment open to the end
+    # of the input, and a CR LF kept its CR in triple-quoted prose.
+    for fixture in sorted(FIXTURES_DIR.glob("*.ucdl")):
+        text = "# comment\n" + fixture.read_text(encoding="utf-8")
+        data = text.replace("\n", newline).encode()
+        path = tmp_path / fixture.name
+        path.write_bytes(data)
+        for command in ("validate", "table"):
+            code, out, err = cli(command, str(path))
+            assert (code, err) == (0, "")
+            assert cli(command, "-", stdin=data.decode()) == (code, out, err)
+            proc = console(command, "-", stdin=subprocess.PIPE)
+            assert proc.communicate(data, timeout=60) == (out.encode(), b"")
+            assert proc.returncode == code
+        assert cli("validate", str(path))[1] == (
+            "1 file(s), 1 use case(s), 0 error(s), 0 warning(s)\n")
+
+
 def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     # The iteration order of a set of strings follows PYTHONHASHSEED; the
     # files must not.

@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from support import make_use_case
+from support import make_use_case, mutate_use_case
 from ucdoc import (
     Actor,
     ActorKind,
@@ -74,63 +75,117 @@ def actor(name, kind=ActorKind.HUMAN, role=ActorRole.TARGET_PERSON) -> Actor:
     return Actor(name, kind, role)
 
 
-@pytest.mark.parametrize("mutant,expected", [
-    (u(id=""), "id.missing"),
-    (u(id="Bad Slug"), "id.format"),
-    (u(title="  "), "title.empty"),
-    (u(intended_purpose=""), "purpose.empty"),
-    (u(user=None), "user.missing"),
-    (u(user=actor("Operator", role=ActorRole.TARGET_PERSON)), "actor.role"),
-    (u(target_persons=(actor("Visitor", role=ActorRole.USER),)), "actor.role"),
-    (u(user=actor("", role=ActorRole.USER)), "user.missing"),
-    (u(target_persons=(actor(" "),)), "actor.name_empty"),
-    (u(user=actor("??!", role=ActorRole.USER)), "actor.ident_empty"),
-    (u(user=actor("System", role=ActorRole.USER)), "actor.reserved_name"),
+# Each row: a use case that breaks one rule, and the code, path and message
+# of the diagnostic it must give.
+_SINGLE_VIOLATIONS = [
+    (u(id=""), "id.missing", "id", "use case has no id"),
+    (u(id="Bad Slug"), "id.format", "id",
+     "id 'Bad Slug' must match [a-z0-9_-]+"),
+    (u(title="  "), "title.empty", "title", "use case has no title"),
+    (u(intended_purpose=""), "purpose.empty", "intended_purpose",
+     "intended purpose is empty"),
+    (u(user=None), "user.missing", "user", "use case has no user actor"),
+    (u(user=actor("Operator", role=ActorRole.TARGET_PERSON)), "actor.role",
+     "user", "actor 'Operator' has role 'target_person', expected 'user'"),
+    (u(target_persons=(actor("Visitor", role=ActorRole.USER),)), "actor.role",
+     "target_persons[0]",
+     "actor 'Visitor' has role 'user', expected 'target_person'"),
+    (u(user=actor("", role=ActorRole.USER)), "user.missing", "user",
+     "actor has no name"),
+    (u(target_persons=(actor(" "),)), "actor.name_empty", "target_persons[0]",
+     "actor has no name"),
+    (u(user=actor("??!", role=ActorRole.USER)), "actor.ident_empty", "user",
+     "actor name '??!' contains no [a-z0-9] characters and cannot be "
+     "referenced from scenario steps"),
+    (u(user=actor("System", role=ActorRole.USER)), "actor.reserved_name", "user",
+     "actor name 'System' collides with the reserved 'system' step actor"),
     (u(target_persons=(actor("Visitor"), actor("Visitor"))),
-     "actors.duplicate_name"),
+     "actors.duplicate_name", "target_persons[1]",
+     "actor identifier 'visitor' appears twice in target_persons"),
     (u(target_persons=(actor("Operator", kind=ActorKind.ORGANIZATION),)),
-     "actors.kind_conflict"),
-    (u(application_areas=()), "areas.empty"),
-    (u(application_areas=(ApplicationAreaRef("Bad.Area"),)), "areas.format"),
+     "actors.kind_conflict", "target_persons[0]",
+     "actor 'Operator' declared both as human and organization"),
+    (u(application_areas=()), "areas.empty", "application_areas",
+     "at least one application area is required"),
+    (u(application_areas=(ApplicationAreaRef("Bad.Area"),)), "areas.format",
+     "application_areas[0]", "area id 'Bad.Area' is not a dotted identifier"),
     (u(application_areas=(ApplicationAreaRef("other"),)),
-     "areas.other_label_missing"),
+     "areas.other_label_missing", "application_areas[0]",
+     "area 'other' requires a free-text label"),
     (u(application_areas=(ApplicationAreaRef("media.analytics", "extra"),)),
-     "areas.unexpected_label"),
-    (u(misuses=(Misuse(""),)), "misuse.description_empty"),
-    (u(inputs=()), "inputs.empty"),
-    (u(outputs=()), "outputs.empty"),
-    (u(system_functions=()), "functions.empty"),
-    (u(system_functions=(SystemFunction("Bad", "x"),)), "functions.id_format"),
+     "areas.unexpected_label", "application_areas[0]",
+     "area 'media.analytics' carries a free-text label, which is reserved "
+     "for 'other'"),
+    (u(misuses=(Misuse(""),)), "misuse.description_empty", "misuses[0]",
+     "misuse has no description"),
+    (u(inputs=()), "inputs.empty", "inputs", "at least one input is required"),
+    (u(outputs=()), "outputs.empty", "outputs",
+     "at least one output is required"),
+    (u(system_functions=()), "functions.empty", "system_functions",
+     "at least one system function is required"),
+    (u(system_functions=(SystemFunction("Bad", "x"),)), "functions.id_format",
+     "system_functions[0]", "function id 'Bad' must match [a-z0-9_-]+"),
     (u(system_functions=(SystemFunction("includes", "x"),)),
-     "functions.reserved_id"),
+     "functions.reserved_id", "system_functions[0]",
+     "function id 'includes' is reserved for relationship annotations"),
     (u(system_functions=(SystemFunction("scan", "a"), SystemFunction("scan", "b"))),
-     "functions.duplicate_id"),
+     "functions.duplicate_id", "system_functions[1]",
+     "duplicate function id 'scan'"),
     (u(system_functions=(SystemFunction("scan", "x", includes=("nope",)),)),
-     "functions.unknown_ref"),
+     "functions.unknown_ref", "system_functions[0].includes",
+     "includes references unknown function 'nope'"),
     (u(system_functions=(SystemFunction("scan", "x", extends=("scan",)),)),
-     "functions.self_ref"),
-    (u(main_scenario=()), "scenario.empty"),
+     "functions.self_ref", "system_functions[0].extends",
+     "function 'scan' cannot extend itself"),
+    (u(main_scenario=()), "scenario.empty", "main_scenario",
+     "main scenario has no steps"),
     (u(main_scenario=(ScenarioStep(1, "operator", "a"), ScenarioStep(3, "system", "b"))),
-     "scenario.noncontiguous"),
-    (u(main_scenario=(ScenarioStep(1, "ghost", "a"),)), "scenario.unknown_actor"),
-    (u(main_scenario=(ScenarioStep(1, "operator", " "),)), "scenario.action_empty"),
+     "scenario.noncontiguous", "main_scenario",
+     "step indices [1, 3] are not contiguous from 1"),
+    (u(main_scenario=(ScenarioStep(1, "ghost", "a"),)), "scenario.unknown_actor",
+     "main_scenario[0].actor",
+     "step actor 'ghost' matches no declared actor (and is not 'system')"),
+    (u(main_scenario=(ScenarioStep(1, "operator", " "),)), "scenario.action_empty",
+     "main_scenario[0]", "step has no action"),
     (u(main_scenario=(ScenarioStep(1, "operator", "a", "nope"),)),
-     "scenario.unknown_function"),
+     "scenario.unknown_function", "main_scenario[0].function",
+     "step references unknown function 'nope'"),
     (u(extensions=(Extension("abc", "c", (ScenarioStep(1, "system", "a"),)),)),
-     "extension.branch_format"),
+     "extension.branch_format", "extensions[0]",
+     "branch id 'abc' must be a step index followed by one letter (e.g. '3a')"),
     (u(extensions=(Extension("9z", "c", (ScenarioStep(1, "system", "a"),)),)),
-     "extension.unknown_step"),
+     "extension.unknown_step", "extensions[0]",
+     "branch '9z' references main-scenario step 9, which does not exist"),
     (u(extensions=(Extension("1a", "c", (ScenarioStep(1, "system", "a"),)),
                    Extension("1a", "d", (ScenarioStep(1, "system", "b"),)))),
-     "extension.duplicate_branch"),
+     "extension.duplicate_branch", "extensions[1]", "duplicate branch id '1a'"),
     (u(extensions=(Extension("1a", "", (ScenarioStep(1, "system", "a"),)),)),
-     "extension.condition_empty"),
-    (u(associations=(Association("ghost", "scan"),)), "assoc.unknown_actor"),
-    (u(associations=(Association("operator", "nope"),)), "assoc.unknown_function"),
-])
-def test_single_violation_detected(mutant, expected):
-    found = codes(mutant)
-    assert expected in found, f"expected {expected} in {found}"
+     "extension.condition_empty", "extensions[0]", "extension has no condition"),
+    (u(associations=(Association("ghost", "scan"),)), "assoc.unknown_actor",
+     "associations[0]", "association actor 'ghost' matches no declared actor"),
+    (u(associations=(Association("operator", "nope"),)), "assoc.unknown_function",
+     "associations[0]", "association references unknown function 'nope'"),
+]
+
+
+@pytest.mark.parametrize("mutant,expected,path,message", [
+    pytest.param(*row, id=f"mutant{i}-{row[1]}")
+    for i, row in enumerate(_SINGLE_VIOLATIONS)])
+def test_single_violation_detected(mutant, expected, path, message):
+    found = [(d.code, d.path, d.message) for d in validate_use_case(mutant)]
+    assert (expected, path, message) in found, f"expected {expected} in {found}"
+
+
+def test_mutated_corpus_emits_exactly_the_documented_codes():
+    # The codes in the first column of the module docstring's table.
+    lines = model.__doc__.splitlines()
+    rules = [i for i, line in enumerate(lines) if line.startswith("====")]
+    documented = {code for line in lines[rules[1] + 1:rules[2]]
+                  for code in re.split(r"\s{2,}", line)[0].split(" / ")}
+    assert len(documented) == 35
+    emitted = {d.code for seed in range(500)
+               for d in validate_use_case(mutate_use_case(random.Random(seed)))}
+    assert emitted == documented
 
 
 # A pattern that ends in ``$`` also matches before a trailing newline, so
