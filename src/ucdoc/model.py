@@ -246,9 +246,6 @@ class UseCase:
         head = (self.user,) if self.user is not None else ()
         return head + self.target_persons + self.secondary_actors
 
-    def function_ids(self) -> set[str]:
-        return {f.id for f in self.system_functions}
-
 
 @lru_cache(maxsize=4096)  # called once per step and per actor check
 def actor_ident(name: str) -> str:
@@ -356,7 +353,7 @@ def _validate(uc: UseCase) -> list[Diagnostic]:
                   "reserved for 'other'",
                   here)
 
-    function_ids = uc.function_ids()
+    function_ids = {fn.id for fn in uc.system_functions}
     seen_fn: set[str] = set()
     for i, fn in enumerate(uc.system_functions):
         here = f"system_functions[{i}]"

@@ -3,30 +3,28 @@
 Grammar (EBNF; whitespace-insensitive between tokens, ``#`` line comments)::
 
     document    = { usecase } ;
-    usecase     = "usecase" string "{" { field } "}" ;
-    field       = key ":" ( name | list ) | actor_blk | persons_blk
-                | functions_blk | scenario_blk | extension_blk | misuse_blk ;
+    usecase     = "usecase" string record ;
+    record      = "{" { key ":" ( item | list ) | key block } "}" ;
+                  (a key at most once; "extension" and "misuse" again)
     name        = ident | integer | branch_id | string ;
     list        = "[" [ item { "," item } [ "," ] ] "]" ;
     item        = name | "other" "(" string ")"
                 | name "->" name ;                      (associations only)
-    record      = "{" { key ":" ( name | item ) } "}" ; (a key at most once)
-    actor_blk   = "user" record ;                       (keys name, kind)
-    persons_blk = ( "target_persons" | "secondary_actors" )
-                  "{" { "person" record } "}" ;
-    functions_blk = "functions" "{" { fn_entry } "}" ;
+    block       = record                                (user, misuse)
+                | "{" { "person" record } "}"           (target_persons,
+                                                         secondary_actors)
+                | "{" { fn_entry } "}"                  (functions)
+                | "{" { step } "}"                      (scenario)
+                | ( branch_id | ident ) string "{" { step } "}" ; (extension)
     fn_entry    = name ":" string { ( "includes" | "extends" ) ":" list } ;
-    scenario_blk  = "scenario" "{" { step } "}" ;
     step        = integer name ":" string [ "->" name ] ;
-    extension_blk = "extension" ( branch_id | ident ) string "{" { step } "}" ;
-    misuse_blk  = "misuse" record ;                     (keys description, area)
 
 Which keys a record takes, the value each key reads and how the serializer
 writes it back are one entry of the record tables at the end of this module
 (``_USE_CASE``, ``_ACTOR``, ``_MISUSE``, ``_FUNCTION``), in canonical order.
 The use-case title is the header string; every other element is a field.
-``schema_version`` is accepted and ignored so documents can carry a format
-marker.  Parsing never raises: every problem is collected as a
+A use case accepts and ignores ``schema_version`` so documents can carry a
+format marker.  Parsing never raises: every problem is collected as a
 :class:`~ucdoc.lexer.Diagnostic`, the parser re-synchronizes at the next
 top-level ``usecase`` keyword, and any use case whose block parsed without
 errors is still returned.  Semantic checks (missing fields, dangling
@@ -67,14 +65,15 @@ _PERSON_KW = "person"
 _LEVELS = {lv.value: lv for lv in GoalLevel}
 _BOOLS = {"true": True, "false": False}
 _ACTOR_KINDS = {k.value: k for k in ActorKind}
+_CLOSE = {LBRACE: RBRACE, LBRACKET: RBRACKET, LPAREN: RPAREN}
 
 
 class _Panic(Exception):
     """Internal signal: abandon the current block and resynchronize."""
 
 
-# The fields ``UseCase`` requires, at their empty values, and the repeated
-# blocks; any other field left out of a block takes its ``UseCase`` default.
+# The fields ``UseCase`` requires, at their empty values; any other field
+# left out of a use case takes its ``UseCase`` default.
 _REQUIRED_EMPTY = {
     "id": "",
     "intended_purpose": "",
@@ -84,8 +83,6 @@ _REQUIRED_EMPTY = {
     "outputs": (),
     "system_functions": (),
     "main_scenario": (),
-    "extensions": (),
-    "misuses": (),
 }
 
 
@@ -103,7 +100,6 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.errors: list[Diagnostic] = []
-        self.seen: set[str] = set()     # the keys of this use case so far
         # (use case or None, block start, block end) per usecase block,
         # positions as offsets so lexer errors can be attributed
         self.results: list[tuple[Optional[UseCase], int, int]] = []
@@ -149,9 +145,10 @@ class _Parser:
         raise _Panic
 
     def skip_balanced(self) -> None:
-        """Consume a brace/bracket-balanced region starting at the opener."""
+        """Consume a balanced ``{ … }``, ``[ … ]`` or ``( … )`` region
+        starting at the opener."""
         opener = self.advance()
-        close = RBRACE if opener.kind is LBRACE else RBRACKET
+        close = _CLOSE[opener.kind]
         depth = 1
         while depth and not self.at(EOF):
             tok = self.advance()
@@ -161,12 +158,16 @@ class _Parser:
                 depth -= 1
 
     def skip_value(self) -> None:
-        """Consume one field value of any shape (for unknown/duplicate keys)."""
+        """Consume one field value of any shape (for ignored and unknown
+        keys): a ``{ … }`` or ``[ … ]`` group, or a word or string, perhaps
+        followed by a ``( … )`` group or by ``-> word``."""
         if self.at(LBRACKET) or self.at(LBRACE):
             self.skip_balanced()
         elif self.cur().kind in _WORD_KINDS or self.at(STRING):
             self.advance()
-            if self.at(ARROW):
+            if self.at(LPAREN):
+                self.skip_balanced()
+            elif self.at(ARROW):
                 self.advance()
                 if self.cur().kind in _WORD_KINDS:
                     self.advance()
@@ -193,71 +194,16 @@ class _Parser:
     def parse_usecase(self) -> None:
         first_error = len(self.errors)
         start = self.advance().offset
-        fields: dict[str, object] = dict(_REQUIRED_EMPTY)
-        self.seen = set()
         try:
-            fields["title"] = self.parse_string("use case title string")
-            for _ in self.block("use case"):
-                self.parse_field(fields)
+            title = self.parse_string("use case title string")
+            fields = {**_REQUIRED_EMPTY, **self.record("use case", _USE_CASE)}
             tok = self.tokens[self.pos - 1]     # the closing '}'
         except _Panic:
             self.sync_to_usecase()
             tok = self.cur()
         clean = len(self.errors) == first_error
-        self.results.append((UseCase(**fields) if clean else None, start,
-                             tok.offset))
-
-    # -- fields ----------------------------------------------------------
-
-    def parse_field(self, fields: dict[str, object]) -> None:
-        """One ``key: value`` or ``key { … }`` field of a use case."""
-        tok = self.tokens[self.pos]
-        key = tok.text
-        # an IDENT is never the last token
-        after = self.tokens[self.pos + 1].kind if tok.kind is IDENT else None
-        attr, read, _, shape = _USE_CASE.get(key, _NO_FIELD)
-        if after is COLON:
-            self.pos += 2
-            if shape:
-                self.error(f"field {key!r} takes a block, not a ':' value",
-                           tok, code="field.value")
-                self.skip_value()
-                return
-            fresh = self.mark_seen(tok)
-            if read is None:
-                if key != "schema_version":
-                    self.error(f"unknown field {key!r}", tok,
-                               code="field.unknown")
-                self.skip_value()
-            elif fresh:
-                fields[attr] = read(self, key)
-            else:
-                read(self, key)
-        elif shape:
-            self.pos += 1
-            if shape == _EACH:
-                fields[attr] += (read(self, key),)
-            elif self.mark_seen(tok):
-                fields[attr] = read(self, key)
-            else:
-                read(self, key)
-        elif after is LBRACE:
-            self.error(f"unknown block {key!r}", tok, code="field.unknown")
-            self.pos += 1
-            self.skip_balanced()
-        else:
-            self.error(f"expected a field, found {_describe(tok)}",
-                       expected=("field name", "}"))
-            raise _Panic
-
-    def mark_seen(self, key_tok: Token) -> bool:
-        """Record a key occurrence; False (and an error) on duplicates."""
-        if key_tok.text in self.seen:
-            self.error(f"duplicate field {key_tok.text!r}", key_tok,
-                       code="field.duplicate")
-            return False
-        self.seen.add(key_tok.text)
-        return True
+        self.results.append((UseCase(title=title, **fields) if clean else None,
+                             start, tok.offset))
 
     # -- value shapes ------------------------------------------------------
 
@@ -339,26 +285,48 @@ class _Parser:
         self.advance()
 
     def record(self, what: str, table: dict[str, _Field]) -> dict[str, object]:
-        """Read ``{ key: value … }``, each value by its key's reader, into a
-        dict by attribute; a key may come once, in any order, or not at all."""
-        keys = " or ".join(f"'{key}'" for key in table)
+        """Read ``{ … }`` fields into a dict by attribute, each as its entry in
+        ``table`` says: ``key: value``, or ``key { … }`` for a block.  A key
+        comes once, in any order, or not at all, but an ``_EACH`` block adds
+        an item each time; a repeated key's value is read and dropped."""
         values: dict[str, object] = {}
         seen: set[str] = set()
         for _ in self.block(what):
-            key = self.expect(IDENT, keys)
-            self.expect(COLON, "':'")
-            entry = table.get(key.text)
-            if key.text in seen:
-                self.error(f"duplicate field {key.text!r}", key,
-                           code="field.duplicate")
-                self.skip_value()
-            elif entry is not None:
-                values[entry[0]] = entry[1](self, key.text)
+            key = self.tokens[self.pos]
+            if key.kind is not IDENT:
+                self.error(f"expected a field, found {_describe(key)}",
+                           expected=("field name", "}"))
+                raise _Panic
+            name = key.text
+            attr, read, _, shape = table.get(name, _NO_FIELD)
+            after = self.tokens[self.pos + 1]   # an IDENT is never the last
+            if after.kind is COLON:
+                self.pos += 2
+            elif shape or (read is None and after.kind is LBRACE):
+                self.pos += 1
             else:
-                self.error(f"unknown field {key.text!r} in {what} block",
-                           key, code="field.unknown")
+                self.error(f"expected ':', found {_describe(after)}", after,
+                           expected=("':'",))
+                raise _Panic
+            if read is None:
+                self.error(f"unknown field {name!r} in {what} block", key,
+                           code="field.unknown")
                 self.skip_value()
-            seen.add(key.text)
+            elif shape and after.kind is COLON:
+                self.error(f"field {name!r} takes a block, not a ':' value",
+                           key, code="field.value")
+                self.skip_value()
+            elif shape == _EACH:
+                values[attr] = values.get(attr, ()) + (read(self, name),)
+            elif name in seen:
+                self.error(f"duplicate field {name!r}", key,
+                           code="field.duplicate")
+                read(self, name)
+            else:
+                seen.add(name)
+                value = read(self, name)
+                if attr is not None:
+                    values[attr] = value
         return values
 
     def parse_actor_body(self, role: ActorRole) -> Actor:
@@ -446,17 +414,18 @@ class _Parser:
 
 _VALUE, _BLOCK, _EACH = range(3)    # key: value, key { … }, and a block that
                                     # may come again, each adding an item
-_Field = tuple[str, Callable, Optional[Callable], int]
+_Field = tuple[Optional[str], Callable, Optional[Callable], int]
 _NO_FIELD = (None, None, None, _VALUE)
 _INDENT = "  "
 
 
 def _write_record(table: dict[str, _Field], obj: object, pad: str) -> str:
     """The fields of ``obj`` in ``table`` order, one per line at indent
-    ``pad``; a value of ``""``, ``()`` or None is left out."""
+    ``pad``; an entry with no writer, and a value of ``""``, ``()`` or None,
+    is left out."""
     lines = []
     for key, (attr, _, write, shape) in table.items():
-        value = getattr(obj, attr)
+        value = None if write is None else getattr(obj, attr)
         if value in ("", (), None):
             continue
         sep = " " if shape else ": "
@@ -554,6 +523,7 @@ def _write_functions(functions: tuple[SystemFunction, ...], pad: str) -> str:
 
 
 _USE_CASE: dict[str, _Field] = {
+    "schema_version": (None, lambda p, key: p.skip_value(), None, _VALUE),
     "id": ("id", lambda p, key: p.parse_word_or_string("use case id"),
            lambda uc_id, pad: _word(uc_id), _VALUE),
     "intended_purpose": ("intended_purpose", *_PROSE),

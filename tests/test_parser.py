@@ -10,8 +10,10 @@ from ucdoc import (
     ActorKind,
     ActorRole,
     GoalLevel,
+    TaxonomyError,
     UseCase,
     canonicalize,
+    load_taxonomy,
     parse_document,
     serialize_canonical,
     validate_use_case,
@@ -108,6 +110,47 @@ def test_unknown_field_value_is_skipped_to_its_close(field):
     src = MINIMAL.replace('inputs:', field + ' inputs:')
     _, errors = parse_document(src)
     assert [e.code for e in errors] == ["field.unknown"]
+
+
+def taxonomy_errors(text):
+    try:
+        load_taxonomy(text)
+    except TaxonomyError as err:
+        return list(err.errors)
+    return []
+
+
+# Each kind of record, read with one more field written after its last
+# one, and a field it takes.
+RECORDS = {
+    "use case": (lambda field: parse_document(MINIMAL[:-1] + f" {field} }}"),
+                 "id: u"),
+    "user": (lambda field: parse_document(
+        MINIMAL.replace("human", f"human {field}")), 'name: "V"'),
+    "misuse": (lambda field: parse_document(
+        MINIMAL[:-1] + ' misuse { description: "d" area: other("a") '
+        f"{field} }} }}"), 'area: other("b")'),
+    "entry": (lambda field: ([], taxonomy_errors(
+        'version: "v" entry a.b { tier: high_risk area: "A" sub_use: "S" '
+        f"{field} }}")), "tier: prohibited"),
+}
+
+
+@pytest.mark.parametrize("record", RECORDS)
+@pytest.mark.parametrize("case, code", [
+    ("repeated key", "field.duplicate"),
+    ("unknown key: value", "field.unknown"),
+    ("unknown key { }", "field.unknown"),
+    ("known key without ':'", "syntax"),
+])
+def test_every_record_reads_its_fields_alike(record, case, code):
+    read, field = RECORDS[record]
+    field = {"unknown key: value": 'aera: other("x")',
+             "unknown key { }": "aera { a: [1] }",
+             "known key without ':'": field.replace(":", "")}.get(case, field)
+    use_cases, errors = read(field)
+    assert use_cases == []
+    assert [e.code for e in errors] == [code], [e.render() for e in errors]
 
 
 def test_panic_recovery_reaches_second_usecase():
@@ -226,8 +269,11 @@ def test_associations_list():
 
 
 def test_schema_version_is_accepted_and_ignored():
-    uc = parse_one(MINIMAL.replace('id: t', 'schema_version: "1" id: t'))
-    assert uc.id == "t"
+    for version in ('"1"', "2", 'other("x")'):
+        uc = parse_one(
+            MINIMAL.replace('id: t', f'schema_version: {version} id: t'))
+        assert uc == parse_one(MINIMAL), version
+    assert "schema_version" not in serialize_canonical(uc)
 
 
 def test_lexer_errors_poison_the_enclosing_block():
