@@ -13,6 +13,7 @@ tools understand.
 from pathlib import Path
 
 from ucdoc import build_diagram, layout, parse_document, render_svg, render_textual
+from ucdoc.model import actor_ident
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 OUT = Path(__file__).resolve().parent / "out"
@@ -25,7 +26,7 @@ camera = parse_document(
 # The structural view first: what is connected to what.
 
 diagram = build_diagram(camera)
-print("actors:", [a.ident for a in diagram.actors])
+print("actors:", [actor_ident(a.name) for a in diagram.actors])
 print("ellipses:", [e.id for e in diagram.ellipses])
 for edge in diagram.edges:
     print(f"  {edge.source} -{edge.kind.value}-> {edge.target}")

@@ -28,7 +28,7 @@ from enum import IntEnum
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, TextIO
 
-from .lexer import FILE_TEXT, file_text, read_ucdl
+from .lexer import file_text, read_ucdl
 from .model import (
     CatalogFormatError,
     Diagnostic,
@@ -86,8 +86,8 @@ def _parse(path: str, stdin: Optional[str | TextIO]
     if path == "-":
         if stdin is None:
             raise _UsageError("no data on stdin")
-        text = file_text(stdin) if isinstance(stdin, str) else stdin.read()
-        return ("<stdin>", *parse_document(text))
+        text = stdin if isinstance(stdin, str) else stdin.read()
+        return ("<stdin>", *parse_document(file_text(text)))
     return (path, *parse_document(read_ucdl(path)))
 
 
@@ -362,7 +362,7 @@ def run(argv: list[str], stdin: Optional[str | TextIO] = None,
         stdout: Optional[TextIO] = None,
         stderr: Optional[TextIO] = None) -> int:
     """Run one command; ``stdin`` is the text, or the stream, read for ``-``.
-    A text is read as a UCDL file holding it reads; a stream as it is."""
+    Either is read as a UCDL file holding its text reads."""
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
     parser = build_arg_parser()
@@ -386,8 +386,10 @@ def run(argv: list[str], stdin: Optional[str | TextIO] = None,
 def main() -> None:
     stdin = sys.stdin  # None when the process has no standard input
     if stdin is not None:
-        # Read only for a path of "-", and read as read_ucdl reads a file.
-        stdin.reconfigure(**FILE_TEXT)
+        # Read only for a path of "-". Decoded, not translated, so that
+        # file_text is the one rule and strips exactly one byte-order mark.
+        stdin.reconfigure(encoding="utf-8", errors="surrogateescape",
+                          newline="")
     sys.exit(run(sys.argv[1:], stdin=stdin))
 
 

@@ -3,9 +3,9 @@
 :func:`build_diagram` turns a validated use case into the classic notation:
 stick-figure actors outside a system boundary rectangle, one ellipse per
 system function inside it, solid association lines, and dashed
-«include»/«extend» arrows.  The user stands on the left; target persons and
-secondary actors stand on the right (an actor appearing in several roles is
-drawn once).
+«include»/«extend» arrows.  Its actors are the use case's own ``Actor``
+objects, keyed by ``actor_ident``: the user stands on the left, the others on
+the right, and an actor in several roles is drawn once, as in its first role.
 
 Associations come from an explicit ``associations`` override when present,
 otherwise from scenario steps: each step by a non-``system`` actor
@@ -27,6 +27,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .model import (
+    Actor,
+    ActorRole,
     Diagnostic,
     SYSTEM_ACTOR,
     Severity,
@@ -37,22 +39,10 @@ from .model import (
 )
 
 
-class Side(Enum):
-    LEFT = "left"
-    RIGHT = "right"
-
-
 class EdgeKind(Enum):
     ASSOCIATION = "association"
     INCLUDE = "include"
     EXTEND = "extend"
-
-
-@dataclass(frozen=True)
-class ActorNode:
-    name: str
-    ident: str
-    side: Side
 
 
 @dataclass(frozen=True)
@@ -65,7 +55,7 @@ class Edge:
 @dataclass(frozen=True)
 class Diagram:
     boundary_label: str
-    actors: tuple[ActorNode, ...]
+    actors: tuple[Actor, ...]   # one per ident, as in its first role
     ellipses: tuple[SystemFunction, ...]   # drawn by id and label
     edges: tuple[Edge, ...]
     warnings: tuple[Diagnostic, ...] = ()
@@ -102,13 +92,9 @@ def build_diagram(uc: UseCase) -> Diagram:
     """Derive the diagram graph from a valid use case."""
     require_valid(uc)
 
-    actors: dict[str, ActorNode] = {}  # by ident; the first role wins
-    sides = [(uc.user, Side.LEFT)]
-    sides += [(a, Side.RIGHT) for a in uc.target_persons + uc.secondary_actors]
-    for actor, side in sides:
-        ident = actor_ident(actor.name)
-        if ident not in actors:
-            actors[ident] = ActorNode(actor.name, ident, side)
+    actors: dict[str, Actor] = {}  # by ident; the first role wins
+    for actor in uc.all_actors():
+        actors.setdefault(actor_ident(actor.name), actor)
 
     if uc.associations:
         pairs = [(assoc.actor, assoc.function) for assoc in uc.associations]
@@ -161,12 +147,12 @@ def _column(count: int, item_h: float, content_h: float) -> list[float]:
 
 
 def layout(d: Diagram) -> PositionedDiagram:
-    """Three-column layered layout: left actors, boundary, right actors.
+    """Three-column layered layout: the user, boundary, the other actors.
 
     Deterministic: node order in the diagram fixes every coordinate.
     """
-    left = [a for a in d.actors if a.side is Side.LEFT]
-    right = [a for a in d.actors if a.side is Side.RIGHT]
+    left = [a for a in d.actors if a.role is ActorRole.USER]
+    right = [a for a in d.actors if a.role is not ActorRole.USER]
     n_ellipses = len(d.ellipses)
 
     boundary_w = ELLIPSE_W + 2 * PADDING
@@ -184,7 +170,7 @@ def layout(d: Diagram) -> PositionedDiagram:
     actor_centers: dict[str, tuple[float, float]] = {}
     for column, cx in ((left, PADDING + ACTOR_W / 2), (right, right_x)):
         for actor, cy in zip(column, _column(len(column), ACTOR_H, content_h)):
-            actor_centers[actor.ident] = (cx, cy)
+            actor_centers[actor_ident(actor.name)] = (cx, cy)
 
     ecx = boundary_x + PADDING + ELLIPSE_W / 2
     ellipse_centers: dict[str, tuple[float, float]] = {}
@@ -287,24 +273,41 @@ def render_svg(p: PositionedDiagram) -> bytes:
             "</marker>",
             "</defs>"]
 
+    # Each node's label goes to ``labels``, written after every shape, so
+    # that the labels stay legible over the shapes.
     bx, by, bw, bh = p.boundary
     out.append(
         f'<rect x="{_fmt(bx)}" y="{_fmt(by)}" width="{_fmt(bw)}" '
         f'height="{_fmt(bh)}" fill="none" stroke="black"/>')
+    labels = [
+        f'<text x="{_fmt(bx + bw / 2)}" y="{_fmt(by + FONT_SIZE + 6)}" '
+        f'text-anchor="middle" font-weight="bold">'
+        f"{html.escape(p.diagram.boundary_label, quote=False)}</text>"]
 
+    line_h = FONT_SIZE + 2
     for node in p.diagram.ellipses:
         cx, cy = p.ellipse_centers[node.id]
         out.append(
             f'<ellipse cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
             f'rx="{_fmt(ELLIPSE_W / 2)}" ry="{_fmt(ELLIPSE_H / 2)}" '
             'fill="none" stroke="black"/>')
+        lines = p.ellipse_labels[node.id]
+        for i, text in enumerate(lines):
+            ty = cy + (i - (len(lines) - 1) / 2) * line_h + FONT_SIZE / 3
+            labels.append(
+                f'<text x="{_fmt(cx)}" y="{_fmt(ty)}" text-anchor="middle">'
+                f"{html.escape(text, quote=False)}</text>")
 
     for actor in p.diagram.actors:
-        cx, cy = p.actor_centers[actor.ident]
+        cx, cy = p.actor_centers[actor_ident(actor.name)]
         out.extend(_stick_figure(cx, cy, ACTOR_W, ACTOR_H))
+        ty = cy + ACTOR_H / 2 + FONT_SIZE + 2
+        labels.append(
+            f'<text x="{_fmt(cx)}" y="{_fmt(ty)}" text-anchor="middle">'
+            f"{html.escape(actor.name, quote=False)}</text>")
 
-    ends = [(edge, *_edge_endpoints(p, edge)) for edge in p.diagram.edges]
-    for edge, (x1, y1), (x2, y2) in ends:
+    for edge in p.diagram.edges:
+        (x1, y1), (x2, y2) = _edge_endpoints(p, edge)
         if edge.kind is EdgeKind.ASSOCIATION:
             out.append(
                 f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" '
@@ -314,36 +317,13 @@ def render_svg(p: PositionedDiagram) -> bytes:
                 f'<path d="M {_fmt(x1)},{_fmt(y1)} L {_fmt(x2)},{_fmt(y2)}" '
                 'fill="none" stroke="black" stroke-dasharray="6,4" '
                 'marker-end="url(#arrowhead)"/>')
+            mx, my = (x1 + x2) / 2, (y1 + y2) / 2
+            labels.append(
+                f'<text x="{_fmt(mx)}" y="{_fmt(my - 4)}" text-anchor="middle" '
+                f'font-style="italic" font-size="{_fmt(FONT_SIZE - 2)}">'
+                f"«{edge.kind.value}»</text>")
 
-    # labels last so they stay legible over shapes
-    line_h = FONT_SIZE + 2
-    out.append(
-        f'<text x="{_fmt(bx + bw / 2)}" y="{_fmt(by + FONT_SIZE + 6)}" '
-        f'text-anchor="middle" font-weight="bold">'
-        f"{html.escape(p.diagram.boundary_label, quote=False)}</text>")
-    for node in p.diagram.ellipses:
-        cx, cy = p.ellipse_centers[node.id]
-        lines = p.ellipse_labels[node.id]
-        for i, text in enumerate(lines):
-            ty = cy + (i - (len(lines) - 1) / 2) * line_h + FONT_SIZE / 3
-            out.append(
-                f'<text x="{_fmt(cx)}" y="{_fmt(ty)}" text-anchor="middle">'
-                f"{html.escape(text, quote=False)}</text>")
-    for actor in p.diagram.actors:
-        cx, cy = p.actor_centers[actor.ident]
-        ty = cy + ACTOR_H / 2 + FONT_SIZE + 2
-        out.append(
-            f'<text x="{_fmt(cx)}" y="{_fmt(ty)}" text-anchor="middle">'
-            f"{html.escape(actor.name, quote=False)}</text>")
-    for edge, (x1, y1), (x2, y2) in ends:
-        if edge.kind is EdgeKind.ASSOCIATION:
-            continue
-        mx, my = (x1 + x2) / 2, (y1 + y2) / 2
-        out.append(
-            f'<text x="{_fmt(mx)}" y="{_fmt(my - 4)}" text-anchor="middle" '
-            f'font-style="italic" font-size="{_fmt(FONT_SIZE - 2)}">'
-            f"«{edge.kind.value}»</text>")
-
+    out += labels
     out.append("</svg>")
     return ("\n".join(out) + "\n").encode("utf-8")
 
@@ -365,7 +345,7 @@ def render_textual(d: Diagram) -> str:
     A node's alias is its ident or id, but a function whose id is an actor's
     ident is called ``uc_<id>``, then ``uc_<id>_2``… until no node has it.
     """
-    actors = {a.ident for a in d.actors}
+    actors = {actor_ident(a.name) for a in d.actors}
     taken = actors | {n.id for n in d.ellipses}
     alias = {n.id: n.id for n in d.ellipses}
     for n in d.ellipses:  # in order, so that the output is deterministic
@@ -376,7 +356,8 @@ def render_textual(d: Diagram) -> str:
                 name = f"uc_{n.id}_{suffix}"
             taken.add(name)
             alias[n.id] = name
-    lines = [f"actor {_puml_quote(a.name)} as {a.ident}" for a in d.actors]
+    lines = [f"actor {_puml_quote(a.name)} as {actor_ident(a.name)}"
+             for a in d.actors]
     lines += [f"usecase {_puml_quote(n.label)} as {alias[n.id]}"
               for n in d.ellipses]
     lines += [f"{e.source} --> {alias[e.target]}"

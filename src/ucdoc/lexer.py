@@ -361,7 +361,7 @@ def lex(source: str) -> tuple[list[Token], list[Diagnostic]]:
     return tokens, _diagnostics(source, problems)
 
 
-# How a UCDL file's bytes read as text, for a path and standard input alike:
+# How a UCDL file's bytes read as text (standard input by ``file_text``):
 # a leading UTF-8 byte-order mark is dropped, bytes that are not UTF-8 stay
 # as surrogates for lex to report, and CR LF and a lone CR read as LF.
 FILE_TEXT = {"encoding": "utf-8-sig", "errors": "surrogateescape", "newline": None}

@@ -6,11 +6,15 @@ use case that is already in canonical form (``canonicalize(uc) == uc``),
 which lets property tests compare round-tripped values by plain equality.
 ``mutate_use_case`` edits one such value at the model level, with
 ``dataclasses.replace``, into one that validation may reject.
+``split_tokens`` and ``mutate`` edit UCDL text at the token level instead:
+a token dropped, repeated, swapped with its neighbour or replaced by one of
+``POOL``.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import replace
 
 from ucdoc import (
@@ -27,6 +31,7 @@ from ucdoc import (
     UseCase,
     canonicalize,
 )
+from ucdoc.lexer import LineIndex, lex
 from ucdoc.model import actor_ident
 
 _WORDS = (
@@ -310,3 +315,51 @@ def mutate_use_case(rng: random.Random) -> UseCase:
     for _ in range(rng.randint(1, 4)):
         uc = _mutate(rng, uc)
     return uc
+
+
+# Replacement tokens: punctuation, keywords of both grammars, values of
+# every kind, an unterminated string and a character the lexer rejects.
+POOL = (
+    "{", "}", "[", "]", "(", ")", ",", ":", "->", "usecase", "person",
+    "entry", "version", "tier", "kind", "name", "true", "other", "high_risk",
+    "human", '"x"', '""', '"""\n  y\n  """', '"EMOTION"', "1", "3a", '"',
+    "²",
+)
+
+OPS = ("drop", "repeat", "swap", "replace")
+
+
+def line_starts(source: str) -> list[int]:
+    return [0] + [m.end() for m in re.finditer("\n", source)]
+
+
+def split_tokens(source: str) -> list[str]:
+    """``[gap, token, gap, …, token, gap]``: joined, the source again."""
+    starts = line_starts(source)
+    lines = LineIndex(source)
+    parts, pos = [], 0
+    for tok in lex(source)[0][:-1]:     # all but EOF
+        span = lines.span(tok.offset, len(tok.text))
+        offset = starts[span.line - 1] + span.column - 1
+        parts += [source[pos:offset], tok.text]
+        pos = offset + len(tok.text)
+    return parts + [source[pos:]]
+
+
+def mutate(parts: list[str], edits) -> str:
+    """Apply ``(op, n, new)`` edits to the tokens of ``split_tokens``."""
+    words = parts[1::2]
+    for op, n, new in edits:
+        i = n % len(words)
+        if op == "drop":
+            words[i] = ""
+        elif op == "repeat":
+            words[i] += " " + words[i]
+        elif op == "swap":
+            j = (i + 1) % len(words)
+            words[i], words[j] = words[j], words[i]
+        else:
+            words[i] = new
+    mutated = list(parts)
+    mutated[1::2] = words
+    return "".join(mutated)

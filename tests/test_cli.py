@@ -67,7 +67,8 @@ usecase "Warn" {
 """
 
 
-def cli(*argv: str, stdin: str | None = None) -> tuple[int, str, str]:
+def cli(*argv: str, stdin: str | io.StringIO | None = None
+        ) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     code = run(list(argv), stdin=stdin, stdout=out, stderr=err)
     return code, out.getvalue(), err.getvalue()
@@ -862,14 +863,25 @@ def console(*argv: str, env_vars: dict | None = None,
                             stderr=subprocess.PIPE, **kwargs)
 
 
-@pytest.mark.parametrize("prefix", [b"", b"\xef\xbb\xbf"],
-                         ids=["plain", "byte-order-mark"])
-def test_console_reads_stdin_for_dash(prefix):
+@pytest.mark.parametrize("marks", [0, 1, 2], ids=[
+    "plain", "byte-order-mark", "two-byte-order-marks"])
+def test_console_reads_stdin_for_dash(tmp_path, marks):
+    # Standard input loses one byte-order mark, as a path does; a second
+    # one is an invalid character at 1:1 either way.
+    data = b"\xef\xbb\xbf" * marks + Path(SMART_CAMERA).read_bytes()
+    path = tmp_path / "camera.ucdl"
+    path.write_bytes(data)
+    path_out, path_err = console("validate", str(path)).communicate(timeout=60)
     proc = console("validate", "-", stdin=subprocess.PIPE)
-    out, err = proc.communicate(prefix + Path(SMART_CAMERA).read_bytes(),
-                                timeout=60)
-    assert (proc.returncode, err) == (0, b"")
-    assert out == b"1 file(s), 1 use case(s), 0 error(s), 0 warning(s)\n"
+    out, err = proc.communicate(data, timeout=60)
+    assert (out, err) == (
+        path_out, path_err.replace(f"{path}:".encode(), b"<stdin>:"))
+    assert proc.returncode == (2 if marks == 2 else 0)
+    if marks < 2:
+        assert err == b""
+        assert out == b"1 file(s), 1 use case(s), 0 error(s), 0 warning(s)\n"
+    else:
+        assert err.startswith(b"<stdin>:1:1: error: [lex.invalid_char]")
 
 
 def test_stdin_given_twice_is_a_usage_error():
@@ -911,7 +923,8 @@ def test_console_without_dash_leaves_stdin_alone():
 def test_dash_reads_as_the_file_does(tmp_path, newline):
     # Standard input is read by read_ucdl's rule, universal newlines
     # included: a lone CR used to leave the leading comment open to the end
-    # of the input, and a CR LF kept its CR in triple-quoted prose.
+    # of the input, and a CR LF kept its CR in triple-quoted prose. A stream
+    # passed to run is read by the same rule as a text.
     for fixture in sorted(FIXTURES_DIR.glob("*.ucdl")):
         text = "# comment\n" + fixture.read_text(encoding="utf-8")
         data = text.replace("\n", newline).encode()
@@ -921,6 +934,8 @@ def test_dash_reads_as_the_file_does(tmp_path, newline):
             code, out, err = cli(command, str(path))
             assert (code, err) == (0, "")
             assert cli(command, "-", stdin=data.decode()) == (code, out, err)
+            stream = io.StringIO(data.decode())
+            assert cli(command, "-", stdin=stream) == (code, out, err)
             proc = console(command, "-", stdin=subprocess.PIPE)
             assert proc.communicate(data, timeout=60) == (out.encode(), b"")
             assert proc.returncode == code

@@ -25,13 +25,18 @@ from ucdoc.diagram import (
     ELLIPSE_W,
     GAP,
     PADDING,
-    ActorNode,
     Diagram,
-    Side,
 )
 from ucdoc.cli import run
-from ucdoc.model import ValidationFailedError, actor_ident
-from test_model import base_use_case
+from ucdoc.model import (
+    Actor,
+    ActorKind,
+    ActorRole,
+    Association,
+    ValidationFailedError,
+    actor_ident,
+)
+from test_model import base_use_case, u
 from test_parser import MINIMAL, parse_one
 
 
@@ -66,7 +71,8 @@ def assert_geometry(p):
 
 def test_minimal_diagram_shape():
     d = build_diagram(parse_one(MINIMAL))
-    assert [(a.ident, a.side) for a in d.actors] == [("u", Side.LEFT)]
+    assert [(actor_ident(a.name), a.role) for a in d.actors] == [
+        ("u", ActorRole.USER)]
     assert [e.id for e in d.ellipses] == ["f"]
     assert [(e.kind, e.source, e.target) for e in d.edges] == [
         (EdgeKind.ASSOCIATION, "u", "f")]
@@ -84,9 +90,34 @@ def test_unannotated_step_with_multiple_functions_gives_no_association():
 def test_user_left_targets_right():
     uc = canonicalize(base_use_case())
     d = build_diagram(uc)
-    sides = {a.ident: a.side for a in d.actors}
-    assert sides["operator"] is Side.LEFT
-    assert sides["visitor"] is Side.RIGHT
+    roles = {actor_ident(a.name): a.role for a in d.actors}
+    assert roles["operator"] is ActorRole.USER
+    assert roles["visitor"] is ActorRole.TARGET_PERSON
+    p = layout(d)
+    bx, _, bw, _ = p.boundary
+    assert p.actor_centers["operator"][0] < bx
+    assert p.actor_centers["visitor"][0] > bx + bw
+
+
+def test_actor_in_several_roles_is_drawn_once_as_in_its_first_role():
+    user = Actor("Driver", ActorKind.HUMAN, ActorRole.USER)
+    persons = (Actor("driver", ActorKind.HUMAN, ActorRole.TARGET_PERSON),
+               Actor("Passenger", ActorKind.HUMAN, ActorRole.TARGET_PERSON))
+    helper = Actor("PASSENGER", ActorKind.HUMAN, ActorRole.SECONDARY)
+    steps = base_use_case().main_scenario
+    uc = u(user=user, target_persons=persons, secondary_actors=(helper,),
+           main_scenario=(replace(steps[0], actor="driver"), *steps[1:]),
+           associations=(Association("driver", "scan"),))
+    d = build_diagram(uc)
+    assert len(d.actors) == 2
+    assert d.actors[0] is user and d.actors[1] is persons[1]
+    p = layout(d)
+    assert set(p.actor_centers) == {"driver", "passenger"}
+    bx, _, bw, _ = p.boundary
+    assert p.actor_centers["driver"][0] < bx
+    assert p.actor_centers["passenger"][0] > bx + bw
+    assert render_textual(d).splitlines()[:2] == [
+        'actor "Driver" as driver', 'actor "Passenger" as passenger']
 
 
 def test_include_extend_edges_in_declaration_order():
@@ -145,7 +176,8 @@ def test_layout_of_hand_built_diagrams_with_empty_columns():
     empty = layout(Diagram("T", (), (), ()))
     assert empty.boundary == (PADDING, PADDING, bw, 2 * PADDING)
     assert (empty.canvas_w, empty.canvas_h) == (bw + 2 * PADDING, 4 * PADDING)
-    right = layout(Diagram("T", (ActorNode("R", "r", Side.RIGHT),), (), ()))
+    right = layout(Diagram(
+        "T", (Actor("R", ActorKind.HUMAN, ActorRole.SECONDARY),), (), ()))
     assert right.boundary == (PADDING, PADDING + (ACTOR_H - 2 * PADDING) / 2,
                               bw, 2 * PADDING)
     assert right.actor_centers == {
@@ -445,7 +477,7 @@ def test_textual_declares_each_alias_once_and_edges_name_their_nodes():
         assert [m[1] for m in decls] == (["actor"] * len(d.actors)
                                          + ["usecase"] * len(d.ellipses))
         assert len(set(aliases)) == len(aliases)
-        actor = dict(zip((a.ident for a in d.actors), aliases))
+        actor = dict(zip((actor_ident(a.name) for a in d.actors), aliases))
         function = dict(zip((n.id for n in d.ellipses),
                             aliases[len(d.actors):]))
         assert lines[n_nodes:] == [

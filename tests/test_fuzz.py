@@ -26,7 +26,6 @@ import itertools
 import json
 import os
 import random
-import re
 import shutil
 import tempfile
 from importlib import resources
@@ -38,7 +37,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import reference_json
 from conftest import FIXTURE_NAMES, FIXTURES_DIR, GOLDEN_DIR, fixture_text
-from support import make_use_case
+from support import OPS, POOL, line_starts, make_use_case, mutate, split_tokens
 from test_model import base_use_case
 from test_risk import random_risk_uc
 from ucdoc import (
@@ -48,7 +47,6 @@ from ucdoc import (
 )
 from ucdoc.catalog import SCHEMA, Catalog, CatalogEntry
 from ucdoc.cli import run
-from ucdoc.lexer import LineIndex, lex
 from ucdoc.model import (
     GENERATED_FIELDS, ActorKind, ActorRole, ApplicationAreaRef, Extension,
     GoalLevel, Misuse, RiskLevel, SystemFunction, _writer, use_case_to_dict,
@@ -58,55 +56,8 @@ from ucdoc.risk import (
     AreaMatch, MisuseFlag, RiskAssessment, Tier, assessment_to_dict,
 )
 
-# Replacement tokens: punctuation, keywords of both grammars, values of
-# every kind, an unterminated string and a character the lexer rejects.
-POOL = (
-    "{", "}", "[", "]", "(", ")", ",", ":", "->", "usecase", "person",
-    "entry", "version", "tier", "kind", "name", "true", "other", "high_risk",
-    "human", '"x"', '""', '"""\n  y\n  """', '"EMOTION"', "1", "3a", '"',
-    "²",
-)
-
-OPS = ("drop", "repeat", "swap", "replace")
-
 EDITS = st.lists(st.tuples(st.sampled_from(OPS), st.integers(0, 10_000),
                            st.sampled_from(POOL)), min_size=1, max_size=4)
-
-
-def line_starts(source: str) -> list[int]:
-    return [0] + [m.end() for m in re.finditer("\n", source)]
-
-
-def split_tokens(source: str) -> list[str]:
-    """``[gap, token, gap, …, token, gap]``: joined, the source again."""
-    starts = line_starts(source)
-    lines = LineIndex(source)
-    parts, pos = [], 0
-    for tok in lex(source)[0][:-1]:     # all but EOF
-        span = lines.span(tok.offset, len(tok.text))
-        offset = starts[span.line - 1] + span.column - 1
-        parts += [source[pos:offset], tok.text]
-        pos = offset + len(tok.text)
-    return parts + [source[pos:]]
-
-
-def mutate(parts: list[str], edits) -> str:
-    """Apply ``(op, n, new)`` edits to the tokens of ``split_tokens``."""
-    words = parts[1::2]
-    for op, n, new in edits:
-        i = n % len(words)
-        if op == "drop":
-            words[i] = ""
-        elif op == "repeat":
-            words[i] += " " + words[i]
-        elif op == "swap":
-            j = (i + 1) % len(words)
-            words[i], words[j] = words[j], words[i]
-        else:
-            words[i] = new
-    mutated = list(parts)
-    mutated[1::2] = words
-    return "".join(mutated)
 
 
 def span_inside(source: str, span) -> bool:
