@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from functools import cached_property
-from typing import Callable, Iterator, Optional
+from typing import Callable, Container, Iterator, Optional
 
 from .lexer import (
     ARROW, BRANCH, COLON, COMMA, EOF, IDENT, INT, LBRACE, LBRACKET, LPAREN,
@@ -284,11 +284,14 @@ class _Parser:
             yield
         self.advance()
 
-    def record(self, what: str, table: dict[str, _Field]) -> dict[str, object]:
+    def record(self, what: str, table: dict[str, _Field],
+               parent: Container[str] = ()) -> dict[str, object]:
         """Read ``{ … }`` fields into a dict by attribute, each as its entry in
         ``table`` says: ``key: value``, or ``key { … }`` for a block.  A key
         comes once, in any order, or not at all, but an ``_EACH`` block adds
-        an item each time; a repeated key's value is read and dropped."""
+        an item each time; a repeated key's value is read and dropped.  A
+        key of the enclosing record, ``parent``, means this one lost its
+        ``}``: a ``syntax`` error, not an unknown field."""
         values: dict[str, object] = {}
         seen: set[str] = set()
         for _ in self.block(what):
@@ -300,6 +303,10 @@ class _Parser:
             name = key.text
             attr, read, _, shape = table.get(name, _NO_FIELD)
             after = self.tokens[self.pos + 1]   # an IDENT is never the last
+            if read is None and name in parent and after.kind in (COLON, LBRACE):
+                self.error(f"unclosed {what} block before {name!r}", key,
+                           expected=("}",))
+                raise _Panic
             if after.kind is COLON:
                 self.pos += 2
             elif shape or (read is None and after.kind is LBRACE):
@@ -331,7 +338,7 @@ class _Parser:
 
     def parse_actor_body(self, role: ActorRole) -> Actor:
         """Parse ``{ name: "…" kind: ident }`` (either order, both optional)."""
-        fields = self.record("actor", _ACTOR)
+        fields = self.record("actor", _ACTOR, _USE_CASE)
         return Actor(fields.get("name", ""), fields.get("kind", ActorKind.HUMAN),
                      role)
 
@@ -402,7 +409,8 @@ class _Parser:
         return Extension(branch.text, condition, self.parse_steps(key))
 
     def parse_misuse(self, key: str) -> Misuse:
-        return Misuse(**{"description": "", **self.record(key, _MISUSE)})
+        return Misuse(**{"description": "",
+                         **self.record(key, _MISUSE, _USE_CASE)})
 
 
 # -- the records -----------------------------------------------------------

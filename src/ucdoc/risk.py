@@ -53,11 +53,22 @@ class Tier(Enum):
 
 
 @dataclass(frozen=True)
-class TaxonomyEntry:
+class AreaMatch:
+    """A taxonomy area; an intended area's or a misuse's hit is one too."""
+
     area_id: str
     tier: Tier
     area_label: str
     sub_use_label: str
+
+    def display(self) -> str:
+        return f"{self.area_label} > {self.sub_use_label}"
+
+
+@dataclass(frozen=True)
+class TaxonomyEntry(AreaMatch):
+    """A taxonomy area plus the keywords a free-text label matches it by."""
+
     keywords: tuple[str, ...] = ()
 
 
@@ -100,30 +111,12 @@ class Taxonomy:
 
 
 @dataclass(frozen=True)
-class AreaMatch:
-    """A use-case area that hit a taxonomy entry (labels carried along)."""
-
-    area_id: str
-    tier: Tier
-    area_label: str
-    sub_use_label: str
-
-    def display(self) -> str:
-        return f"{self.area_label} > {self.sub_use_label}"
-
-
-@dataclass(frozen=True)
 class MisuseFlag:
-    """A documented misuse whose area reference hit the taxonomy."""
+    """A documented misuse and the taxonomy area its reference hit; its JSON
+    object holds the match's keys after ``description``."""
 
     description: str
-    area_id: str
-    tier: Tier
-    area_label: str
-    sub_use_label: str
-
-    def display(self) -> str:
-        return f"{self.area_label} > {self.sub_use_label}"
+    match: AreaMatch = field(metadata={"flat": ""})
 
 
 @dataclass(frozen=True)
@@ -255,8 +248,8 @@ def classify(uc: UseCase, tax: Taxonomy) -> RiskAssessment:
             matched.setdefault(e.area_id, AreaMatch(
                 e.area_id, e.tier, e.area_label, e.sub_use_label))
     misuse_flags = tuple(
-        MisuseFlag(m.description, hit.area_id, hit.tier, hit.area_label,
-                   hit.sub_use_label)
+        MisuseFlag(m.description, AreaMatch(hit.area_id, hit.tier,
+                                            hit.area_label, hit.sub_use_label))
         for m in uc.misuses
         if (hit := m.area_ref and match_area(m.area_ref, tax)) is not None)
 
@@ -296,14 +289,10 @@ def explain(assessment: RiskAssessment) -> str:
 
 def misuse_diagnostics(assessment: RiskAssessment) -> list[Diagnostic]:
     """Misuse flags as warning diagnostics (for CLI and catalog reports)."""
-    return [
-        Diagnostic(
-            Severity.WARNING,
-            "risk.misuse_flag",
-            f"documented misuse matches the {flag.tier.value} entry "
-            f"'{flag.display()}': {flag.description}")
-        for flag in assessment.misuse_flags
-    ]
+    return [Diagnostic(Severity.WARNING, "risk.misuse_flag",
+                       f"documented misuse matches the {flag.match.tier.value} "
+                       f"entry '{flag.match.display()}': {flag.description}")
+            for flag in assessment.misuse_flags]
 
 
 def assessment_to_dict(assessment: RiskAssessment) -> dict:

@@ -14,12 +14,16 @@ texts, by this script's own tree; ``--count`` of each corpus:
 
 Each side reads them in its own ``python`` process, with ``PYTHONPATH`` set
 to its own ``src``, and runs each public stage on each input:
-``parse_document`` (the use cases by ``repr``, the diagnostics as code,
-message, span and path); on each use case read, ``validate_use_case``,
-``classify``, ``serialize_canonical``, ``render_svg`` of the laid-out
-diagram, ``render_textual`` and ``render_table_markdown``; and
-``export_json`` of ``build_catalog`` on the text.  An exception is a
-result, and a stage whose public names a side lacks is reported as missing.
+``parse_document``, as two stages, the use cases by ``repr`` and
+``parse_diagnostics`` as code, message, span and path; on each use case
+read, ``validate_use_case``, ``classify`` by ``repr`` and ``classify_json``
+by ``assessment_to_dict`` (so a record that changes shape but writes the
+same JSON differs in the first only), ``serialize_canonical``,
+``render_svg`` of the laid-out diagram, ``render_textual`` and
+``render_table_markdown``; and ``build_catalog`` on the text, as two
+stages, ``export_json`` of the catalogue and ``build_diagnostics``.  An
+exception is a result, and a stage whose public names a side lacks is
+reported as missing.
 
 For each stage the report gives the number of identical and of differing
 inputs, and a diff of one differing input.  The exit status is 0 when no
@@ -38,6 +42,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from functools import lru_cache
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -61,23 +66,36 @@ def _each(run):
     return lambda u, text, ucs: [_outcome(run, u, uc) for uc in ucs]
 
 
-def _parse(u, text: str) -> tuple[list, object]:
-    """The use cases read from ``text``, and the parse stage's result."""
+PARSE = ("parse_document", "parse_diagnostics")
+
+
+def _parse(u, text: str) -> tuple[list, dict]:
+    """The use cases read from ``text``, and the two parse stages' results."""
     try:
         ucs, diags = u.parse_document(text)
     except Exception as exc:
-        return [], _raised(exc)
-    return ucs, [[repr(uc) for uc in ucs], [_finding(d) for d in diags]]
+        return [], dict.fromkeys(PARSE, _raised(exc))
+    return ucs, {"parse_document": [repr(uc) for uc in ucs],
+                 "parse_diagnostics": [_finding(d) for d in diags]}
 
 
-# After parse_document, which every stage needs: the name of each stage, the
-# public ``ucdoc`` names it calls, and its run on one input text and the use
-# cases read from it.
+@lru_cache(maxsize=1)
+def _built(u, text: str) -> tuple:
+    """``build_catalog`` of one input text, which two stages read."""
+    return u.build_catalog([("input.ucdl", text)], u.builtin_taxonomy())
+
+
+# After the parse stages, which every stage needs: the name of each stage,
+# the public ``ucdoc`` names it calls, and its run on one input text and the
+# use cases read from it.
 STAGES = (
     ("validate_use_case", ("validate_use_case",),
      _each(lambda u, uc: [_finding(d) for d in u.validate_use_case(uc)])),
     ("classify", ("classify", "builtin_taxonomy"),
      _each(lambda u, uc: repr(u.classify(uc, u.builtin_taxonomy())))),
+    ("classify_json", ("classify", "builtin_taxonomy", "assessment_to_dict"),
+     _each(lambda u, uc: u.assessment_to_dict(
+         u.classify(uc, u.builtin_taxonomy())))),
     ("serialize_canonical", ("serialize_canonical",),
      _each(lambda u, uc: u.serialize_canonical(uc))),
     ("render_svg", ("render_svg", "layout", "build_diagram"),
@@ -87,14 +105,12 @@ STAGES = (
     ("render_table_markdown", ("render_table_markdown",),
      _each(lambda u, uc: u.render_table_markdown(uc))),
     ("export_json", ("export_json", "build_catalog", "builtin_taxonomy"),
-     lambda u, text, ucs: _catalog(u, text)),
+     lambda u, text, ucs: u.export_json(_built(u, text)[0])),
+    ("build_diagnostics", ("build_catalog", "builtin_taxonomy"),
+     lambda u, text, ucs: [_finding(d) + [d.file]
+                           for d in _built(u, text)[1]]),
 )
-
-
-def _catalog(u, text: str) -> list:
-    cat, diags = u.build_catalog([("input.ucdl", text)], u.builtin_taxonomy())
-    return [u.export_json(cat).decode("utf-8"),
-            [_finding(d) + [d.file] for d in diags]]
+NAMES = (*PARSE, *(name for name, _, _ in STAGES))
 
 
 def _raised(exc: Exception) -> str:
@@ -130,14 +146,13 @@ def run_side(inputs: Path, only: int | None) -> dict:
               if parses and all(_has(u, n) for n in needs)]
     rows = []
     for _, text in items if only is None else [items[only]]:
-        ucs, parsed = _parse(u, text) if parses else ([], None)
-        row = {"parse_document": parsed} if parses else {}
+        ucs, row = _parse(u, text) if parses else ([], {})
         row.update((name, _outcome(run, u, text, ucs)) for name, run in stages)
         rows.append(row if only is not None else {
             name: hashlib.sha256(json.dumps(value).encode()).hexdigest()[:16]
             for name, value in row.items()})
     return {"ucdoc": u.__file__, "inputs": hashlib.sha256(data).hexdigest(),
-            "stages": ["parse_document"] * parses + [n for n, _ in stages],
+            "stages": [*PARSE] * parses + [n for n, _ in stages],
             "rows": rows}
 
 
@@ -245,7 +260,7 @@ def compare(specs, corpus: str, seed: int, count: int) -> int:
               + f"; seed {seed}; sha256 {digest[:16]}")
         print(f"{'stage':<24}{'identical':>12}{'differing':>12}")
         differing = 0
-        for stage in ("parse_document", *(name for name, _, _ in STAGES)):
+        for stage in NAMES:
             lacking = [side for side, r in zip("AB", results)
                        if stage not in r["stages"]]
             if lacking:
@@ -259,7 +274,7 @@ def compare(specs, corpus: str, seed: int, count: int) -> int:
             if diff:
                 differing += 1
                 print(example(trees, inputs, diff[0], stage, items[diff[0]][0]))
-        print(f"{differing} of {len(STAGES) + 1} stages differ")
+        print(f"{differing} of {len(NAMES)} stages differ")
         return 1 if differing else 0
 
 

@@ -61,7 +61,7 @@ def test_criterion_1_fixture_fidelity():
             assert use_cases[0].safety_component
         else:
             assert len(assessment.misuse_flags) == 1
-            assert assessment.misuse_flags[0].tier is flag_tier
+            assert assessment.misuse_flags[0].match.tier is flag_tier
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"took {elapsed:.2f}s"
     print(f"PASS criterion 1: fixture fidelity ({elapsed * 1000:.0f} ms)")

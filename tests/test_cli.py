@@ -268,11 +268,14 @@ def test_classify_json_is_pure():
         "employment.monitor_performance")
 
 
-def test_classify_json_matches_the_golden():
-    code, out, err = cli("classify", "--format", "json", DRIVER)
+@pytest.mark.parametrize("name", ["driver_attention_monitoring",
+                                  "smart_camera"])
+def test_classify_json_matches_the_golden(name):
+    # The smart camera's misuse is flagged: its golden pins a flag's keys.
+    code, out, err = cli("classify", "--format", "json",
+                         str(FIXTURES_DIR / f"{name}.ucdl"))
     assert (code, err) == (0, "")
-    assert_golden(out.encode("utf-8"),
-                  "driver_attention_monitoring.classify.json")
+    assert_golden(out.encode("utf-8"), f"{name}.classify.json")
 
 
 # Text the JSON writer has to escape or keep as it is: a quote, a
@@ -895,6 +898,10 @@ def test_stdin_given_twice_is_a_usage_error():
     out, err = proc.communicate(Path(SMART_CAMERA).read_bytes(), timeout=60)
     assert (proc.returncode, out) == (3, b"")
     assert b"argument path: - (stdin) given more than once" in err
+
+
+def test_dash_without_stdin_is_a_usage_error():
+    assert cli("validate", "-") == (3, "", "ucdoc: error: no data on stdin\n")
 
 
 def test_console_rejects_a_lone_surrogate_without_a_traceback(tmp_path):

@@ -9,7 +9,7 @@ from pathlib import Path
 import differential
 
 ROOT = Path(__file__).resolve().parents[1]
-STAGES = ("parse_document", *(name for name, _, _ in differential.STAGES))
+STAGES = differential.NAMES
 
 
 def stage_counts(out: str) -> dict[str, tuple[int, int]]:
@@ -34,9 +34,10 @@ def test_a_stage_a_side_lacks_is_reported(tmp_path, capsys):
             "--count", "2"]
     assert differential.main(argv) == 1
     out = capsys.readouterr().out
-    assert stage_counts(out) == {"parse_document": (0, 2)}
+    assert stage_counts(out) == {"parse_document": (0, 2),
+                                 "parse_diagnostics": (2, 0)}
     assert "example: input 0 (make_use_case)" in out
-    for stage in STAGES[1:]:
+    for stage in STAGES[2:]:
         assert re.search(rf"^{stage} +missing on A$", out, re.M)
 
 

@@ -287,8 +287,7 @@ def test_export_json_escapes_every_text_as_json_dumps(seed, size, texts):
 # properties: every enum member, every Optional field left out, every list
 # empty.
 MATCH = AreaMatch("biometrics.emotion", Tier.PROHIBITED, "Area", "Sub-use")
-FLAG = MisuseFlag("covert scanning", "biometrics.emotion", Tier.HIGH_RISK,
-                  "Area", "Sub-use")
+FLAG = MisuseFlag("covert scanning", replace(MATCH, tier=Tier.HIGH_RISK))
 ASSESSMENT = RiskAssessment(RiskLevel.HIGH, (MATCH,), (FLAG,), ("R3",))
 
 
@@ -313,8 +312,9 @@ def with_member(member):
     elif isinstance(member, GoalLevel):
         uc = replace(uc, level=member)
     elif isinstance(member, Tier):
-        assessment = replace(assessment, matched=(replace(MATCH, tier=member),),
-                             misuse_flags=(replace(FLAG, tier=member),))
+        match = replace(MATCH, tier=member)
+        assessment = replace(assessment, matched=(match,),
+                             misuse_flags=(replace(FLAG, match=match),))
     else:
         field = "kind" if isinstance(member, ActorKind) else "role"
         uc = replace(uc, user=replace(uc.user, **{field: member}))

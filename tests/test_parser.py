@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from conftest import fixture_text
 from support import make_use_case
 from ucdoc import (
     Actor,
@@ -15,6 +16,7 @@ from ucdoc import (
     canonicalize,
     load_taxonomy,
     parse_document,
+    parser,
     serialize_canonical,
     validate_use_case,
 )
@@ -85,6 +87,48 @@ def test_unclosed_brace_single_error(what):
     assert "}" in errors[0].expected
     assert errors[0].message == f"unclosed {what} block (expected }})"
     assert errors[0].span.line == 3
+
+
+def test_nested_records_share_no_key_with_the_use_case():
+    # A nested record reads a key of the use case as its own lost "}", so a
+    # key in both tables would never reach the nested record's reader.
+    assert not (parser._ACTOR.keys() | parser._MISUSE.keys()) & \
+        parser._USE_CASE.keys()
+
+
+# Inputs, each with every finding it gives.  A nested record that lost its
+# "}" stops at the use case's next key; it used to read the use case's
+# later fields as its own, one field.unknown finding each.
+@pytest.mark.parametrize("source, findings", [
+    (fixture_text("smart_camera").replace(
+        'kind: human }\n  target_persons', 'kind: human\n  target_persons'),
+     ["15:3: error: [syntax] unclosed actor block before 'target_persons' "
+      "(expected })"]),
+    (MINIMAL[:-1] + ' misuse { description: "d" trigger: "t" }',
+     ["1:208: error: [syntax] unclosed misuse block before 'trigger' "
+      "(expected })"]),
+    ('usecase "T" { id: a scenario: { 1 u: "x" } }',
+     ["1:21: error: [field.value] field 'scenario' takes a block, not a ':' "
+      "value"]),
+    ('usecase "T" { id: a functions { f: "F" includes: [g] includes: [h] '
+     'g: "G" h: "H" } }',
+     ["1:54: error: [field.duplicate] duplicate 'includes' annotation on "
+      "function 'f'"]),
+    ('usecase "T" { id: a zz: }',
+     ["1:21: error: [field.unknown] unknown field 'zz' in use case block",
+      "1:25: error: [syntax] expected a value, found '}'"]),
+    ('usecase "T" { id: a zz: u -> f }',
+     ["1:21: error: [field.unknown] unknown field 'zz' in use case block"]),
+    ("usecase",
+     ["1:8: error: [syntax] expected use case title string, found end of "
+      "input (expected use case title string)"]),
+], ids=["actor-lost-close", "misuse-lost-close", "block-with-colon",
+        "duplicate-annotation", "unknown-key-no-value", "unknown-key-arrow",
+        "no-title"])
+def test_findings_of_a_broken_input(source, findings):
+    use_cases, errors = parse_document(source)
+    assert use_cases == []
+    assert [e.render() for e in errors] == findings
 
 
 def test_duplicate_field_first_wins():

@@ -273,7 +273,7 @@ def test_misuse_never_escalates():
     a = classify(uc, TAX)
     assert a.level is RiskLevel.MINIMAL
     assert len(a.misuse_flags) == 1
-    assert a.misuse_flags[0].tier is Tier.PROHIBITED
+    assert a.misuse_flags[0].match.tier is Tier.PROHIBITED
 
 
 def test_misuse_without_area_is_never_flagged():
