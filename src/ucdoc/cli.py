@@ -26,7 +26,7 @@ import sys
 from dataclasses import replace
 from enum import IntEnum
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, TextIO
+from typing import IO, TYPE_CHECKING, Optional, TextIO
 
 from .lexer import file_text, read_ucdl
 from .model import (
@@ -79,15 +79,15 @@ def _path(text: str) -> str:
     return text
 
 
-def _parse(path: str, stdin: Optional[str | TextIO]
+def _parse(path: str, stdin: Optional[str | IO]
            ) -> tuple[str, list[UseCase], list[Diagnostic]]:
     """The name of ``path`` (``<stdin>`` for ``-``), its use cases and its
     parse errors."""
     if path == "-":
         if stdin is None:
             raise _UsageError("no data on stdin")
-        text = stdin if isinstance(stdin, str) else stdin.read()
-        return ("<stdin>", *parse_document(file_text(text)))
+        data = stdin if isinstance(stdin, str) else stdin.read()
+        return ("<stdin>", *parse_document(file_text(data)))
     return (path, *parse_document(read_ucdl(path)))
 
 
@@ -122,7 +122,7 @@ def _report(name: Optional[str], diags: list[Diagnostic], err: TextIO,
     return _status(diags, strict)
 
 
-def _single_use_case(path: str, stdin: Optional[str | TextIO], err: TextIO
+def _single_use_case(path: str, stdin: Optional[str | IO], err: TextIO
                      ) -> tuple[str, Optional[UseCase], ExitStatus]:
     """Read, parse and validate the one use case of ``path``; None, with the
     exit status, when it does not parse or validate."""
@@ -358,11 +358,12 @@ def build_arg_parser() -> _ArgumentParser:
     return parser
 
 
-def run(argv: list[str], stdin: Optional[str | TextIO] = None,
+def run(argv: list[str], stdin: Optional[str | IO] = None,
         stdout: Optional[TextIO] = None,
         stderr: Optional[TextIO] = None) -> int:
-    """Run one command; ``stdin`` is the text, or the stream, read for ``-``.
-    Either is read as a UCDL file holding its text reads."""
+    """Run one command; ``stdin`` is the text, or the text or binary stream,
+    read for ``-``.  Each is read as a UCDL file holding its text or bytes
+    reads (:func:`~ucdoc.lexer.file_text`)."""
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
     parser = build_arg_parser()
@@ -384,13 +385,8 @@ def run(argv: list[str], stdin: Optional[str | TextIO] = None,
 
 
 def main() -> None:
-    stdin = sys.stdin  # None when the process has no standard input
-    if stdin is not None:
-        # Read only for a path of "-". Decoded, not translated, so that
-        # file_text is the one rule and strips exactly one byte-order mark.
-        stdin.reconfigure(encoding="utf-8", errors="surrogateescape",
-                          newline="")
-    sys.exit(run(sys.argv[1:], stdin=stdin))
+    # sys.stdin is None when the process has no standard input.
+    sys.exit(run(sys.argv[1:], stdin=sys.stdin and sys.stdin.buffer))
 
 
 if __name__ == "__main__":

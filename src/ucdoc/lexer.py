@@ -27,7 +27,7 @@ Strings come in two forms:
 
 Lexing never raises; bad input is reported through :class:`Diagnostic`
 records so a caller can show every problem in a file at once.  Text that
-is not UTF-8 (see :func:`read_ucdl`) yields no tokens and one
+is not UTF-8 (see :func:`file_text`) yields no tokens and one
 ``lex.not_utf8`` error at its first bad byte.
 
 A token carries its offset in the source, not its line and column; a
@@ -361,22 +361,20 @@ def lex(source: str) -> tuple[list[Token], list[Diagnostic]]:
     return tokens, _diagnostics(source, problems)
 
 
-# How a UCDL file's bytes read as text (standard input by ``file_text``):
-# a leading UTF-8 byte-order mark is dropped, bytes that are not UTF-8 stay
-# as surrogates for lex to report, and CR LF and a lone CR read as LF.
-FILE_TEXT = {"encoding": "utf-8-sig", "errors": "surrogateescape", "newline": None}
-
-
 def read_ucdl(path: str | os.PathLike) -> str:
-    """Text of a UCDL file, read by :data:`FILE_TEXT`'s rule."""
-    with open(path, **FILE_TEXT) as f:
-        return f.read()
+    """Text of a UCDL file, read by :func:`file_text`'s rule."""
+    with open(path, "rb") as f:
+        return file_text(f.read())
 
 
-def file_text(text: str) -> str:
-    """What a UCDL file holding ``text`` reads as: :data:`FILE_TEXT`'s rule
-    for text that is already decoded."""
-    return io.StringIO(text.removeprefix("\ufeff"), FILE_TEXT["newline"]).read()
+def file_text(data: bytes | str) -> str:
+    """What a UCDL file holding ``data`` reads as, the one rule for UCDL
+    text: bytes are decoded as UTF-8, keeping bytes that are not UTF-8 as
+    surrogates for lex to report; one leading byte-order mark is dropped;
+    CR LF and a lone CR read as LF."""
+    if isinstance(data, bytes):
+        data = data.decode("utf-8", "surrogateescape")
+    return io.StringIO(data.removeprefix("\ufeff"), newline=None).read()
 
 
 def escape_string(value: str) -> str:

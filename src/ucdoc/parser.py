@@ -177,15 +177,30 @@ class _Parser:
 
     # -- document structure ---------------------------------------------
 
+    def starts_field(self, table: Container[str]) -> bool:
+        """True when the current token, never EOF, is a key of ``table`` that
+        starts a field here: followed by ':' or '{', or, for ``extension``,
+        by the branch id that :meth:`parse_extension` reads."""
+        key, after = self.tokens[self.pos], self.tokens[self.pos + 1].kind
+        return key.kind is IDENT and key.text in table and (
+            after in (COLON, LBRACE)
+            or key.text == "extension" and after in (BRANCH, IDENT))
+
     def run(self) -> None:
         while not self.at(EOF):
             if self.at_word(_USECASE_KW):
                 self.parse_usecase()
+                continue
+            if self.results and self.starts_field(_USE_CASE):
+                # Right after a use case: the '}' before it closed it early.
+                self.error(f"extra '}}' closes the use case before "
+                           f"{self.cur().text!r}", self.tokens[self.pos - 1])
+                self.results[-1] = (None, *self.results[-1][1:])
             else:
                 self.error(
                     f"expected '{_USECASE_KW}', found {_describe(self.cur())}",
                     expected=(_USECASE_KW,))
-                self.sync_to_usecase()
+            self.sync_to_usecase()
 
     def sync_to_usecase(self) -> None:
         while not self.at(EOF) and not self.at_word(_USECASE_KW):
@@ -290,8 +305,9 @@ class _Parser:
         ``table`` says: ``key: value``, or ``key { … }`` for a block.  A key
         comes once, in any order, or not at all, but an ``_EACH`` block adds
         an item each time; a repeated key's value is read and dropped.  A
-        key of the enclosing record, ``parent``, means this one lost its
-        ``}``: a ``syntax`` error, not an unknown field."""
+        key of the enclosing record, ``parent``, that starts a field there
+        means this one lost its ``}``: a ``syntax`` error, not an unknown
+        field."""
         values: dict[str, object] = {}
         seen: set[str] = set()
         for _ in self.block(what):
@@ -303,7 +319,7 @@ class _Parser:
             name = key.text
             attr, read, _, shape = table.get(name, _NO_FIELD)
             after = self.tokens[self.pos + 1]   # an IDENT is never the last
-            if read is None and name in parent and after.kind in (COLON, LBRACE):
+            if read is None and self.starts_field(parent):
                 self.error(f"unclosed {what} block before {name!r}", key,
                            expected=("}",))
                 raise _Panic

@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache
 from importlib import resources
 from typing import NoReturn, Optional
 
-from .lexer import COLON, EOF, IDENT, lex
+from .lexer import COLON, EOF, IDENT, file_text, lex
 from .model import (
     ApplicationAreaRef,
     Diagnostic,
@@ -210,9 +210,8 @@ class _TaxonomyReader(_Parser):
 @lru_cache(maxsize=1)
 def builtin_taxonomy() -> Taxonomy:
     """The packaged taxonomy (4 prohibited and 15 high-risk sub-uses)."""
-    text = (resources.files("ucdoc") / "data" / _BUILTIN_RESOURCE).read_text(
-        encoding="utf-8")
-    return load_taxonomy(text)
+    data = (resources.files("ucdoc") / "data" / _BUILTIN_RESOURCE).read_bytes()
+    return load_taxonomy(file_text(data))
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,7 @@ usecase "Warn" {
 """
 
 
-def cli(*argv: str, stdin: str | io.StringIO | None = None
+def cli(*argv: str, stdin: str | io.StringIO | io.BytesIO | None = None
         ) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     code = run(list(argv), stdin=stdin, stdout=out, stderr=err)
@@ -183,6 +183,15 @@ def test_non_utf8_file_is_parse_error(tmp_path):
 
     code, out, err = cli("table", str(bad))
     assert (code, out, err.splitlines()) == (ExitStatus.PARSE_ERROR, "", [line])
+
+    # Standard input reports it as the path does, but for the name.
+    dash = line.replace(f"{bad}:", "<stdin>:")
+    code, out, err = cli("table", "-", stdin=io.BytesIO(bad.read_bytes()))
+    assert (code, out, err.splitlines()) == (ExitStatus.PARSE_ERROR, "", [dash])
+    proc = console("table", "-", stdin=subprocess.PIPE)
+    out, err = proc.communicate(bad.read_bytes(), timeout=60)
+    assert (proc.returncode, out) == (ExitStatus.PARSE_ERROR, b"")
+    assert err.decode().splitlines() == [dash]
 
     out_file = tmp_path / "c.json"
     code, out, err = cli("catalog", "build", str(src_dir), "--out", str(out_file))
@@ -928,10 +937,11 @@ def test_console_without_dash_leaves_stdin_alone():
 
 @pytest.mark.parametrize("newline", ["\r", "\r\n"], ids=["cr", "crlf"])
 def test_dash_reads_as_the_file_does(tmp_path, newline):
-    # Standard input is read by read_ucdl's rule, universal newlines
+    # Standard input is read by file_text's rule, universal newlines
     # included: a lone CR used to leave the leading comment open to the end
-    # of the input, and a CR LF kept its CR in triple-quoted prose. A stream
-    # passed to run is read by the same rule as a text.
+    # of the input, and a CR LF kept its CR in triple-quoted prose. A text
+    # or binary stream passed to run is read by the same rule as a text;
+    # main passes the binary one.
     for fixture in sorted(FIXTURES_DIR.glob("*.ucdl")):
         text = "# comment\n" + fixture.read_text(encoding="utf-8")
         data = text.replace("\n", newline).encode()
@@ -943,6 +953,7 @@ def test_dash_reads_as_the_file_does(tmp_path, newline):
             assert cli(command, "-", stdin=data.decode()) == (code, out, err)
             stream = io.StringIO(data.decode())
             assert cli(command, "-", stdin=stream) == (code, out, err)
+            assert cli(command, "-", stdin=io.BytesIO(data)) == (code, out, err)
             proc = console(command, "-", stdin=subprocess.PIPE)
             assert proc.communicate(data, timeout=60) == (out.encode(), b"")
             assert proc.returncode == code

@@ -4,7 +4,8 @@ The three fixtures and the built-in taxonomy are cut up at the token level
 (a token dropped, repeated, swapped with its neighbour or replaced by one of
 ``POOL``) and read again.  Whatever comes out must be diagnostics, never an
 exception: ``parse_document`` returns, every error span lies inside the
-source, and ``load_taxonomy`` raises nothing but ``TaxonomyError``.  On
+source, and ``load_taxonomy`` raises nothing but ``TaxonomyError``.  Every
+single-token drop or repeat of a fixture gives at most 2 findings.  On
 each cut-up fixture ``ucdoc validate`` exits 2 exactly when it has parse
 errors, else 1 exactly when a use case in it fails validation, and
 ``ucdoc catalog build`` exits 2 exactly when it has parse errors.  The
@@ -90,6 +91,23 @@ def test_parse_never_raises_and_spans_lie_inside(name, edits):
     _, errors = parse_document(source)
     for e in errors:
         assert span_inside(source, e.span), e.render()
+
+
+@pytest.mark.parametrize("op", ["drop", "repeat"])
+def test_one_token_edit_gives_at_most_two_findings(op):
+    # One mistake, one diagnostic: every single-token drop or repeat of the
+    # fixtures gives at most 2 findings, parse and validation together.  A
+    # repeated '}' before a use-case key used to close the use case early
+    # and keep it, with one finding per required field it lacked.
+    worse = []
+    for name, parts in FIXTURE_PARTS.items():
+        for n in range(len(parts) // 2):
+            use_cases, errors = parse_document(mutate(parts, [(op, n, "")]))
+            found = len(errors) + sum(len(validate_use_case(uc))
+                                      for uc in use_cases)
+            if found > 2:
+                worse.append((name, n, parts[2 * n + 1], found))
+    assert worse == []
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)

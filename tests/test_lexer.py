@@ -5,7 +5,9 @@ import random
 import pytest
 
 from ucdoc import parse_document
-from ucdoc.lexer import LineIndex, TokenKind, dedent_block, escape_string, lex
+from ucdoc.lexer import (
+    LineIndex, TokenKind, dedent_block, escape_string, file_text, lex, read_ucdl,
+)
 
 
 def kinds(source):
@@ -117,6 +119,28 @@ def test_text_that_is_not_utf8_is_one_error():
     assert [(e.code, tuple(e.span)) for e in errors] == [
         ("lex.not_utf8", (2, 4, 1))]
     assert parse_document(source) == ([], errors)
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+# Bytes of a file, and the text every reader reads them as.
+@pytest.mark.parametrize("data, text", [
+    (b"id: a\n", "id: a\n"),
+    (BOM + b"id: a\n", "id: a\n"),
+    (BOM + BOM + b"id: a\n", "\ufeffid: a\n"),
+    (b"# c\rid: a\r", "# c\nid: a\n"),
+    (b"# c\r\nid: a\r\n", "# c\nid: a\n"),
+    (b'p: """\n  x\r  y\n"""\n', 'p: """\n  x\n  y\n"""\n'),
+    (b"# \xff\n", "# \udcff\n"),
+], ids=["plain", "byte-order-mark", "two-byte-order-marks", "cr", "crlf",
+        "cr-in-triple-quotes", "not-utf8"])
+def test_file_text_is_the_one_rule(tmp_path, data, text):
+    path = tmp_path / "f.ucdl"
+    path.write_bytes(data)
+    assert read_ucdl(path) == text
+    assert file_text(data) == text
+    assert file_text(data.decode("utf-8", "surrogateescape")) == text
 
 
 def test_decimal_digits_beyond_ascii():

@@ -98,7 +98,9 @@ def test_nested_records_share_no_key_with_the_use_case():
 
 # Inputs, each with every finding it gives.  A nested record that lost its
 # "}" stops at the use case's next key; it used to read the use case's
-# later fields as its own, one field.unknown finding each.
+# later fields as its own, one field.unknown finding each.  An extra "}"
+# before a use-case key closed the use case early: it is one finding, and
+# the truncated use case is dropped, not validated.
 @pytest.mark.parametrize("source, findings", [
     (fixture_text("smart_camera").replace(
         'kind: human }\n  target_persons', 'kind: human\n  target_persons'),
@@ -107,6 +109,14 @@ def test_nested_records_share_no_key_with_the_use_case():
     (MINIMAL[:-1] + ' misuse { description: "d" trigger: "t" }',
      ["1:208: error: [syntax] unclosed misuse block before 'trigger' "
       "(expected })"]),
+    (MINIMAL[:-1] + ' misuse { description: "d" extension 1a "c" '
+     '{ 1 system: "s" } }',
+     ["1:208: error: [syntax] unclosed misuse block before 'extension' "
+      "(expected })"]),
+    (fixture_text("smart_camera").replace(
+        'kind: human }\n  }\n', 'kind: human }\n  } }\n'),
+     ["17:5: error: [syntax] extra '}' closes the use case before "
+      "'context_of_use'"]),
     ('usecase "T" { id: a scenario: { 1 u: "x" } }',
      ["1:21: error: [field.value] field 'scenario' takes a block, not a ':' "
       "value"]),
@@ -122,7 +132,8 @@ def test_nested_records_share_no_key_with_the_use_case():
     ("usecase",
      ["1:8: error: [syntax] expected use case title string, found end of "
       "input (expected use case title string)"]),
-], ids=["actor-lost-close", "misuse-lost-close", "block-with-colon",
+], ids=["actor-lost-close", "misuse-lost-close", "misuse-lost-close-extension",
+        "extra-close", "block-with-colon",
         "duplicate-annotation", "unknown-key-no-value", "unknown-key-arrow",
         "no-title"])
 def test_findings_of_a_broken_input(source, findings):
