@@ -30,9 +30,11 @@ records so a caller can show every problem in a file at once.  Text that
 is not UTF-8 (see :func:`file_text`) yields no tokens and one
 ``lex.not_utf8`` error at its first bad byte.
 
-A token carries its offset in the source, not its line and column; a
-:class:`LineIndex` turns an offset into a :class:`SourceSpan` where a
-diagnostic is made.
+A token is a plain ``(kind, text, value, offset)`` tuple, read by unpacking
+or by the index names :data:`KIND`, :data:`TEXT`, :data:`VALUE` and
+:data:`OFFSET`.  It carries its offset in the source, not its line and
+column; a :class:`LineIndex` turns an offset into a :class:`SourceSpan`
+where a diagnostic is made.
 """
 
 from __future__ import annotations
@@ -130,13 +132,11 @@ class Diagnostic:
         return f"{where}{self.severity.value}: [{self.code}] {self.message}"
 
 
-class Token(NamedTuple):
-    """A token of ``len(text)`` characters from ``offset`` (EOF: none)."""
-
-    kind: TokenKind
-    text: str
-    value: object
-    offset: int
+# A token of ``len(text)`` characters from ``offset`` (EOF: none); its
+# ``value`` is an INT's int, a STRING's decoded text, a word's text or None.
+# The index names say where each field is.
+Token = tuple[TokenKind, str, object, int]
+KIND, TEXT, VALUE, OFFSET = range(4)
 
 
 _PUNCTUATION = {
@@ -185,8 +185,8 @@ _IDENT_G, _NUMBER_G, _TRIPLE_G, _PLAIN_G, _STRING_G, _END_G = (
     _TOKEN_RE.groupindex[name]
     for name in ("ident", "number", "triple", "plain", "string", "end"))
 # By group: punctuation is 2 to 10.
-_KIND = (None, None, *_PUNCTUATION.values())
-_TEXT = (None, None, *_PUNCTUATION)
+_PUNCT_KIND = (None, None, *_PUNCTUATION.values())
+_PUNCT_TEXT = (None, None, *_PUNCTUATION)
 
 _ESCAPE_RE = re.compile(r"\\(.)")
 
@@ -230,7 +230,7 @@ def is_word(text: str) -> bool:
     """True when ``text`` reads back as one IDENT, INT or BRANCH token that
     is all of ``text``, so it may be written bare."""
     tok = read_token(text)
-    return tok is not None and tok.kind in _WORD_KINDS and tok.text == text
+    return tok is not None and tok[KIND] in _WORD_KINDS and tok[TEXT] == text
 
 
 def dedent_block(content: str) -> str:
@@ -279,12 +279,6 @@ def _diagnostics(source: str, problems: list[_Problem]) -> list[Diagnostic]:
             for code, message, offset, length in problems]
 
 
-# ``tuple.__new__`` skips the Python-level ``__new__`` that NamedTuple
-# generates; building tokens this way made ``lex`` about 13% faster on
-# CPython 3.11.
-_new = tuple.__new__
-
-
 def _rare_token(m: re.Match, i: int, start: int, emit: Callable,
                 problems: list[_Problem]) -> int:
     """Emit the token of the match ``m`` of group ``i`` that :func:`lex`
@@ -320,7 +314,7 @@ def _rare_token(m: re.Match, i: int, start: int, emit: Callable,
         problems.append(("lex.invalid_char", f"unexpected character {text!r}",
                          start, 1))
         return end
-    emit(_new(Token, (kind, text, value, start)))
+    emit((kind, text, value, start))
     return end
 
 
@@ -330,13 +324,13 @@ def lex(source: str) -> tuple[list[Token], list[Diagnostic]]:
         source.encode("utf-8")
     except UnicodeEncodeError as exc:
         # No token of a text that was not decoded is trusted.
-        return ([Token(EOF, "", None, exc.start)],
+        return ([(EOF, "", None, exc.start)],
                 _diagnostics(source, [("lex.not_utf8", "text is not valid UTF-8",
                                        exc.start, 1)]))
     tokens: list[Token] = []
     problems: list[_Problem] = []
     emit = tokens.append
-    kinds, texts, new, token = _KIND, _TEXT, _new, Token
+    kinds, texts = _PUNCT_KIND, _PUNCT_TEXT
     ident_g, plain_g, end_g = _IDENT_G, _PLAIN_G, _END_G
     scan = _TOKEN_RE.scanner(source).match     # matches on from the last end
     while True:
@@ -344,20 +338,20 @@ def lex(source: str) -> tuple[list[Token], list[Diagnostic]]:
         i = m.lastindex
         start = m.end(1)
         if i < ident_g:                         # punctuation
-            emit(new(token, (kinds[i], texts[i], None, start)))
+            emit((kinds[i], texts[i], None, start))
             continue
         text = source[start:m.end()]
         if i == ident_g and text.isascii():
-            emit(new(token, (IDENT, text, text, start)))
+            emit((IDENT, text, text, start))
         elif i == plain_g:                      # a string without escapes
-            emit(new(token, (STRING, text, text[1:-1], start)))
+            emit((STRING, text, text[1:-1], start))
         elif i == end_g:
             break
         else:
             end = _rare_token(m, i, start, emit, problems)
             if end != m.end():      # a non-ASCII word stopped short
                 scan = _TOKEN_RE.scanner(source, end).match
-    emit(Token(EOF, "", None, start))
+    emit((EOF, "", None, start))
     return tokens, _diagnostics(source, problems)
 
 

@@ -39,9 +39,10 @@ from functools import cached_property
 from typing import Callable, Container, Iterator, Optional
 
 from .lexer import (
-    ARROW, BRANCH, COLON, COMMA, EOF, IDENT, INT, LBRACE, LBRACKET, LPAREN,
-    RBRACE, RBRACKET, RPAREN, STRING, _WORD_KINDS, Diagnostic, LineIndex,
-    Severity, Token, TokenKind, escape_string, is_word, lex, read_token,
+    ARROW, BRANCH, COLON, COMMA, EOF, IDENT, INT, KIND, LBRACE, LBRACKET,
+    LPAREN, OFFSET, RBRACE, RBRACKET, RPAREN, STRING, TEXT, VALUE,
+    _WORD_KINDS, Diagnostic, LineIndex, Severity, Token, TokenKind,
+    escape_string, is_word, lex, read_token,
 )
 from .model import (
     Actor,
@@ -87,11 +88,11 @@ _REQUIRED_EMPTY = {
 
 
 def _describe(tok: Token) -> str:
-    if tok.kind is EOF:
+    if tok[KIND] is EOF:
         return "end of input"
-    if tok.kind is STRING:
+    if tok[KIND] is STRING:
         return "string"
-    return repr(tok.text)
+    return repr(tok[TEXT])
 
 
 class _Parser:
@@ -114,15 +115,15 @@ class _Parser:
         return self.tokens[self.pos]
 
     def at(self, kind: TokenKind) -> bool:
-        return self.tokens[self.pos].kind is kind
+        return self.tokens[self.pos][KIND] is kind
 
     def at_word(self, text: str) -> bool:
         tok = self.tokens[self.pos]
-        return tok.kind is IDENT and tok.text == text
+        return tok[KIND] is IDENT and tok[TEXT] == text
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
-        if tok.kind is not EOF:
+        if tok[KIND] is not EOF:
             self.pos += 1
         return tok
 
@@ -131,14 +132,14 @@ class _Parser:
         """Report ``message`` at the token ``at``, by default the current one."""
         if expected:
             message += f" (expected {' or '.join(expected)})"
-        tok = at or self.tokens[self.pos]
+        _, text, _, offset = at or self.tokens[self.pos]
         self.errors.append(Diagnostic(
             Severity.ERROR, code, message,
-            span=self.lines.span(tok.offset, len(tok.text)), expected=expected))
+            span=self.lines.span(offset, len(text)), expected=expected))
 
     def expect(self, kind: TokenKind, what: str) -> Token:
         tok = self.tokens[self.pos]
-        if tok.kind is kind:        # never EOF, so there is a next token
+        if tok[KIND] is kind:       # never EOF, so there is a next token
             self.pos += 1
             return tok
         self.error(f"expected {what}, found {_describe(tok)}", expected=(what,))
@@ -147,14 +148,14 @@ class _Parser:
     def skip_balanced(self) -> None:
         """Consume a balanced ``{ … }``, ``[ … ]`` or ``( … )`` region
         starting at the opener."""
-        opener = self.advance()
-        close = _CLOSE[opener.kind]
+        opener = self.advance()[KIND]
+        close = _CLOSE[opener]
         depth = 1
         while depth and not self.at(EOF):
-            tok = self.advance()
-            if tok.kind is opener.kind:
+            kind = self.advance()[KIND]
+            if kind is opener:
                 depth += 1
-            elif tok.kind is close:
+            elif kind is close:
                 depth -= 1
 
     def skip_value(self) -> None:
@@ -163,13 +164,13 @@ class _Parser:
         followed by a ``( … )`` group or by ``-> word``."""
         if self.at(LBRACKET) or self.at(LBRACE):
             self.skip_balanced()
-        elif self.cur().kind in _WORD_KINDS or self.at(STRING):
+        elif self.cur()[KIND] in _WORD_KINDS or self.at(STRING):
             self.advance()
             if self.at(LPAREN):
                 self.skip_balanced()
             elif self.at(ARROW):
                 self.advance()
-                if self.cur().kind in _WORD_KINDS:
+                if self.cur()[KIND] in _WORD_KINDS:
                     self.advance()
         else:
             self.error(f"expected a value, found {_describe(self.cur())}")
@@ -181,10 +182,10 @@ class _Parser:
         """True when the current token, never EOF, is a key of ``table`` that
         starts a field here: followed by ':' or '{', or, for ``extension``,
         by the branch id that :meth:`parse_extension` reads."""
-        key, after = self.tokens[self.pos], self.tokens[self.pos + 1].kind
-        return key.kind is IDENT and key.text in table and (
+        key, after = self.tokens[self.pos], self.tokens[self.pos + 1][KIND]
+        return key[KIND] is IDENT and key[TEXT] in table and (
             after in (COLON, LBRACE)
-            or key.text == "extension" and after in (BRANCH, IDENT))
+            or key[TEXT] == "extension" and after in (BRANCH, IDENT))
 
     def run(self) -> None:
         while not self.at(EOF):
@@ -194,7 +195,7 @@ class _Parser:
             if self.results and self.starts_field(_USE_CASE):
                 # Right after a use case: the '}' before it closed it early.
                 self.error(f"extra '}}' closes the use case before "
-                           f"{self.cur().text!r}", self.tokens[self.pos - 1])
+                           f"{self.cur()[TEXT]!r}", self.tokens[self.pos - 1])
                 self.results[-1] = (None, *self.results[-1][1:])
             else:
                 self.error(
@@ -208,7 +209,7 @@ class _Parser:
 
     def parse_usecase(self) -> None:
         first_error = len(self.errors)
-        start = self.advance().offset
+        start = self.advance()[OFFSET]
         try:
             title = self.parse_string("use case title string")
             fields = {**_REQUIRED_EMPTY, **self.record("use case", _USE_CASE)}
@@ -218,32 +219,32 @@ class _Parser:
             tok = self.cur()
         clean = len(self.errors) == first_error
         self.results.append((UseCase(title=title, **fields) if clean else None,
-                             start, tok.offset))
+                             start, tok[OFFSET]))
 
     # -- value shapes ------------------------------------------------------
 
     def parse_word_or_string(self, what: str) -> str:
         tok = self.tokens[self.pos]
-        if tok.kind is STRING:
+        if tok[KIND] is STRING:
             self.pos += 1
-            return str(tok.value)
-        if tok.kind in _WORD_KINDS:
+            return tok[VALUE]
+        if tok[KIND] in _WORD_KINDS:
             self.pos += 1
-            return tok.text
+            return tok[TEXT]
         self.error(f"expected {what}, found {_describe(tok)}",
                    expected=(what,))
         raise _Panic
 
     def parse_string(self, what: str) -> str:
-        return str(self.expect(STRING, what).value)
+        return self.expect(STRING, what)[VALUE]
 
     def parse_choice(self, table: dict[str, object], key: str) -> object:
         """One word of ``table``; None, after a ``field.value`` error at the
         token, for anything else."""
         tok = self.cur()
-        if tok.kind is IDENT and tok.text in table:
+        if tok[KIND] is IDENT and tok[TEXT] in table:
             self.advance()
-            return table[tok.text]
+            return table[tok[TEXT]]
         self.error(f"expected one of {sorted(table)} for {key!r}, "
                    f"found {_describe(tok)}", tok, code="field.value")
         self.skip_value()
@@ -252,9 +253,9 @@ class _Parser:
     def parse_list(self, item_parser: Callable[[], object]) -> tuple:
         self.expect(LBRACKET, "'['")
         items = []
-        while self.tokens[self.pos].kind is not RBRACKET:
+        while self.tokens[self.pos][KIND] is not RBRACKET:
             items.append(item_parser())
-            if self.tokens[self.pos].kind is not COMMA:
+            if self.tokens[self.pos][KIND] is not COMMA:
                 break
             self.pos += 1           # a comma, perhaps a trailing one
         self.expect(RBRACKET, "']'")
@@ -264,19 +265,19 @@ class _Parser:
         return self.parse_list(lambda: self.parse_word_or_string(what))
 
     def parse_area_item(self) -> ApplicationAreaRef:
-        tok = self.cur()
-        if tok.kind is IDENT and tok.text == OTHER_AREA:
+        kind, text, value, _ = tok = self.cur()
+        if kind is IDENT and text == OTHER_AREA:
             self.advance()
             self.expect(LPAREN, "'('")
             label = self.parse_string("free-text area label")
             self.expect(RPAREN, "')'")
             return ApplicationAreaRef(OTHER_AREA, label)
-        if tok.kind is IDENT:
+        if kind is IDENT:
             self.advance()
-            return ApplicationAreaRef(tok.text)
-        if tok.kind is STRING:
+            return ApplicationAreaRef(text)
+        if kind is STRING:
             self.advance()
-            return ApplicationAreaRef(str(tok.value))
+            return ApplicationAreaRef(value)
         self.error(f"expected application area, found {_describe(tok)}",
                    expected=("area id", "other(\"…\")"))
         raise _Panic
@@ -292,7 +293,7 @@ class _Parser:
     def block(self, what: str) -> Iterator[None]:
         """The one ``{ … }`` loop: yield once per item, then consume ``}``."""
         self.expect(LBRACE, "'{'")
-        while (kind := self.tokens[self.pos].kind) is not RBRACE:
+        while (kind := self.tokens[self.pos][KIND]) is not RBRACE:
             if kind is EOF:
                 self.error(f"unclosed {what} block", expected=("}",))
                 raise _Panic
@@ -312,20 +313,20 @@ class _Parser:
         seen: set[str] = set()
         for _ in self.block(what):
             key = self.tokens[self.pos]
-            if key.kind is not IDENT:
+            if key[KIND] is not IDENT:
                 self.error(f"expected a field, found {_describe(key)}",
                            expected=("field name", "}"))
                 raise _Panic
-            name = key.text
+            name = key[TEXT]
             attr, read, _, shape = table.get(name, _NO_FIELD)
             after = self.tokens[self.pos + 1]   # an IDENT is never the last
             if read is None and self.starts_field(parent):
                 self.error(f"unclosed {what} block before {name!r}", key,
                            expected=("}",))
                 raise _Panic
-            if after.kind is COLON:
+            if after[KIND] is COLON:
                 self.pos += 2
-            elif shape or (read is None and after.kind is LBRACE):
+            elif shape or (read is None and after[KIND] is LBRACE):
                 self.pos += 1
             else:
                 self.error(f"expected ':', found {_describe(after)}", after,
@@ -335,7 +336,7 @@ class _Parser:
                 self.error(f"unknown field {name!r} in {what} block", key,
                            code="field.unknown")
                 self.skip_value()
-            elif shape and after.kind is COLON:
+            elif shape and after[KIND] is COLON:
                 self.error(f"field {name!r} takes a block, not a ':' value",
                            key, code="field.value")
                 self.skip_value()
@@ -362,9 +363,9 @@ class _Parser:
         actors: list[Actor] = []
         for _ in self.block(key):
             person = self.expect(IDENT, f"'{_PERSON_KW}'")
-            if person.text != _PERSON_KW:
+            if person[TEXT] != _PERSON_KW:
                 self.error(f"expected '{_PERSON_KW}' block, found "
-                           f"{person.text!r}", person, expected=(_PERSON_KW,))
+                           f"{person[TEXT]!r}", person, expected=(_PERSON_KW,))
                 raise _Panic
             actors.append(self.parse_actor_body(role))
         return tuple(actors)
@@ -375,7 +376,7 @@ class _Parser:
             name = self.cur()
             fn_id = self.parse_word_or_string("function id")
             self.expect(COLON, "':'")
-            if name.kind is IDENT and fn_id in _FUNCTION:
+            if name[KIND] is IDENT and fn_id in _FUNCTION:
                 attr, read, _, _ = _FUNCTION[fn_id]
                 refs = read(self, fn_id)
                 if not functions:
@@ -395,9 +396,9 @@ class _Parser:
         return tuple(functions)
 
     def parse_step(self) -> ScenarioStep:
-        index = self.expect(INT, "step index")
-        actor = self.cur()
-        if actor.kind is not STRING and actor.kind not in _WORD_KINDS:
+        index = self.expect(INT, "step index")[VALUE]
+        kind, text, value, _ = actor = self.cur()
+        if kind is not STRING and kind not in _WORD_KINDS:
             self.error(f"expected step actor, found {_describe(actor)}",
                        expected=("actor identifier",))
             raise _Panic
@@ -408,21 +409,21 @@ class _Parser:
         if self.at(ARROW):
             self.pos += 1
             function = self.parse_word_or_string("function id")
-        ident = actor_ident(actor.value if actor.kind is STRING else actor.text)
-        return ScenarioStep(int(index.value), ident, action, function)
+        ident = actor_ident(value if kind is STRING else text)
+        return ScenarioStep(index, ident, action, function)
 
     def parse_steps(self, key: str) -> tuple[ScenarioStep, ...]:
         return tuple([self.parse_step() for _ in self.block(key)])
 
     def parse_extension(self, key: str) -> Extension:
         branch = self.cur()
-        if branch.kind not in (BRANCH, IDENT):
+        if branch[KIND] not in (BRANCH, IDENT):
             self.error(f"expected branch id, found {_describe(branch)}",
                        expected=("branch id such as '3a'",))
             raise _Panic
         self.pos += 1
         condition = self.parse_string("extension condition string")
-        return Extension(branch.text, condition, self.parse_steps(key))
+        return Extension(branch[TEXT], condition, self.parse_steps(key))
 
     def parse_misuse(self, key: str) -> Misuse:
         return Misuse(**{"description": "",
@@ -469,7 +470,7 @@ def _prose(value: str, pad: str) -> str:
         body = "".join(f"{pad}{_INDENT}{ln}\n" for ln in value.split("\n"))
         block = f'"""\n{body}{pad}"""'
         tok = read_token(block)
-        if tok is not None and tok.value == value:
+        if tok is not None and tok[VALUE] == value:
             return block
     return escape_string(value)
 

@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache
 from importlib import resources
 from typing import NoReturn, Optional
 
-from .lexer import COLON, EOF, IDENT, file_text, lex
+from .lexer import COLON, EOF, IDENT, TEXT, file_text, lex
 from .model import (
     ApplicationAreaRef,
     Diagnostic,
@@ -187,14 +187,15 @@ class _TaxonomyReader(_Parser):
         while not self.at(EOF):
             self.expect_word("entry")
             name = self.expect(IDENT, "entry area id")
-            if name.text in entries:
-                self.error(f"duplicate taxonomy entry {name.text!r}", name)
+            area_id = name[TEXT]
+            if area_id in entries:
+                self.error(f"duplicate taxonomy entry {area_id!r}", name)
             fields = self.record("entry", _ENTRY_FIELDS)
             if not all(fields.get(attr)
                        for attr in ("tier", "area_label", "sub_use_label")):
-                self.error(f"entry {name.text!r} needs tier, area and sub_use",
+                self.error(f"entry {area_id!r} needs tier, area and sub_use",
                            name)
-            entries[name.text] = TaxonomyEntry(name.text, **fields)
+            entries[area_id] = TaxonomyEntry(area_id, **fields)
         if not entries:
             self.error("taxonomy has no entries")
         return version, tuple(entries.values())

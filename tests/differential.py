@@ -15,15 +15,17 @@ texts, by this script's own tree; ``--count`` of each corpus:
 Each side reads them in its own ``python`` process, with ``PYTHONPATH`` set
 to its own ``src``, and runs each public stage on each input:
 ``parse_document``, as two stages, the use cases by ``repr`` and
-``parse_diagnostics`` as code, message, span and path; on each use case
-read, ``validate_use_case``, ``classify`` by ``repr`` and ``classify_json``
-by ``assessment_to_dict`` (so a record that changes shape but writes the
-same JSON differs in the first only), ``serialize_canonical``,
-``render_svg`` of the laid-out diagram, ``render_textual`` and
-``render_table_markdown``; and ``build_catalog`` on the text, as two
-stages, ``export_json`` of the catalogue and ``build_diagnostics``.  An
-exception is a result, and a stage whose public names a side lacks is
-reported as missing.
+``parse_diagnostics`` as code, message, span and path; ``lexer.lex``, each
+token as ``[kind name, text, value, offset]`` read by index (so that
+NamedTuple tokens read as plain tuples do), then the lexer's findings; on
+each use case read, ``validate_use_case``, ``classify`` by ``repr`` and
+``classify_json`` by ``assessment_to_dict`` (so a record that changes
+shape but writes the same JSON differs in the first only),
+``serialize_canonical``, ``render_svg`` of the laid-out diagram,
+``render_textual`` and ``render_table_markdown``; and ``build_catalog`` on
+the text, as two stages, ``export_json`` of the catalogue and
+``build_diagnostics``.  An exception is a result, and a stage whose public
+names a side lacks is reported as missing.
 
 For each stage the report gives the number of identical and of differing
 inputs, and a diff of one differing input.  The exit status is 0 when no
@@ -79,6 +81,12 @@ def _parse(u, text: str) -> tuple[list, dict]:
                  "parse_diagnostics": [_finding(d) for d in diags]}
 
 
+def _lexed(tokens, findings) -> list:
+    """The ``lex`` stage's result: each token, then each finding."""
+    return ([[t[0].name, t[1], t[2], t[3]] for t in tokens]
+            + [_finding(d) for d in findings])
+
+
 @lru_cache(maxsize=1)
 def _built(u, text: str) -> tuple:
     """``build_catalog`` of one input text, which two stages read."""
@@ -89,6 +97,7 @@ def _built(u, text: str) -> tuple:
 # the public ``ucdoc`` names it calls, and its run on one input text and the
 # use cases read from it.
 STAGES = (
+    ("lex", ("lexer",), lambda u, text, ucs: _lexed(*u.lexer.lex(text))),
     ("validate_use_case", ("validate_use_case",),
      _each(lambda u, uc: [_finding(d) for d in u.validate_use_case(uc)])),
     ("classify", ("classify", "builtin_taxonomy"),

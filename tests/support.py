@@ -31,7 +31,7 @@ from ucdoc import (
     UseCase,
     canonicalize,
 )
-from ucdoc.lexer import LineIndex, lex
+from ucdoc.lexer import lex
 from ucdoc.model import actor_ident
 
 _WORDS = (
@@ -335,14 +335,10 @@ def line_starts(source: str) -> list[int]:
 
 def split_tokens(source: str) -> list[str]:
     """``[gap, token, gap, …, token, gap]``: joined, the source again."""
-    starts = line_starts(source)
-    lines = LineIndex(source)
     parts, pos = [], 0
-    for tok in lex(source)[0][:-1]:     # all but EOF
-        span = lines.span(tok.offset, len(tok.text))
-        offset = starts[span.line - 1] + span.column - 1
-        parts += [source[pos:offset], tok.text]
-        pos = offset + len(tok.text)
+    for _, text, _, offset in lex(source)[0][:-1]:     # all but EOF
+        parts += [source[pos:offset], text]
+        pos = offset + len(text)
     return parts + [source[pos:]]
 
 

@@ -4,22 +4,50 @@ import random
 
 import pytest
 
+from conftest import FIXTURE_NAMES, fixture_text
 from ucdoc import parse_document
 from ucdoc.lexer import (
-    LineIndex, TokenKind, dedent_block, escape_string, file_text, lex, read_ucdl,
+    KIND, OFFSET, TEXT, VALUE, LineIndex, TokenKind, dedent_block,
+    escape_string, file_text, lex, read_ucdl,
 )
 
 
 def kinds(source):
     tokens, errors = lex(source)
     assert errors == []
-    return [t.kind for t in tokens]
+    return [kind for kind, _, _, _ in tokens]
+
+
+NOT_UTF8 = 'usecase "T" { id: a }\n# r\udce9sum\n'
+
+
+@pytest.mark.parametrize("source", [
+    *map(fixture_text, FIXTURE_NAMES), "", NOT_UTF8,
+], ids=[*FIXTURE_NAMES, "empty", "not-utf8"])
+def test_tokens_are_plain_tuples(source):
+    assert (KIND, TEXT, VALUE, OFFSET) == (0, 1, 2, 3)
+    tokens, _ = lex(source)
+    for tok in tokens:
+        assert type(tok) is tuple and len(tok) == 4, tok
+        kind, text, value, offset = tok
+        assert type(kind) is TokenKind and type(offset) is int, tok
+        assert source[offset:offset + len(text)] == text, tok
+        if kind is TokenKind.INT:
+            assert value == int(text), tok
+        elif kind is TokenKind.STRING:
+            assert type(value) is str, tok
+        elif kind in (TokenKind.IDENT, TokenKind.BRANCH):
+            assert value == text, tok
+        else:
+            assert value is None, tok
+    eof = len(source) if source != NOT_UTF8 else source.index("\udce9")
+    assert tokens[-1] == (TokenKind.EOF, "", None, eof)
 
 
 def test_punctuation_and_words():
     tokens, errors = lex('usecase "T" { id: t-1 [x, 3a] (1) -> }')
     assert errors == []
-    assert [t.kind for t in tokens] == [
+    assert [kind for kind, _, _, _ in tokens] == [
         TokenKind.IDENT, TokenKind.STRING, TokenKind.LBRACE,
         TokenKind.IDENT, TokenKind.COLON, TokenKind.IDENT,
         TokenKind.LBRACKET, TokenKind.IDENT, TokenKind.COMMA,
@@ -39,37 +67,37 @@ def test_arrow_survives_ident_rules():
     # so "a->b" must lex as ident, arrow, ident.
     tokens, errors = lex("a->b")
     assert errors == []
-    assert [(t.kind, t.text) for t in tokens[:3]] == [
+    assert [(kind, text) for kind, text, _, _ in tokens[:3]] == [
         (TokenKind.IDENT, "a"), (TokenKind.ARROW, "->"), (TokenKind.IDENT, "b")]
 
 
 def test_dotted_idents():
     tokens, _ = lex("employment.monitor_performance")
-    assert tokens[0].text == "employment.monitor_performance"
+    assert tokens[0][TEXT] == "employment.monitor_performance"
     # A trailing dot is not part of the identifier.
     tokens, errors = lex("abc.")
-    assert tokens[0].text == "abc"
+    assert tokens[0][TEXT] == "abc"
     assert errors and errors[0].code == "lex.invalid_char"
 
 
 def test_int_vs_branch():
     tokens, _ = lex("12 3a 4a1")
-    assert [(t.kind, t.text) for t in tokens[:3]] == [
+    assert [(kind, text) for kind, text, _, _ in tokens[:3]] == [
         (TokenKind.INT, "12"), (TokenKind.BRANCH, "3a"),
         (TokenKind.BRANCH, "4a1")]
-    assert tokens[0].value == 12
+    assert tokens[0][VALUE] == 12
 
 
 def test_string_escapes():
     tokens, errors = lex(r'"a\\b\"c\nd\te\rf"')
     assert errors == []
-    assert tokens[0].value == 'a\\b"c\nd\te\rf'
+    assert tokens[0][VALUE] == 'a\\b"c\nd\te\rf'
 
 
 def test_unknown_escape_is_reported():
     tokens, errors = lex(r'"a\qb"')
     assert [e.code for e in errors] == ["lex.bad_escape"]
-    assert tokens[0].value == "aqb"
+    assert tokens[0][VALUE] == "aqb"
 
 
 def test_unterminated_string():
@@ -89,7 +117,7 @@ def test_invalid_character():
 def test_non_decimal_digits_are_invalid_characters():
     # "²" is a digit to str.isdigit but not a decimal digit; int() rejects it.
     tokens, errors = lex("3² ²")
-    assert [(t.kind, t.text) for t in tokens] == [
+    assert [(kind, text) for kind, text, _, _ in tokens] == [
         (TokenKind.INT, "3"), (TokenKind.EOF, "")]
     assert [(e.code, e.span.column) for e in errors] == [
         ("lex.invalid_char", 2), ("lex.invalid_char", 4)]
@@ -102,7 +130,7 @@ def test_number_beyond_int_string_limit_is_an_error():
     # int() refuses more than sys.get_int_max_str_digits() (4300) digits.
     long = "1" * 5000
     tokens, errors = lex(f"{long} 2")
-    assert [(t.kind, t.value) for t in tokens] == [
+    assert [(kind, value) for kind, _, value, _ in tokens] == [
         (TokenKind.INT, 2), (TokenKind.EOF, None)]
     assert [(e.code, e.span.column, e.span.length) for e in errors] == [
         ("lex.number_too_long", 1, 5000)]
@@ -113,9 +141,9 @@ def test_number_beyond_int_string_limit_is_an_error():
 
 def test_text_that_is_not_utf8_is_one_error():
     # "\udce9" is the byte 0xe9 as read with errors="surrogateescape".
-    source = 'usecase "T" { id: a }\n# r\udce9sum\n'
+    source = NOT_UTF8
     tokens, errors = lex(source)
-    assert [t.kind for t in tokens] == [TokenKind.EOF]
+    assert [kind for kind, _, _, _ in tokens] == [TokenKind.EOF]
     assert [(e.code, tuple(e.span)) for e in errors] == [
         ("lex.not_utf8", (2, 4, 1))]
     assert parse_document(source) == ([], errors)
@@ -146,7 +174,7 @@ def test_file_text_is_the_one_rule(tmp_path, data, text):
 def test_decimal_digits_beyond_ascii():
     tokens, errors = lex("٣ ٣a")
     assert errors == []
-    assert [(t.kind, t.value) for t in tokens[:2]] == [
+    assert [(kind, value) for kind, _, value, _ in tokens[:2]] == [
         (TokenKind.INT, 3), (TokenKind.BRANCH, "٣a")]
 
 
@@ -154,19 +182,19 @@ def test_triple_quoted_raw():
     source = '"""\n    line one\n      indented\n\n    last\n    """'
     tokens, errors = lex(source)
     assert errors == []
-    assert tokens[0].value == "line one\n  indented\n\nlast"
+    assert tokens[0][VALUE] == "line one\n  indented\n\nlast"
 
 
 def test_triple_quoted_single_line():
     tokens, errors = lex('"""inline"""')
     assert errors == []
-    assert tokens[0].value == "inline"
+    assert tokens[0][VALUE] == "inline"
 
 
 def test_triple_quoted_keeps_raw_backslashes():
     tokens, errors = lex('"""a\\nb"""')
     assert errors == []
-    assert tokens[0].value == "a\\nb"
+    assert tokens[0][VALUE] == "a\\nb"
 
 
 @pytest.mark.parametrize("content,expected", [
@@ -186,14 +214,14 @@ def test_escape_string_round_trip():
         value = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
         tokens, errors = lex(escape_string(value))
         assert errors == []
-        assert tokens[0].kind is TokenKind.STRING
-        assert tokens[0].value == value
+        assert tokens[0][KIND] is TokenKind.STRING
+        assert tokens[0][VALUE] == value
 
 
 def test_positions():
     tokens, _ = lex("a\n  b")
     lines = LineIndex("a\n  b")
-    spans = [lines.span(t.offset, len(t.text)) for t in tokens]
+    spans = [lines.span(offset, len(text)) for _, text, _, offset in tokens]
     assert (spans[0].line, spans[0].column) == (1, 1)
     assert (spans[1].line, spans[1].column) == (2, 3)
 
@@ -211,7 +239,8 @@ def test_line_index_spans_of_tokens(source, spans):
     tokens, errors = lex(source)
     assert errors == []
     lines = LineIndex(source)
-    assert [tuple(lines.span(t.offset, len(t.text))) for t in tokens] == spans
+    assert [tuple(lines.span(offset, len(text)))
+            for _, text, _, offset in tokens] == spans
 
 
 def test_line_index_offsets_round_trip():
@@ -224,4 +253,4 @@ def test_line_index_offsets_round_trip():
         assert span.line == source.count("\n", 0, offset) + 1
         assert span.column - 1 == offset - (source.rfind("\n", 0, offset) + 1)
     assert lines.span(len(source), 0) == (7, 1, 0)
-    assert lex(source)[0][-1].offset == len(source)
+    assert lex(source)[0][-1][OFFSET] == len(source)

@@ -16,15 +16,17 @@ from hypothesis import given, settings, strategies as st
 import reference_lexer
 from conftest import FIXTURE_NAMES, fixture_text
 from support import make_use_case
-from ucdoc.lexer import LineIndex, lex
+from ucdoc.lexer import OFFSET, TEXT, LineIndex, lex
 from ucdoc.serializer import serialize_canonical
 
 
-def _tokens(result, span=lambda t: t.span):
+def _tokens(result, fields=lambda t: (t.kind, t.text, t.value, t.span)):
+    """``result``'s tokens and errors as plain values; ``fields`` reads a
+    token's kind, text, value and span."""
     tokens, errors = result
     return (
-        [(t.kind.name, t.text, t.value,
-          (span(t).line, span(t).column, span(t).length)) for t in tokens],
+        [(kind.name, text, value, (span.line, span.column, span.length))
+         for kind, text, value, span in map(fields, tokens)],
         [(e.code, e.message, e.expected,
           (e.span.line, e.span.column, e.span.length)) for e in errors],
     )
@@ -32,7 +34,8 @@ def _tokens(result, span=lambda t: t.span):
 
 def assert_same_as_reference(text: str) -> None:
     lines = LineIndex(text)
-    ours = _tokens(lex(text), lambda t: lines.span(t.offset, len(t.text)))
+    ours = _tokens(lex(text), lambda t: (
+        *t[:OFFSET], lines.span(t[OFFSET], len(t[TEXT]))))
     assert ours == _tokens(reference_lexer.lex(text)), repr(text)
 
 
