@@ -27,6 +27,7 @@ from typing import Iterable, Optional
 
 from .model import (
     GENERATED_FIELDS,
+    OTHER_AREA,
     ActorKind,
     CatalogFormatError,
     Diagnostic,
@@ -159,7 +160,7 @@ def build_catalog(sources: Iterable[tuple[str, str]],
 
 
 def _known_area(area_id: str, tax: Taxonomy) -> bool:
-    return (area_id == "other" or tax.find(area_id) is not None
+    return (area_id == OTHER_AREA or tax.find(area_id) is not None
             or any(e.area_id.split(".", 1)[0] == area_id for e in tax.entries))
 
 

@@ -33,8 +33,9 @@ is not UTF-8 (see :func:`file_text`) yields no tokens and one
 A token is a plain ``(kind, text, value, offset)`` tuple, read by unpacking
 or by the index names :data:`KIND`, :data:`TEXT`, :data:`VALUE` and
 :data:`OFFSET`.  It carries its offset in the source, not its line and
-column; a :class:`LineIndex` turns an offset into a :class:`SourceSpan`
-where a diagnostic is made.
+column.  A problem the lexer or the parser finds is an offset too, until
+:func:`_diagnostics`, the one maker of their findings, finds each one's
+:class:`SourceSpan` with one :class:`LineIndex` per document.
 """
 
 from __future__ import annotations
@@ -90,9 +91,6 @@ class LineIndex:
     def span(self, offset: int, length: int = 1) -> SourceSpan:
         line = bisect_right(self.starts, offset)
         return SourceSpan(line, offset - self.starts[line - 1] + 1, length)
-
-    def offset(self, span: SourceSpan) -> int:
-        return self.starts[span.line - 1] + span.column - 1
 
 
 class Severity(Enum):
@@ -222,7 +220,7 @@ def read_token(text: str) -> Optional[Token]:
     """The one token a UCDL file holding ``text`` lexes as (see
     :func:`file_text`); None when it lexes as no token, several, or with a
     problem."""
-    tokens, problems = lex(file_text(text))
+    tokens, problems = _scan(file_text(text))
     return tokens[0] if len(tokens) == 2 and not problems else None
 
 
@@ -249,8 +247,9 @@ def dedent_block(content: str) -> str:
     return "\n".join(lines)
 
 
-# A problem the lexer found: (code, message, offset, length).
-_Problem = tuple[str, str, int, int]
+# A problem the lexer or the parser found: (code, message, offset, length,
+# expected).
+_Problem = tuple[str, str, int, int, tuple[str, ...]]
 
 
 def _string_value(m: re.Match, start: int, problems: list[_Problem]) -> str:
@@ -259,24 +258,25 @@ def _string_value(m: re.Match, start: int, problems: list[_Problem]) -> str:
         c = e[1]
         if c not in _ESCAPES:
             problems.append(("lex.bad_escape", f"unknown escape sequence '\\{c}'",
-                             start + 1 + e.start(), 2))
+                             start + 1 + e.start(), 2, ()))
         return _ESCAPES.get(c, c)
     body = _ESCAPE_RE.sub(escape, m["body"])
     end = m.end()
     if m["dangle"] is not None:
         problems.append(("lex.bad_escape", "dangling backslash in string",
-                         end - 1, 1))
+                         end - 1, 1, ()))
     if m["close"] is None:
         problems.append(("lex.unterminated_string", "unterminated string",
-                         start, end - start))
+                         start, end - start, ()))
     return body
 
 
 def _diagnostics(source: str, problems: list[_Problem]) -> list[Diagnostic]:
+    """The errors of ``problems``, in order, at their spans in ``source``."""
     lines = problems and LineIndex(source)
     return [Diagnostic(Severity.ERROR, code, message,
-                       span=lines.span(offset, length))
-            for code, message, offset, length in problems]
+                       span=lines.span(offset, length), expected=expected)
+            for code, message, offset, length, expected in problems]
 
 
 def _rare_token(m: re.Match, i: int, start: int, emit: Callable,
@@ -301,18 +301,19 @@ def _rare_token(m: re.Match, i: int, start: int, emit: Callable,
             except ValueError:  # beyond sys.get_int_max_str_digits()
                 problems.append(("lex.number_too_long",
                                  f"number of {len(text)} digits is too long",
-                                 start, end - start))
+                                 start, end - start, ()))
                 return end
     elif i == _STRING_G:
         kind, value = STRING, _string_value(m, start, problems)
     elif i == _TRIPLE_G:
         if m["tclose"] is None:
             problems.append(("lex.unterminated_string",
-                             "unterminated triple-quoted string", start, 3))
+                             "unterminated triple-quoted string", start, 3,
+                             ()))
         kind, value = STRING, dedent_block(m["tbody"])
     else:
         problems.append(("lex.invalid_char", f"unexpected character {text!r}",
-                         start, 1))
+                         start, 1, ()))
         return end
     emit((kind, text, value, start))
     return end
@@ -320,13 +321,18 @@ def _rare_token(m: re.Match, i: int, start: int, emit: Callable,
 
 def lex(source: str) -> tuple[list[Token], list[Diagnostic]]:
     """Tokenize ``source``; always ends with an EOF token."""
+    tokens, problems = _scan(source)
+    return tokens, _diagnostics(source, problems)
+
+
+def _scan(source: str) -> tuple[list[Token], list[_Problem]]:
+    """The tokens of ``source`` and the problems found in it."""
     try:
         source.encode("utf-8")
     except UnicodeEncodeError as exc:
         # No token of a text that was not decoded is trusted.
-        return ([(EOF, "", None, exc.start)],
-                _diagnostics(source, [("lex.not_utf8", "text is not valid UTF-8",
-                                       exc.start, 1)]))
+        return [(EOF, "", None, exc.start)], [
+            ("lex.not_utf8", "text is not valid UTF-8", exc.start, 1, ())]
     tokens: list[Token] = []
     problems: list[_Problem] = []
     emit = tokens.append
@@ -352,7 +358,7 @@ def lex(source: str) -> tuple[list[Token], list[Diagnostic]]:
             if end != m.end():      # a non-ASCII word stopped short
                 scan = _TOKEN_RE.scanner(source, end).match
     emit((EOF, "", None, start))
-    return tokens, _diagnostics(source, problems)
+    return tokens, problems
 
 
 def read_ucdl(path: str | os.PathLike) -> str:

@@ -24,7 +24,7 @@ writes it back are one entry of the record tables at the end of this module
 (``_USE_CASE``, ``_ACTOR``, ``_MISUSE``, ``_FUNCTION``), in canonical order.
 The use-case title is the header string; every other element is a field.
 A use case accepts and ignores ``schema_version`` so documents can carry a
-format marker.  Parsing never raises: every problem is collected as a
+format marker.  Parsing never raises: every problem is reported as a
 :class:`~ucdoc.lexer.Diagnostic`, the parser re-synchronizes at the next
 top-level ``usecase`` keyword, and any use case whose block parsed without
 errors is still returned.  Semantic checks (missing fields, dangling
@@ -35,14 +35,13 @@ references) are *not* parse errors; run
 from __future__ import annotations
 
 from dataclasses import replace
-from functools import cached_property
 from typing import Callable, Container, Iterator, Optional
 
 from .lexer import (
     ARROW, BRANCH, COLON, COMMA, EOF, IDENT, INT, KIND, LBRACE, LBRACKET,
     LPAREN, OFFSET, RBRACE, RBRACKET, RPAREN, STRING, TEXT, VALUE,
-    _WORD_KINDS, Diagnostic, LineIndex, Severity, Token, TokenKind,
-    escape_string, is_word, lex, read_token,
+    _WORD_KINDS, Diagnostic, Token, TokenKind, _diagnostics, _Problem, _scan,
+    escape_string, is_word, read_token,
 )
 from .model import (
     Actor,
@@ -96,18 +95,13 @@ def _describe(tok: Token) -> str:
 
 
 class _Parser:
-    def __init__(self, source: str, tokens: list[Token]):
-        self.source = source
+    def __init__(self, tokens: list[Token], lex_problems: list[_Problem] = ()):
         self.tokens = tokens
         self.pos = 0
-        self.errors: list[Diagnostic] = []
-        # (use case or None, block start, block end) per usecase block,
-        # positions as offsets so lexer errors can be attributed
-        self.results: list[tuple[Optional[UseCase], int, int]] = []
-
-    @cached_property
-    def lines(self) -> LineIndex:
-        return LineIndex(self.source)
+        self.errors: list[_Problem] = []
+        self.lex_offsets = [offset for _, _, offset, _, _ in lex_problems]
+        # per usecase block: its use case, or None when it holds a problem
+        self.results: list[Optional[UseCase]] = []
 
     # -- token plumbing: each reads ``tokens[pos]`` itself, as the hot path
 
@@ -133,9 +127,7 @@ class _Parser:
         if expected:
             message += f" (expected {' or '.join(expected)})"
         _, text, _, offset = at or self.tokens[self.pos]
-        self.errors.append(Diagnostic(
-            Severity.ERROR, code, message,
-            span=self.lines.span(offset, len(text)), expected=expected))
+        self.errors.append((code, message, offset, len(text), expected))
 
     def expect(self, kind: TokenKind, what: str) -> Token:
         tok = self.tokens[self.pos]
@@ -196,7 +188,7 @@ class _Parser:
                 # Right after a use case: the '}' before it closed it early.
                 self.error(f"extra '}}' closes the use case before "
                            f"{self.cur()[TEXT]!r}", self.tokens[self.pos - 1])
-                self.results[-1] = (None, *self.results[-1][1:])
+                self.results[-1] = None
             else:
                 self.error(
                     f"expected '{_USECASE_KW}', found {_describe(self.cur())}",
@@ -208,18 +200,19 @@ class _Parser:
             self.advance()
 
     def parse_usecase(self) -> None:
+        """Read a usecase block into ``results``: None if it has a problem."""
         first_error = len(self.errors)
         start = self.advance()[OFFSET]
         try:
             title = self.parse_string("use case title string")
             fields = {**_REQUIRED_EMPTY, **self.record("use case", _USE_CASE)}
-            tok = self.tokens[self.pos - 1]     # the closing '}'
+            end = self.tokens[self.pos - 1][OFFSET]     # the closing '}'
         except _Panic:
             self.sync_to_usecase()
-            tok = self.cur()
-        clean = len(self.errors) == first_error
-        self.results.append((UseCase(title=title, **fields) if clean else None,
-                             start, tok[OFFSET]))
+            end = self.cur()[OFFSET]
+        clean = len(self.errors) == first_error and not any(
+            start <= at <= end for at in self.lex_offsets)
+        self.results.append(UseCase(title=title, **fields) if clean else None)
 
     # -- value shapes ------------------------------------------------------
 
@@ -598,13 +591,10 @@ def parse_document(source: str) -> tuple[list[UseCase], list[Diagnostic]]:
     are dropped; the rest are returned in document order.  The error list is
     sorted by source position.
     """
-    tokens, lex_errors = lex(source)
-    parser = _Parser(source, tokens)
+    tokens, lex_problems = _scan(source)
+    parser = _Parser(tokens, lex_problems)
     parser.run()
-    lex_offsets = [parser.lines.offset(e.span) for e in lex_errors]
-    use_cases = [uc for uc, start, end in parser.results
-                 if uc is not None
-                 and not any(start <= at <= end for at in lex_offsets)]
-
-    errors = sorted(parser.errors + lex_errors, key=lambda e: e.span[:2])
-    return use_cases, errors
+    # By offset; on a tie the parser's problem stays first (a stable sort).
+    problems = sorted(parser.errors + lex_problems, key=lambda p: p[2])
+    return ([uc for uc in parser.results if uc is not None],
+            _diagnostics(source, problems))

@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache
 from importlib import resources
 from typing import NoReturn, Optional
 
-from .lexer import COLON, EOF, IDENT, TEXT, file_text, lex
+from .lexer import COLON, EOF, IDENT, TEXT, _diagnostics, _scan, file_text
 from .model import (
     ApplicationAreaRef,
     Diagnostic,
@@ -140,15 +140,15 @@ class _Classified:  # an item of ``classify --format json``
 def load_taxonomy(text: str, file: Optional[str] = None) -> Taxonomy:
     """Parse a taxonomy file (``version`` header plus ``entry`` blocks);
     the errors of the :class:`TaxonomyError` it raises name ``file``."""
-    tokens, errors = lex(text)
-    if not errors:
-        reader = _TaxonomyReader(text, tokens)
+    tokens, problems = _scan(text)
+    if not problems:
+        reader = _TaxonomyReader(tokens)
         try:
             return Taxonomy(*reader.read())
         except _Panic:
-            errors = reader.errors
-    raise TaxonomyError("malformed taxonomy file",
-                        tuple(replace(e, file=file) for e in errors))
+            problems = reader.errors
+    raise TaxonomyError("malformed taxonomy file", tuple(
+        replace(e, file=file) for e in _diagnostics(text, problems)))
 
 
 _TIERS = {tier.value: tier for tier in Tier}

@@ -4,8 +4,9 @@ The three fixtures and the built-in taxonomy are cut up at the token level
 (a token dropped, repeated, swapped with its neighbour or replaced by one of
 ``POOL``) and read again.  Whatever comes out must be diagnostics, never an
 exception: ``parse_document`` returns, every error span lies inside the
-source, and ``load_taxonomy`` raises nothing but ``TaxonomyError``.  Every
-single-token drop or repeat of a fixture gives at most 2 findings.  On
+source, and ``load_taxonomy`` raises nothing but ``TaxonomyError``.  The
+lexer findings of ``parse_document`` are those of ``lex``, in source order.
+Every single-token drop or repeat of a fixture gives at most 2 findings.  On
 each cut-up fixture ``ucdoc validate`` exits 2 exactly when it has parse
 errors, else 1 exactly when a use case in it fails validation, and
 ``ucdoc catalog build`` exits 2 exactly when it has parse errors.  The
@@ -48,6 +49,7 @@ from ucdoc import (
 )
 from ucdoc.catalog import SCHEMA, Catalog, CatalogEntry
 from ucdoc.cli import run
+from ucdoc.lexer import lex
 from ucdoc.model import (
     GENERATED_FIELDS, ActorKind, ActorRole, ApplicationAreaRef, Extension,
     GoalLevel, Misuse, RiskLevel, SystemFunction, _writer, use_case_to_dict,
@@ -91,6 +93,19 @@ def test_parse_never_raises_and_spans_lie_inside(name, edits):
     _, errors = parse_document(source)
     for e in errors:
         assert span_inside(source, e.span), e.render()
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(FIXTURE_NAMES), EDITS)
+@example("smart_camera", [("replace", 40, "\udcff")])     # not UTF-8
+@example("smart_camera", [("replace", 40, '"a\\q')])    # lexed out of order
+def test_parse_document_reports_the_lexer_findings_of_lex(name, edits):
+    # One rule for lexer findings: parse_document reports those of lex, in
+    # source order, a tie in lex's order.
+    source = mutate(FIXTURE_PARTS[name], edits)
+    _, errors = parse_document(source)
+    in_order = sorted(lex(source)[1], key=lambda e: e.span[:2])
+    assert [e for e in errors if e.code.startswith("lex.")] == in_order
 
 
 @pytest.mark.parametrize("op", ["drop", "repeat"])

@@ -338,6 +338,23 @@ def test_lexer_errors_poison_the_enclosing_block():
     assert any(e.code == "lex.unterminated_string" for e in errors)
 
 
+def test_lexer_errors_are_attributed_by_block():
+    # A lexer error between two blocks drops neither; one inside a block
+    # drops that block alone, and the findings stay in source order.
+    def block(n, purpose='"p"'):
+        return MINIMAL.replace("id: t", f"id: t{n}").replace(
+            'intended_purpose: "p"', f"intended_purpose: {purpose}")
+    src = "\n".join([block(1), "²", block(2, r'"a\qb"'), block(3),
+                     "usecase 7 {"])
+    use_cases, errors = parse_document(src)
+    assert [uc.id for uc in use_cases] == ["t1", "t3"]
+    assert [(e.code, e.span.line, e.span.column) for e in errors] == [
+        ("lex.invalid_char", 2, 1),
+        ("lex.bad_escape", 3, 42),
+        ("syntax", 5, 9),
+    ]
+
+
 def test_triple_quoted_prose_field():
     src = MINIMAL.replace(
         'intended_purpose: "p"',
