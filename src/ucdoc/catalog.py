@@ -9,11 +9,12 @@ carry a ``parse.`` code prefix).
 The JSON export (schema ``ucdoc-catalog/1``) is a self-contained snapshot:
 it records the taxonomy version and the generated risk fields next to the
 authored fields, and serializes deterministically so exports can be golden-
-file tested byte for byte.  Its text is that of the ``json`` module's
-``dumps(doc, indent=2, ensure_ascii=False)``, written from the dataclasses
-into one list of pieces by one function the model's walk generates on the
-first export (none on a load); ``dumps`` with an ``indent`` runs in Python
-generators, not in C.  ``classify --format json`` is written the same way.
+file tested byte for byte.  One walk over each dataclass (``model._members``)
+lists its JSON members for the reader and the writer alike.  The text is
+``json.dumps(doc, indent=2, ensure_ascii=False)``'s, written into one list of
+pieces by one function generated from those lists on the first export (none
+on a load); ``dumps`` with an ``indent`` runs in Python generators, not in
+C.  ``classify --format json`` is written the same way.
 """
 
 from __future__ import annotations

@@ -207,6 +207,16 @@ def _fmt(value: float) -> str:
     return f"{value:.1f}"
 
 
+# The characters XML 1.0 forbids in a document, which a UCDL string may hold.
+_NOT_XML = dict.fromkeys(
+    [*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), 0xFFFE, 0xFFFF], "\ufffd")
+
+
+def _text(value: str) -> str:
+    """``value`` as XML 1.0 text: escaped, each forbidden character U+FFFD."""
+    return html.escape(value.translate(_NOT_XML), quote=False)
+
+
 def _clip(center: tuple[float, float], toward: tuple[float, float],
           actor: bool) -> tuple[float, float]:
     """Point where an edge leaves a node's outline, heading ``toward``: an
@@ -282,7 +292,7 @@ def render_svg(p: PositionedDiagram) -> bytes:
     labels = [
         f'<text x="{_fmt(bx + bw / 2)}" y="{_fmt(by + FONT_SIZE + 6)}" '
         f'text-anchor="middle" font-weight="bold">'
-        f"{html.escape(p.diagram.boundary_label, quote=False)}</text>"]
+        f"{_text(p.diagram.boundary_label)}</text>"]
 
     line_h = FONT_SIZE + 2
     for node in p.diagram.ellipses:
@@ -296,7 +306,7 @@ def render_svg(p: PositionedDiagram) -> bytes:
             ty = cy + (i - (len(lines) - 1) / 2) * line_h + FONT_SIZE / 3
             labels.append(
                 f'<text x="{_fmt(cx)}" y="{_fmt(ty)}" text-anchor="middle">'
-                f"{html.escape(text, quote=False)}</text>")
+                f"{_text(text)}</text>")
 
     for actor in p.diagram.actors:
         cx, cy = p.actor_centers[actor_ident(actor.name)]
@@ -304,7 +314,7 @@ def render_svg(p: PositionedDiagram) -> bytes:
         ty = cy + ACTOR_H / 2 + FONT_SIZE + 2
         labels.append(
             f'<text x="{_fmt(cx)}" y="{_fmt(ty)}" text-anchor="middle">'
-            f"{html.escape(actor.name, quote=False)}</text>")
+            f"{_text(actor.name)}</text>")
 
     for edge in p.diagram.edges:
         (x1, y1), (x2, y2) = _edge_endpoints(p, edge)

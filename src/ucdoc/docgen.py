@@ -7,11 +7,12 @@ of Open issues, and an *Application areas* row right after the purpose.
 Risk rows (``Risk level``, ``Risk rationale``) are generated output and are
 appended after the authored rows when an assessment is supplied.
 
-Markdown cell escaping is invertible: ``\\``, ``|``, ``<`` and line breaks
-are backslash-escaped, so a rendered table can be parsed back to the exact
-cell values (see :func:`parse_table_rows`).  Multi-line cells (scenario
-steps, extensions, misuses) use a literal ``<br>`` separator, which cannot
-collide with content because every literal ``<`` is escaped.
+Markdown cell escaping is invertible: ``\\``, ``|``, ``<``, LF and CR are
+backslash-escaped, and rows are split at LF alone, so a rendered table can
+be parsed back to the exact cell values (see :func:`parse_table_rows`).
+Multi-line cells (scenario steps, extensions, misuses) use a literal
+``<br>`` separator, which cannot collide with content because every literal
+``<`` is escaped.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ def parse_table_rows(text: str) -> list[tuple[str, str]]:
     exactly as they were before rendering.
     """
     rows: list[tuple[str, str]] = []
-    for line in text.splitlines():
+    for line in text.split("\n"):  # a cell escapes "\n", not every line break
         if not line.strip().startswith("|"):
             continue
         cells = _CELL_RE.findall(line.strip())

@@ -479,10 +479,11 @@ def canonicalize(uc: UseCase) -> UseCase:
 # ---------------------------------------------------------------------------
 # plain-data form
 #
-# One walk over each dataclass's fields and type hints gives the JSON decoders,
-# the trimming in :func:`canonicalize` and, generated on first use, the one
-# writer of all JSON text.  The JSON keys are the field names in field order;
-# None is left out; ``Misuse.area_ref`` is ``area``; a field with
+# One walk over each dataclass's fields and type hints, :func:`_members`,
+# holds every JSON key rule; the JSON decoders, the trimming in
+# :func:`canonicalize` and, generated on first use, the one writer of all
+# JSON text read its member list.  The JSON keys are the field names in field
+# order; None is left out; ``Misuse.area_ref`` is ``area``; a field with
 # ``metadata={"flat": prefix}`` has its keys in the enclosing object, each
 # with ``prefix`` in front; an enum is its value, but a RiskLevel its label.
 
@@ -492,6 +493,24 @@ _JSON_KEYS = {"area_ref": "area"}
 GENERATED_FIELDS = (
     "risk_level", "risk_matched", "risk_misuse_flags", "risk_rationale")
 _ENTRY_KEYS = frozenset(("source_path",) + GENERATED_FIELDS)
+
+
+@lru_cache(maxsize=None)
+def _members(cls) -> tuple:
+    """``(attrs, key, type, nullable, required)`` per JSON member of ``cls``,
+    ``attrs`` the attribute path; a flat member, with key None and its record
+    class as type, is followed by its record's members."""
+    hints, out = get_type_hints(cls), []
+    for f in fields(cls):
+        tp, flat = hints[f.name], f.metadata.get("flat")
+        nullable = get_origin(tp) is Union  # Optional[T], whose T comes first
+        key = None if flat is not None else _JSON_KEYS.get(f.name, f.name)
+        out.append(((f.name,), key, get_args(tp)[0] if nullable else tp,
+                    nullable, f.default is MISSING))
+        if flat is not None:
+            out += [((f.name, *attrs), inner and flat + inner, *rest)
+                    for attrs, inner, *rest in _members(tp)]
+    return tuple(out)
 
 
 class _BadValue(Exception):
@@ -512,8 +531,6 @@ def _convert(tp) -> tuple:
     ``decode`` checks types exactly (a bool is not an int); ``trim`` returns
     the value itself when it changes nothing.
     """
-    if get_origin(tp) is Union:  # Optional[T]; the JSON never holds null
-        return _convert(next(a for a in get_args(tp) if a is not type(None)))
     if get_origin(tp) is tuple:  # tuple[T, ...], a JSON list
         decode, trim = _convert(get_args(tp)[0])
 
@@ -535,7 +552,7 @@ def _convert(tp) -> tuple:
 
         return decode_list, trim and trim_list
     if is_dataclass(tp):
-        return _convert_dataclass(tp, None)[:2]
+        return _convert_dataclass(tp, _members(tp))
     if issubclass(tp, Enum):
         members = _enum_members(tp)
 
@@ -559,23 +576,14 @@ def _convert(tp) -> tuple:
     return decode_plain, str.strip if tp is str else None
 
 
-def _convert_dataclass(cls, prefix: Optional[str]) -> tuple:
-    """``(decode, trim, keys)``; a flat member's ``prefix`` goes before each
-    key, and its ``decode`` leaves unknown keys to the caller."""
-    hints = get_type_hints(cls)
-    base = prefix or ""
-    specs, known = [], set()  # a flat member's key in specs is None
-    for f in fields(cls):
-        if "flat" in f.metadata:
-            key = None
-            *converter, keys = _convert_dataclass(
-                hints[f.name], base + f.metadata["flat"])
-        else:
-            key = base + _JSON_KEYS.get(f.name, f.name)
-            converter, keys = _convert(hints[f.name]), (key,)
-        known.update(keys)
-        specs.append((f.name, key, f.default is MISSING, *converter))
-    has_flat = any(key is None for _, key, *_ in specs)
+def _convert_dataclass(cls, members: tuple, path: tuple = ()) -> tuple:
+    """``(decode, trim)`` of record class ``cls``, at attribute ``path`` in
+    ``members``; a flat member's record leaves unknown keys to its holder."""
+    specs = [(attrs[-1], key, need, *(_convert_dataclass(tp, members, attrs)
+                                      if key is None else _convert(tp)))
+             for attrs, key, tp, _, need in members if attrs[:-1] == path]
+    known = {key for _, key, *_ in members} - {None}
+    has_flat = len(specs) < len(members)  # then a kwarg may hold many keys
 
     def decode(raw, extra_keys=frozenset()):
         if type(raw) is not dict:
@@ -583,14 +591,11 @@ def _convert_dataclass(cls, prefix: Optional[str]) -> tuple:
         kwargs = {}
         try:
             for name, key, need, dec, _ in specs:
-                if key is None:
-                    kwargs[name] = dec(raw)
-                elif key in raw:
-                    kwargs[name] = dec(raw[key])
+                if key is None or key in raw:  # a flat member reads ``raw``
+                    kwargs[name] = dec(raw if key is None else raw[key])
                 elif need:
                     raise _BadValue("missing key")
-            # Each key read gives one kwarg, but the keys of a flat member.
-            if prefix is None and (has_flat or len(kwargs) < len(raw)) and (
+            if not path and (has_flat or len(kwargs) < len(raw)) and (
                     raw.keys() - known - extra_keys):
                 key = min(raw.keys() - known - extra_keys)
                 raise _BadValue("unknown key")
@@ -607,15 +612,14 @@ def _convert_dataclass(cls, prefix: Optional[str]) -> tuple:
                    and (new := t(v)) is not v}
         return replace(obj, **changed) if changed else obj
 
-    return decode, trim, known  # and the keys it reads
+    return decode, trim
 
 
 @lru_cache(maxsize=None)
 def _writer(tp):
-    """``write(value)``: ``json``'s ``dumps(value, indent=2,
-    ensure_ascii=False)`` for a value of type ``tp``, from source generated
-    on first use from the walk: nested dataclasses and lists inlined, every
-    piece put in one list, the key heads and indents constants of the code."""
+    """``write(value)``: ``json.dumps(value, indent=2, ensure_ascii=False)``
+    for a ``tp`` value, from source generated from the member lists: records
+    and lists inlined, one list of pieces, key heads and indents constants."""
     from json.encoder import encode_basestring as enc  # only writing needs json
     env = {"enc": enc, "irepr": int.__repr__}
     body = []
@@ -625,7 +629,23 @@ def _writer(tp):
 
     def emit(tp, x, d, ind):  # appends the text of ``x``, on a line of depth d
         if is_dataclass(tp):
-            members(tp, x, d + 1, ind, "", "{")
+            objs, lead = {(): f"v{len(body)}"}, "{"  # a record by its attrs
+            body.append(f"{ind}{objs[()]} = {x}")
+            for attrs, key, vtp, nullable, _ in _members(tp):
+                x, inner = f"{objs[attrs[:-1]]}.{attrs[-1]}", ind
+                if key is None:  # a flat member: its record's members follow
+                    objs[attrs] = f"v{len(body)}"
+                    body.append(f"{ind}{objs[attrs]} = {x}")
+                    continue
+                if nullable:  # never an object's first
+                    if lead == "{":
+                        raise TypeError(f"{tp.__name__}.{'.'.join(attrs)}: an "
+                                        "Optional field cannot come first")
+                    body.append(f"{ind}if {x} is not None:")
+                    inner += " "
+                body.append(f"{inner}a({const(lead, d + 1, enc(key) + ': ')})")
+                emit(vtp, x, d + 1, inner)
+                lead = ","
             body.append(f"{ind}a({const('', d, '}')})")
         elif get_origin(tp) is tuple:  # the last separator becomes the "]"
             item = f"v{len(body)}"
@@ -643,27 +663,6 @@ def _writer(tp):
             env[table] = {m._value_: enc(text)
                           for text, m in _enum_members(tp).items()}
             body.append(f"{ind}a({table}[{x}._value_])")
-
-    def members(cls, x, d, ind, prefix, lead):  # returns the next lead
-        obj, hints = f"v{len(body)}", get_type_hints(cls)
-        body.append(f"{ind}{obj} = {x}")
-        for f in fields(cls):
-            tp, x, inner = hints[f.name], f"{obj}.{f.name}", ind
-            if "flat" in f.metadata:
-                lead = members(tp, x, d, ind, prefix + f.metadata["flat"], lead)
-                continue
-            if get_origin(tp) is Union:  # Optional[T]; never an object's first
-                if lead == "{":
-                    raise TypeError(f"{cls.__name__}.{f.name}: an Optional "
-                                    "field cannot come first")
-                tp = next(a for a in get_args(tp) if a is not type(None))
-                body.append(f"{ind}if {x} is not None:")
-                inner += " "
-            key = enc(prefix + _JSON_KEYS.get(f.name, f.name))
-            body.append(f"{inner}a({const(lead, d, key + ': ')})")
-            emit(tp, x, d, inner)
-            lead = ","
-        return lead
 
     emit(tp, "v", 0, " ")
     exec("\n".join(["def write(v):", " out = []", " a = out.append", *body,

@@ -23,9 +23,12 @@ each use case read, ``validate_use_case``, ``classify`` by ``repr`` and
 shape but writes the same JSON differs in the first only),
 ``serialize_canonical``, ``render_svg`` of the laid-out diagram,
 ``render_textual`` and ``render_table_markdown``; and ``build_catalog`` on
-the text, as two stages, ``export_json`` of the catalogue and
-``build_diagnostics``.  An exception is a result, and a stage whose public
-names a side lacks is reported as missing.
+the text, as three stages, ``export_json`` of the catalogue,
+``load_catalog_json`` and ``build_diagnostics``.  ``load_catalog_json``
+loads the exported document, its entries by ``repr``, and then each variant
+with one top-level key of one entry left out, or set to ``0``.  An
+exception is a result, and a stage whose public names a side lacks is
+reported as missing.
 
 For each stage the report gives the number of identical and of differing
 inputs, and a diff of one differing input.  The exit status is 0 when no
@@ -93,6 +96,22 @@ def _built(u, text: str) -> tuple:
     return u.build_catalog([("input.ucdl", text)], u.builtin_taxonomy())
 
 
+def _loads(u, text: str) -> list:
+    """The ``load_catalog_json`` stage: the outcome of loading the exported
+    document, then of each variant of one entry key."""
+    doc = json.loads(u.export_json(_built(u, text)[0]))
+    tax, docs = u.builtin_taxonomy(), [doc]
+    for i, entry in enumerate(doc["entries"]):
+        for key in entry:
+            for changed in ({k: v for k, v in entry.items() if k != key},
+                            {**entry, key: 0}):
+                entries = list(doc["entries"])
+                entries[i] = changed
+                docs.append({**doc, "entries": entries})
+    return [_outcome(lambda d: [repr(e) for e in u.load_catalog_json(
+        json.dumps(d), tax).entries], d) for d in docs]
+
+
 # After the parse stages, which every stage needs: the name of each stage,
 # the public ``ucdoc`` names it calls, and its run on one input text and the
 # use cases read from it.
@@ -115,6 +134,9 @@ STAGES = (
      _each(lambda u, uc: u.render_table_markdown(uc))),
     ("export_json", ("export_json", "build_catalog", "builtin_taxonomy"),
      lambda u, text, ucs: u.export_json(_built(u, text)[0])),
+    ("load_catalog_json", ("load_catalog_json", "export_json", "build_catalog",
+                           "builtin_taxonomy"),
+     lambda u, text, ucs: _loads(u, text)),
     ("build_diagnostics", ("build_catalog", "builtin_taxonomy"),
      lambda u, text, ucs: [_finding(d) + [d.file]
                            for d in _built(u, text)[1]]),

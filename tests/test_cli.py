@@ -480,6 +480,19 @@ def test_table_html_with_diagram():
     assert out.count("<svg") == 1
 
 
+def test_table_with_diagram_writes_xml_1_0_text(tmp_path):
+    # A UCDL string may hold a character that XML 1.0 forbids; the embedded
+    # SVG writes it as U+FFFD.
+    path = tmp_path / "camera.ucdl"
+    text = (FIXTURES_DIR / "smart_camera.ucdl").read_text(encoding="utf-8")
+    path.write_text(text.replace("Smart shooting", "Smart\x01shooting"),
+                    encoding="utf-8")
+    code, out, err = cli("table", str(path), "--format", "html",
+                         "--with-diagram")
+    assert (code, err) == (0, "")
+    assert "Smart\ufffdshooting" in out
+
+
 def test_table_diagram_requires_html():
     code, _, err = cli("table", SMART_CAMERA, "--with-diagram")
     assert code == 3

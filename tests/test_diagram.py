@@ -240,6 +240,29 @@ def test_svg_is_well_formed_and_escaped():
     assert root.get("version") == "1.1"
 
 
+# The characters XML 1.0 forbids in a document, which a UCDL string may hold.
+NOT_XML = [*map(chr, range(0x09)), "\x0b", "\x0c",
+           *map(chr, range(0x0E, 0x20)), "\ufffe", "\uffff"]
+
+
+@pytest.mark.parametrize("char", NOT_XML)
+def test_svg_text_is_xml_1_0_text(char):
+    # The title, a function label and an actor name each hold ``char``; the
+    # SVG writes it as U+FFFD (the label's wrap may make it a space).
+    base = base_use_case()
+    uc = canonicalize(replace(
+        base, title=f"Scan{char}it",
+        system_functions=(replace(base.system_functions[0],
+                                  label=f"Scan{char}faces"),
+                          base.system_functions[1]),
+        target_persons=(replace(base.target_persons[0], name=f"Visi{char}tor"),),
+    ))
+    root = ET.fromstring(render_svg(layout(build_diagram(uc))))
+    texts = {t.text for t in root.iter("{http://www.w3.org/2000/svg}text")}
+    assert {"Scan\ufffdit", "Visi\ufffdtor"} <= texts
+    assert texts & {"Scan\ufffdfaces", "Scan faces"}
+
+
 def test_svg_byte_identical_across_runs():
     rng = random.Random(317)
     for _ in range(10):

@@ -182,10 +182,14 @@ def test_nasty_values_survive_render_parse():
     assert values["Use case"] == "T|tle \\ <odd> (scan-1)"
 
 
-@pytest.mark.parametrize("value", ["ends in \\", "|", "\\", "\\|", "| \\"])
+@pytest.mark.parametrize("value", [
+    "ends in \\", "|", "\\", "\\|", "| \\",
+    # line breaks to str.splitlines, which a cell holds unescaped
+    *(f"a{c}b" for c in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"),
+])
 def test_edge_values_survive_render_parse(value):
-    # A trailing backslash must not escape the cell's closing pipe, and a
-    # lone pipe must not split the cell.
+    # A trailing backslash must not escape the cell's closing pipe, a lone
+    # pipe must not split the cell, and a row ends at LF alone.
     assert rows_of(render_table_markdown(u(intended_purpose=value)))[
         "Intended purpose"] == value
 
