@@ -9,7 +9,7 @@ carry a ``parse.`` code prefix).
 The JSON export (schema ``ucdoc-catalog/1``) is a self-contained snapshot:
 it records the taxonomy version and the generated risk fields next to the
 authored fields, and serializes deterministically so exports can be golden-
-file tested byte for byte.  One walk over each dataclass (``model._members``)
+file tested byte for byte.  One walk over each record (``model._members``)
 lists its JSON members for the reader and the writer alike.  The text is
 ``json.dumps(doc, indent=2, ensure_ascii=False)``'s, written into one list of
 pieces by one function generated from those lists on the first export (none
@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -40,7 +39,7 @@ from .model import (
     _writer,
     validate_use_case,
 )
-from .lexer import read_ucdl
+from .lexer import Flat, Record, read_ucdl, replace
 from .parser import parse_document
 from .risk import (
     RiskAssessment,
@@ -52,18 +51,16 @@ from .risk import (
 SCHEMA = "ucdoc-catalog/1"
 
 
-@dataclass(frozen=True, kw_only=True)
-class CatalogEntry:
+class CatalogEntry(Record, kw_only=True):
     """One catalogue entry; the JSON holds it as one flat object, its fields
     in order, the assessment's keys with ``risk_`` in front."""
 
     source_path: str = ""
-    use_case: UseCase = field(metadata={"flat": ""})
-    assessment: RiskAssessment = field(metadata={"flat": "risk_"})
+    use_case: UseCase = Flat("")
+    assessment: RiskAssessment = Flat("risk_")
 
 
-@dataclass(frozen=True)
-class Catalog:
+class Catalog(Record):
     entries: tuple[CatalogEntry, ...]
     taxonomy: Taxonomy
     # Version recorded at build time; survives snapshot round-trips even if
@@ -74,8 +71,7 @@ class Catalog:
         return [e.use_case.id for e in self.entries]
 
 
-@dataclass(frozen=True)
-class Query:
+class Query(Record):
     """Conjunctive entry filter; ``None`` fields are ignored."""
 
     risk_level: Optional[RiskLevel] = None
@@ -85,8 +81,7 @@ class Query:
     free_text: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class CatalogStats:
+class CatalogStats(Record):
     total: int
     by_level: dict[str, int]
     by_area: dict[str, int]
@@ -227,8 +222,7 @@ def stats(cat: Catalog) -> CatalogStats:
 # JSON snapshot
 
 
-@dataclass(frozen=True, kw_only=True)
-class _Snapshot:
+class _Snapshot(Record, kw_only=True):
     """The catalogue JSON document, read and written by the model's walk."""
 
     schema: str

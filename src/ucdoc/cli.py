@@ -23,12 +23,11 @@ import argparse
 import contextlib
 import os
 import sys
-from dataclasses import replace
 from enum import IntEnum
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Optional, TextIO
 
-from .lexer import file_text, read_ucdl
+from .lexer import file_text, read_ucdl, replace
 from .model import (
     CatalogFormatError,
     Diagnostic,

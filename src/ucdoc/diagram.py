@@ -23,9 +23,9 @@ from __future__ import annotations
 import html
 import math
 import textwrap
-from dataclasses import dataclass
 from enum import Enum
 
+from .lexer import Record
 from .model import (
     Actor,
     ActorRole,
@@ -45,15 +45,13 @@ class EdgeKind(Enum):
     EXTEND = "extend"
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(Record):
     kind: EdgeKind
     source: str
     target: str
 
 
-@dataclass(frozen=True)
-class Diagram:
+class Diagram(Record):
     boundary_label: str
     actors: tuple[Actor, ...]   # one per ident, as in its first role
     ellipses: tuple[SystemFunction, ...]   # drawn by id and label
@@ -72,8 +70,7 @@ COLUMN_GAP = 64.0
 FONT_SIZE = 12.0
 
 
-@dataclass(frozen=True)
-class PositionedDiagram:
+class PositionedDiagram(Record):
     diagram: Diagram
     canvas_w: float
     canvas_h: float

@@ -44,8 +44,8 @@ import io
 import os
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
 from enum import Enum, auto
+from operator import attrgetter
 from typing import Callable, NamedTuple, Optional
 
 
@@ -98,8 +98,92 @@ class Severity(Enum):
     WARNING = "warning"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+_NO_DEFAULT = object()  # the default of a record field that has none
+
+
+class Flat(str):
+    """In place of a record field's default: the prefix of its record's keys
+    in its holder's JSON object (``metadata["flat"]``); the field has none."""
+
+
+class Record:
+    """The base of ucdoc's records, which behave as frozen dataclasses.
+
+    A subclass's annotations, after its base record's, are its fields;
+    ``kw_only=True`` makes them keyword-only.  Only ``__init__`` is made per
+    class; ``dataclasses.fields``, ``replace`` and ``asdict`` read its
+    ``__dataclass_fields__``, made on first read, which no command does."""
+
+    _specs = ()  # (name, annotation, default, flat prefix, kw_only) per field
+
+    def __init_subclass__(cls, kw_only: bool = False):
+        specs = {spec[0]: spec for spec in cls._specs}  # the base's fields
+        for name, annotation in vars(cls).get("__annotations__", {}).items():
+            default = vars(cls).get(name, _NO_DEFAULT)
+            flat = str(default) if isinstance(default, Flat) else None
+            if flat is not None:
+                default = _NO_DEFAULT
+                delattr(cls, name)
+            specs[name] = (name, annotation, default, flat, kw_only)
+        cls._specs, cls._fields = tuple(specs.values()), tuple(specs)
+        cls.__match_args__ = tuple(n for n, *_, kw in cls._specs if not kw)
+        get = attrgetter(*cls._fields) if len(cls._fields) > 1 else (
+            lambda self: tuple(getattr(self, n) for n in cls._fields))
+        cls._values = staticmethod(get)  # the field tuple, read by one C call
+        params = [n if d is _NO_DEFAULT else f"{n}=_d[{n!r}]"
+                  for n, _, d, _, _ in sorted(cls._specs, key=lambda s: s[4])]
+        if len(cls.__match_args__) < len(params):
+            params.insert(len(cls.__match_args__), "*")
+        # _set keeps values inline; a __dict__ per record takes 2.4-3.2x room
+        env = {"_d": {n: d for n, _, d, _, _ in cls._specs},
+               "_set": object.__setattr__}
+        exec(f"def __init__(self, {', '.join(params)}):\n"
+             + "".join(f" _set(self, {n!r}, {n})\n" for n in cls._fields), env)
+        env["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = env["__init__"]
+        cls.__dataclass_fields__ = _DataclassFields()
+
+    def __eq__(self, other):
+        return (self._values(self) == other._values(other)
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        pairs = map("{}={!r}".format, self._fields, self._values(self))
+        return f"{type(self).__qualname__}({', '.join(pairs)})"
+
+    def __setattr__(self, name, *value):  # with no value, as __delattr__
+        from dataclasses import FrozenInstanceError
+        verb = "assign to" if value else "delete"
+        raise FrozenInstanceError(f"cannot {verb} field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __replace__(self, /, **changes):
+        return type(self)(**dict(zip(self._fields, self._values(self)), **changes))
+
+
+replace = Record.__replace__  # ``replace(record, **changes)``, for records
+
+
+class _DataclassFields:
+    """A record class's ``__dataclass_fields__``, made on the first read."""
+
+    def __get__(self, obj, cls):
+        from dataclasses import MISSING, field, make_dataclass
+        fields = make_dataclass(cls.__name__, [
+            (name, annotation, field(
+                default=MISSING if default is _NO_DEFAULT else default,
+                metadata=None if flat is None else {"flat": flat}, kw_only=kw))
+            for name, annotation, default, flat, kw in cls._specs
+        ]).__dataclass_fields__
+        cls.__dataclass_fields__ = fields
+        return fields
+
+
+class Diagnostic(Record):
     """One finding of any stage, from the lexer to the catalogue.
 
     ``path`` is a field path such as ``main_scenario[2].actor``, ``span``

@@ -53,12 +53,12 @@ assoc.unknown_function      association names an unknown function
 from __future__ import annotations
 
 import re
-from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from enum import Enum, IntEnum
 from functools import cached_property, lru_cache
 from operator import is_
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
+from .lexer import _NO_DEFAULT, Record, replace
 from .lexer import Diagnostic, Severity  # re-exported: the one finding record
 
 SYSTEM_ACTOR = "system"
@@ -137,15 +137,13 @@ class QueryError(ValueError):
     code = "query.unknown_area"
 
 
-@dataclass(frozen=True)
-class Actor:
+class Actor(Record):
     name: str
     kind: ActorKind
     role: ActorRole
 
 
-@dataclass(frozen=True)
-class ScenarioStep:
+class ScenarioStep(Record):
     """One numbered interaction; ``actor`` is an actor identifier or ``system``.
 
     ``function`` optionally names the system function the step exercises and
@@ -158,8 +156,7 @@ class ScenarioStep:
     function: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class Extension:
+class Extension(Record):
     """Alternative or failure branch hanging off a main-scenario step."""
 
     branch_id: str
@@ -167,8 +164,7 @@ class Extension:
     steps: tuple[ScenarioStep, ...] = ()
 
 
-@dataclass(frozen=True)
-class ApplicationAreaRef:
+class ApplicationAreaRef(Record):
     """Reference to a deployment area: a taxonomy id, or ``other`` + label."""
 
     area_id: str
@@ -184,14 +180,12 @@ class ApplicationAreaRef:
         return self.area_id
 
 
-@dataclass(frozen=True)
-class Misuse:
+class Misuse(Record):
     description: str
     area_ref: Optional[ApplicationAreaRef] = None
 
 
-@dataclass(frozen=True)
-class SystemFunction:
+class SystemFunction(Record):
     """A use-case ellipse: a named function the system offers."""
 
     id: str
@@ -200,16 +194,14 @@ class SystemFunction:
     extends: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class Association:
+class Association(Record):
     """Explicit actor-to-function association overriding step inference."""
 
     actor: str
     function: str
 
 
-@dataclass(frozen=True, kw_only=True)
-class UseCase:
+class UseCase(Record, kw_only=True):
     """One documented use case.  The fields are in the order the catalogue
     JSON writes them (see :func:`use_case_to_dict`)."""
 
@@ -479,12 +471,12 @@ def canonicalize(uc: UseCase) -> UseCase:
 # ---------------------------------------------------------------------------
 # plain-data form
 #
-# One walk over each dataclass's fields and type hints, :func:`_members`,
+# One walk over each record class's fields and type hints, :func:`_members`,
 # holds every JSON key rule; the JSON decoders, the trimming in
 # :func:`canonicalize` and, generated on first use, the one writer of all
 # JSON text read its member list.  The JSON keys are the field names in field
-# order; None is left out; ``Misuse.area_ref`` is ``area``; a field with
-# ``metadata={"flat": prefix}`` has its keys in the enclosing object, each
+# order; None is left out; ``Misuse.area_ref`` is ``area``; a field whose
+# default is ``Flat(prefix)`` has its keys in the enclosing object, each
 # with ``prefix`` in front; an enum is its value, but a RiskLevel its label.
 
 _JSON_KEYS = {"area_ref": "area"}
@@ -501,14 +493,14 @@ def _members(cls) -> tuple:
     ``attrs`` the attribute path; a flat member, with key None and its record
     class as type, is followed by its record's members."""
     hints, out = get_type_hints(cls), []
-    for f in fields(cls):
-        tp, flat = hints[f.name], f.metadata.get("flat")
+    for name, _, default, flat, _ in cls._specs:
+        tp = hints[name]
         nullable = get_origin(tp) is Union  # Optional[T], whose T comes first
-        key = None if flat is not None else _JSON_KEYS.get(f.name, f.name)
-        out.append(((f.name,), key, get_args(tp)[0] if nullable else tp,
-                    nullable, f.default is MISSING))
+        key = None if flat is not None else _JSON_KEYS.get(name, name)
+        out.append(((name,), key, get_args(tp)[0] if nullable else tp,
+                    nullable, default is _NO_DEFAULT))
         if flat is not None:
-            out += [((f.name, *attrs), inner and flat + inner, *rest)
+            out += [((name, *attrs), inner and flat + inner, *rest)
                     for attrs, inner, *rest in _members(tp)]
     return tuple(out)
 
@@ -551,8 +543,8 @@ def _convert(tp) -> tuple:
             return v if all(map(is_, items, v)) else tuple(items)
 
         return decode_list, trim and trim_list
-    if is_dataclass(tp):
-        return _convert_dataclass(tp, _members(tp))
+    if issubclass(tp, Record):
+        return _convert_record(tp, _members(tp))
     if issubclass(tp, Enum):
         members = _enum_members(tp)
 
@@ -576,10 +568,10 @@ def _convert(tp) -> tuple:
     return decode_plain, str.strip if tp is str else None
 
 
-def _convert_dataclass(cls, members: tuple, path: tuple = ()) -> tuple:
+def _convert_record(cls, members: tuple, path: tuple = ()) -> tuple:
     """``(decode, trim)`` of record class ``cls``, at attribute ``path`` in
     ``members``; a flat member's record leaves unknown keys to its holder."""
-    specs = [(attrs[-1], key, need, *(_convert_dataclass(tp, members, attrs)
+    specs = [(attrs[-1], key, need, *(_convert_record(tp, members, attrs)
                                       if key is None else _convert(tp)))
              for attrs, key, tp, _, need in members if attrs[:-1] == path]
     known = {key for _, key, *_ in members} - {None}
@@ -628,7 +620,15 @@ def _writer(tp):
         return repr(f"{lead}\n{'  ' * d}{tail}")
 
     def emit(tp, x, d, ind):  # appends the text of ``x``, on a line of depth d
-        if is_dataclass(tp):
+        if get_origin(tp) is tuple:  # the last separator becomes the "]"
+            item = f"v{len(body)}"
+            body.extend((f"{ind}if {x}:", f"{ind} a({const('[', d + 1, '')})",
+                         f"{ind} for {item} in {x}:"))
+            emit(get_args(tp)[0], item, d + 1, ind + "  ")
+            body.extend((f"{ind}  a({const(',', d + 1, '')})",
+                         f"{ind} out[-1] = {const('', d, ']')}",
+                         f"{ind}else:", f"{ind} a('[]')"))
+        elif issubclass(tp, Record):
             objs, lead = {(): f"v{len(body)}"}, "{"  # a record by its attrs
             body.append(f"{ind}{objs[()]} = {x}")
             for attrs, key, vtp, nullable, _ in _members(tp):
@@ -647,14 +647,6 @@ def _writer(tp):
                 emit(vtp, x, d + 1, inner)
                 lead = ","
             body.append(f"{ind}a({const('', d, '}')})")
-        elif get_origin(tp) is tuple:  # the last separator becomes the "]"
-            item = f"v{len(body)}"
-            body.extend((f"{ind}if {x}:", f"{ind} a({const('[', d + 1, '')})",
-                         f"{ind} for {item} in {x}:"))
-            emit(get_args(tp)[0], item, d + 1, ind + "  ")
-            body.extend((f"{ind}  a({const(',', d + 1, '')})",
-                         f"{ind} out[-1] = {const('', d, ']')}",
-                         f"{ind}else:", f"{ind} a('[]')"))
         elif tp in (str, int, bool):
             body.append(ind + {str: "a(enc({}))", int: "a(irepr({}))",
                                bool: "a('true' if {} else 'false')"}[tp].format(x))

@@ -34,14 +34,13 @@ references) are *not* parse errors; run
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable, Container, Iterator, Optional
 
 from .lexer import (
     ARROW, BRANCH, COLON, COMMA, EOF, IDENT, INT, KIND, LBRACE, LBRACKET,
     LPAREN, OFFSET, RBRACE, RBRACKET, RPAREN, STRING, TEXT, VALUE,
     _WORD_KINDS, Diagnostic, Token, TokenKind, _diagnostics, _Problem, _scan,
-    escape_string, is_word, read_token,
+    escape_string, is_word, read_token, replace,
 )
 from .model import (
     Actor,

@@ -19,14 +19,14 @@ misclassification of the intended purpose.
 
 from __future__ import annotations
 
+import pkgutil
 import re
-from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property, lru_cache
-from importlib import resources
 from typing import NoReturn, Optional
 
-from .lexer import COLON, EOF, IDENT, TEXT, _diagnostics, _scan, file_text
+from .lexer import (COLON, EOF, IDENT, TEXT, Flat, Record, _diagnostics,
+                    _scan, file_text, replace)
 from .model import (
     ApplicationAreaRef,
     Diagnostic,
@@ -52,8 +52,7 @@ class Tier(Enum):
                 else RiskLevel.HIGH)
 
 
-@dataclass(frozen=True)
-class AreaMatch:
+class AreaMatch(Record):
     """A taxonomy area; an intended area's or a misuse's hit is one too."""
 
     area_id: str
@@ -65,15 +64,13 @@ class AreaMatch:
         return f"{self.area_label} > {self.sub_use_label}"
 
 
-@dataclass(frozen=True)
 class TaxonomyEntry(AreaMatch):
     """A taxonomy area plus the keywords a free-text label matches it by."""
 
     keywords: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class Taxonomy:
+class Taxonomy(Record):
     """Entries plus an id index and keyword patterns built on first use, so
     a hand-built taxonomy works too and only free-text matching compiles."""
 
@@ -110,27 +107,24 @@ class Taxonomy:
         return [(found.count(i), self.entries[i]) for i in dict.fromkeys(found)]
 
 
-@dataclass(frozen=True)
-class MisuseFlag:
+class MisuseFlag(Record):
     """A documented misuse and the taxonomy area its reference hit; its JSON
     object holds the match's keys after ``description``."""
 
     description: str
-    match: AreaMatch = field(metadata={"flat": ""})
+    match: AreaMatch = Flat("")
 
 
-@dataclass(frozen=True)
-class RiskAssessment:
+class RiskAssessment(Record):
     level: RiskLevel
     matched: tuple[AreaMatch, ...]
     misuse_flags: tuple[MisuseFlag, ...]
     rationale: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class _Classified:  # an item of ``classify --format json``
+class _Classified(Record):  # an item of ``classify --format json``
     id: str
-    assessment: RiskAssessment = field(metadata={"flat": "risk_"})
+    assessment: RiskAssessment = Flat("risk_")
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +205,8 @@ class _TaxonomyReader(_Parser):
 @lru_cache(maxsize=1)
 def builtin_taxonomy() -> Taxonomy:
     """The packaged taxonomy (4 prohibited and 15 high-risk sub-uses)."""
-    data = (resources.files("ucdoc") / "data" / _BUILTIN_RESOURCE).read_bytes()
+    # pkgutil, not importlib.resources, which imports inspect on 3.12+
+    data = pkgutil.get_data("ucdoc", f"data/{_BUILTIN_RESOURCE}")
     return load_taxonomy(file_text(data))
 
 

@@ -760,9 +760,11 @@ def test_every_diagnostic_line_has_one_format(tmp_path, command):
 
 SRC_DIR = Path(ucdoc.__file__).resolve().parents[1]
 
-# Loaded by ``xml.sax.saxutils`` through ``urllib.request``; no command
-# needs them.
-_NEVER_LOADED = ("urllib.request", "http.client", "email", "ssl")
+# No command needs these.  The first four are loaded by ``xml.sax.saxutils``
+# through ``urllib.request``; ``dataclasses``, which loads ``inspect``, only
+# by reading a record's ``__dataclass_fields__``.
+_NEVER_LOADED = ("urllib.request", "http.client", "email", "ssl",
+                 "dataclasses", "inspect")
 
 _CORE = {"ucdoc", "ucdoc.cli", "ucdoc.lexer", "ucdoc.model", "ucdoc.parser"}
 
