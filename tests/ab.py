@@ -14,10 +14,11 @@ Each round runs every command once per side, each run a fresh ``python -m
 ucdoc.cli`` process with ``PYTHONPATH`` set to the side's ``src``; the side
 that goes first alternates from round to round.  The wall time of a run is
 taken around the process, start-up included.  Per command the report gives
-each side's median and minimum in ms, the ratio B/A of the medians and the
-rounds B was faster in; then the sums of the minimums and their ratio, the
-figure the benchmark's ``cli`` ``ops_per_s`` follows.  A run that exits
-non-zero stops the script with status 2.  Standard library only.
+each side's median and minimum in ms, A's interquartile range (``-`` below
+two rounds), the ratio B/A of the medians and the rounds B was faster in;
+then the sums of the minimums and their ratio, the figure the benchmark's
+``cli`` ``ops_per_s`` follows.  A run that exits non-zero stops the script
+with status 2.  Standard library only.
 """
 
 from __future__ import annotations
@@ -78,15 +79,24 @@ def compare(specs, rounds: int) -> None:
         report(specs, trees, rounds, times)
 
 
+def iqr(times: list[float]) -> str:
+    """The interquartile range of ``times`` in ms, or ``-`` below two times,
+    which ``statistics.quantiles`` needs before Python 3.13."""
+    if len(times) < 2:
+        return "-"
+    q1, _, q3 = statistics.quantiles(times, n=4)
+    return f"{q3 - q1:.1f}"
+
+
 def report(specs, trees, rounds: int, times: dict) -> None:
     print(f"A: {specs[0]} ({trees[0]})\nB: {specs[1]} ({trees[1]})")
     print(f"rounds: {rounds}; ms of wall time per run, start-up included; "
           f"Python {sys.version.split()[0]}")
-    print(f"{'command':<10}{'A median':>10}{'A min':>9}{'B median':>10}"
-          f"{'B min':>9}{'B/A':>7}{'B wins':>8}")
+    print(f"{'command':<10}{'A median':>10}{'A IQR':>8}{'A min':>9}"
+          f"{'B median':>10}{'B min':>9}{'B/A':>7}{'B wins':>8}")
     for name, (a, b) in times.items():
         wins = sum(y < x for x, y in zip(a, b))
-        print(f"{name:<10}{statistics.median(a):>10.1f}{min(a):>9.1f}"
+        print(f"{name:<10}{statistics.median(a):>10.1f}{iqr(a):>8}{min(a):>9.1f}"
               f"{statistics.median(b):>10.1f}{min(b):>9.1f}"
               f"{statistics.median(b) / statistics.median(a):>7.3f}"
               f"{f'{wins}/{rounds}':>8}")
