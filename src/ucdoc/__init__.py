@@ -23,8 +23,7 @@ _EXPORTS = {
         "use_case_from_dict", "use_case_to_dict", "validate_use_case",
     ],
     "lexer": ["Diagnostic", "Severity", "SourceSpan"],
-    "parser": ["parse_document"],
-    "serializer": ["serialize_canonical", "serialize_document"],
+    "parser": ["parse_document", "serialize_canonical", "serialize_document"],
     "risk": [
         "AreaMatch", "MisuseFlag", "RiskAssessment", "Taxonomy",
         "TaxonomyEntry", "Tier", "assessment_to_dict", "builtin_taxonomy",

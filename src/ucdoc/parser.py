@@ -19,12 +19,17 @@ Grammar (EBNF; whitespace-insensitive between tokens, ``#`` line comments)::
     fn_entry    = name ":" string { ( "includes" | "extends" ) ":" list } ;
     step        = integer name ":" string [ "->" name ] ;
 
-Which keys a record takes, the value each key reads and how the serializer
-writes it back are one entry of the record tables at the end of this module
-(``_USE_CASE``, ``_ACTOR``, ``_MISUSE``, ``_FUNCTION``), in canonical order.
-The use-case title is the header string; every other element is a field.
-A use case accepts and ignores ``schema_version`` so documents can carry a
-format marker.  Parsing never raises: every problem is reported as a
+Which keys a record takes, the value each key reads and how
+:func:`serialize_canonical` writes it back (in canonical order, two-space
+indents, ``""``, ``()`` and None left out) are one entry of the record tables
+at the end of this module (``_USE_CASE``, ``_ACTOR``, ``_MISUSE``,
+``_FUNCTION``).  A value is written bare, or multi-line prose as a
+triple-quoted block, only when :func:`~ucdoc.lexer.read_token` reads that
+back as the value, else as an escaped string; so parsing the output, in
+memory or from a file, gives the use case back.  The use-case title is the
+header string; every other element is a field.  A use case accepts and
+ignores ``schema_version`` so documents can carry a format marker.  Parsing
+never raises: every problem is reported as a
 :class:`~ucdoc.lexer.Diagnostic`, the parser re-synchronizes at the next
 top-level ``usecase`` keyword, and any use case whose block parsed without
 errors is still returned.  Semantic checks (missing fields, dangling
@@ -34,7 +39,7 @@ references) are *not* parse errors; run
 
 from __future__ import annotations
 
-from typing import Callable, Container, Iterator, Optional
+from typing import Callable, Container, Iterable, Iterator, Optional
 
 from .lexer import (
     ARROW, BRANCH, COLON, COMMA, EOF, IDENT, INT, KIND, LBRACE, LBRACKET,
@@ -56,6 +61,7 @@ from .model import (
     SystemFunction,
     UseCase,
     actor_ident,
+    canonicalize,
 )
 
 _USECASE_KW = "usecase"
@@ -576,11 +582,18 @@ _USE_CASE: dict[str, _Field] = {
 }
 
 
-def _write_use_case(uc: UseCase) -> str:
-    """The UCDL text of ``uc``: its header, then its fields as ``_USE_CASE``
-    says."""
+def serialize_canonical(uc: UseCase) -> str:
+    """The canonical UCDL text of a valid use case: its header, then its
+    fields as ``_USE_CASE`` says.  Raises
+    :class:`~ucdoc.model.ValidationFailedError` on invalid input."""
+    uc = canonicalize(uc)
     body = _block(_write_record(_USE_CASE, uc, _INDENT), "")
     return f"{_USECASE_KW} {escape_string(uc.title)} {body}\n"
+
+
+def serialize_document(use_cases: Iterable[UseCase]) -> str:
+    """Serialize several use cases, blank-line separated."""
+    return "\n".join(serialize_canonical(uc) for uc in use_cases)
 
 
 def parse_document(source: str) -> tuple[list[UseCase], list[Diagnostic]]:

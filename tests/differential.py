@@ -5,7 +5,8 @@
 A side is a tree root (a directory holding ``src/ucdoc``) or a git revision
 of the repository this script is in, unpacked with ``git archive REV | tar
 -x`` into a temporary directory.  The inputs are written once, as UCDL
-texts, by this script's own tree; ``--count`` of each corpus:
+texts, by this script's own tree in its own process; ``--count`` of each
+corpus:
 
 - ``make_use_case``: the canonical text of ``support.make_use_case`` values;
 - ``token_mutations``: a fixture given 1 to 4 token edits by
@@ -191,12 +192,9 @@ def run_side(inputs: Path, only: int | None) -> dict:
 # the driver
 
 
-def write_inputs(path: Path, corpus: str, seed: int, count: int) -> None:
-    """``[corpus, text]`` per input, from this script's tree; each corpus
-    has its own seeded generator, so that it reads the same alone."""
-    for entry in (str(ROOT / "tests"), str(ROOT / "src")):
-        if entry not in sys.path:
-            sys.path.insert(0, entry)
+def make_inputs(corpus: str, seed: int, count: int) -> list:
+    """``[corpus, text]`` per input; each corpus has its own seeded
+    generator, so that it reads the same alone."""
     from support import OPS, POOL, make_use_case, mutate, split_tokens
     from ucdoc import serialize_canonical
     items = []
@@ -212,7 +210,15 @@ def write_inputs(path: Path, corpus: str, seed: int, count: int) -> None:
             edits = [(rng.choice(OPS), rng.randrange(10_001), rng.choice(POOL))
                      for _ in range(rng.randint(1, 4))]
             items.append(["token_mutations", mutate(rng.choice(fixtures), edits)])
-    path.write_text(json.dumps(items), encoding="ascii")
+    return items
+
+
+def write_inputs(path: Path, corpus: str, seed: int, count: int) -> None:
+    """Write :func:`make_inputs` to ``path`` as JSON, made in a new process
+    with this script's tree's ``src`` and ``tests`` on the path."""
+    path.write_text(_python(["--inputs", corpus, str(seed), str(count)],
+                            [ROOT / "src", ROOT / "tests"],
+                            "writing the inputs"), encoding="ascii")
 
 
 def unpack(spec: str, scratch: Path) -> Path:
@@ -240,16 +246,23 @@ def unpack(spec: str, scratch: Path) -> Path:
     return scratch
 
 
+def _python(args: list[str], path: list[Path], what: str) -> str:
+    """The standard output of this script run with ``args`` in a new process
+    with ``PYTHONPATH`` set to ``path``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, path)))
+    proc = subprocess.run([sys.executable, __file__, *args], env=env,
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SideError(f"{what} failed:\n{proc.stderr}")
+    return proc.stdout
+
+
 def run_process(tree: Path, inputs: Path, only: int | None = None) -> dict:
     """:func:`run_side` in a new process, with ``tree``'s ``src`` on the
     path."""
-    argv = [sys.executable, __file__, "--side", str(inputs)]
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    proc = subprocess.run(argv + ([str(only)] if only is not None else []),
-                          env=env, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise SideError(f"{tree}: the side failed:\n{proc.stderr}")
-    result = json.loads(proc.stdout)
+    result = json.loads(_python(
+        ["--side", str(inputs)] + ([str(only)] if only is not None else []),
+        [tree / "src"], f"{tree}: the side"))
     if not Path(result["ucdoc"]).is_relative_to(tree / "src"):
         raise SideError(f"{tree}: imported ucdoc from {result['ucdoc']}")
     return result
@@ -314,6 +327,10 @@ def main(argv: list[str] | None = None) -> int:
     if argv[:1] == ["--side"]:     # one side, run by run_process
         only = int(argv[2]) if len(argv) > 2 else None
         print(json.dumps(run_side(Path(argv[1]), only)))
+        return 0
+    if argv[:1] == ["--inputs"]:   # the inputs, made for write_inputs
+        corpus, seed, count = argv[1:]
+        sys.stdout.write(json.dumps(make_inputs(corpus, int(seed), int(count))))
         return 0
     parser = argparse.ArgumentParser(
         prog="differential.py", description=__doc__.split("\n")[0])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import random
 import sys
 from dataclasses import replace
@@ -85,6 +86,25 @@ def test_load_sources_reads_regular_files_only(tmp_path):
     assert load_sources(tmp_path) == [
         ("a/b.ucdl", "# b\n"), ("a-b/c.ucdl", "# c\n"),
         ("old.ucdl/in.ucdl", "# in\n")]
+
+
+def test_load_sources_skips_a_directory_it_cannot_list(tmp_path, monkeypatch):
+    # The listing is refused by a stand-in for os.scandir, since a real
+    # unreadable directory is still listed for a superuser.
+    for rel in ("z.ucdl", "locked/in.ucdl", "open/b.ucdl", "a.ucdl"):
+        (tmp_path / rel).parent.mkdir(exist_ok=True)
+        (tmp_path / rel).write_text(f"# {rel}\n", encoding="utf-8")
+    scandir = os.scandir
+
+    def listing(path):
+        if path == os.path.join(tmp_path, "locked"):
+            raise PermissionError(13, "Permission denied", path)
+        return scandir(path)
+
+    monkeypatch.setattr(os, "scandir", listing)
+    assert load_sources(tmp_path) == [
+        ("a.ucdl", "# a.ucdl\n"), ("open/b.ucdl", "# open/b.ucdl\n"),
+        ("z.ucdl", "# z.ucdl\n")]
 
 
 def test_fixture_catalog_entries(fixture_catalog):

@@ -868,6 +868,7 @@ def test_lazy_package_namespace():
     assert ucdoc.TaxonomyError is ucdoc.risk.TaxonomyError
     assert ucdoc.CatalogFormatError is ucdoc.catalog.CatalogFormatError
     assert ucdoc.QueryError is ucdoc.catalog.QueryError
+    assert ucdoc.serialize_canonical is ucdoc.parser.serialize_canonical
     assert set(ucdoc.__all__) <= set(dir(ucdoc))
     assert ucdoc.__version__ == "0.1.0"
     namespace: dict = {}

@@ -26,6 +26,7 @@ from ucdoc.diagram import (
     GAP,
     PADDING,
     Diagram,
+    Edge,
 )
 from ucdoc.cli import run
 from ucdoc.model import (
@@ -33,6 +34,7 @@ from ucdoc.model import (
     ActorKind,
     ActorRole,
     Association,
+    SystemFunction,
     ValidationFailedError,
     actor_ident,
 )
@@ -269,6 +271,21 @@ def test_svg_byte_identical_across_runs():
         uc = make_use_case(rng)
         p = layout(build_diagram(uc))
         assert render_svg(p) == render_svg(p)
+
+
+def test_an_edge_whose_ends_coincide_is_a_point():
+    # render_svg is public, so a hand-built layout may put an actor on the
+    # function it uses; the edge then has no direction to clip along.
+    d = Diagram("T", (Actor("U", ActorKind.HUMAN, ActorRole.USER),),
+                (SystemFunction("f", "F"),),
+                (Edge(EdgeKind.ASSOCIATION, "u", "f"),))
+    p = replace(layout(d), actor_centers={"u": (90.0, 80.0)},
+                ellipse_centers={"f": (90.0, 80.0)})
+    svg = render_svg(p)
+    lines = ET.fromstring(svg).findall("{http://www.w3.org/2000/svg}line")
+    assert [line.attrib for line in lines] == [
+        {"x1": "90.0", "y1": "80.0", "x2": "90.0", "y2": "80.0",
+         "stroke": "black"}]
 
 
 def test_include_edge_is_dashed_with_label():

@@ -4,6 +4,7 @@ difference on any stage, and a side that lacks a stage is reported."""
 from __future__ import annotations
 
 import re
+import sys
 from pathlib import Path
 
 import differential
@@ -17,8 +18,13 @@ def stage_counts(out: str) -> dict[str, tuple[int, int]]:
             for m in re.finditer(r"^(\w+) +(\d+) +(\d+)$", out, re.M)}
 
 
-def test_working_tree_against_itself_reads_no_difference(capsys):
+def test_working_tree_against_itself_reads_no_difference(capsys, monkeypatch):
+    # The run leaves the caller's path as it was, also without this tree on it.
+    path = [p for p in sys.path
+            if Path(p).resolve() not in (ROOT / "src", ROOT / "tests")]
+    monkeypatch.setattr(sys, "path", list(path))
     assert differential.main([str(ROOT), str(ROOT), "--count", "10"]) == 0
+    assert sys.path == path
     out = capsys.readouterr().out
     assert "inputs: 10 make_use_case, 10 token_mutations; seed 1;" in out
     assert stage_counts(out) == {stage: (20, 0) for stage in STAGES}

@@ -17,7 +17,7 @@ import reference_lexer
 from conftest import FIXTURE_NAMES, fixture_text
 from support import make_use_case
 from ucdoc.lexer import OFFSET, TEXT, LineIndex, lex
-from ucdoc.serializer import serialize_canonical
+from ucdoc.parser import serialize_canonical
 
 
 def _tokens(result, fields=lambda t: (t.kind, t.text, t.value, t.span)):
