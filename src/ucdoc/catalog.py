@@ -3,8 +3,8 @@
 A catalog is built from ``.ucdl`` sources: every file is parsed and
 validated, valid use cases are classified once at build time, and the
 resulting entries are kept sorted by id.  Problems never abort the build;
-they accumulate as diagnostics that name their file (parse errors also
-carry a ``parse.`` code prefix).
+they accumulate as diagnostics that name their file, each with the code
+its stage gave it.
 
 The JSON export (schema ``ucdoc-catalog/1``) is a self-contained snapshot:
 it records the taxonomy version and the generated risk fields next to the
@@ -128,8 +128,7 @@ def build_catalog(sources: Iterable[tuple[str, str]],
     by_id: dict[str, CatalogEntry] = {}
     for path, text in sources:
         use_cases, errors = parse_document(text)
-        diagnostics.extend(replace(e, code=f"parse.{e.code}", file=path)
-                           for e in errors)
+        diagnostics.extend(replace(e, file=path) for e in errors)
         for uc in use_cases:
             problems = validate_use_case(uc)
             if problems:

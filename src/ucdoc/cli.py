@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import os
 import sys
 from enum import IntEnum
@@ -100,8 +101,8 @@ def _resolve_taxonomy(ns: argparse.Namespace) -> Taxonomy:
     return builtin_taxonomy()
 
 
-# The lexer's and the parser's codes, and build_catalog's prefix for them.
-_PARSE_CODES = ("lex.", "syntax", "field.", "parse.")
+# The lexer's and the parser's codes.
+_PARSE_CODES = ("lex.", "syntax", "field.")
 
 
 def _status(diags: list[Diagnostic], strict: bool = False) -> ExitStatus:
@@ -385,7 +386,10 @@ def run(argv: list[str], stdin: Optional[str | IO] = None,
 
 def main() -> None:
     # sys.stdin is None when the process has no standard input.
-    sys.exit(run(sys.argv[1:], stdin=sys.stdin and sys.stdin.buffer))
+    status = run(sys.argv[1:], stdin=sys.stdin and sys.stdin.buffer)
+    # The collections at interpreter exit then skip the heap the run left.
+    gc.freeze()
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -20,7 +20,6 @@ coordinate), :func:`render_svg` emits byte-stable SVG 1.1, and
 
 from __future__ import annotations
 
-import html
 import math
 import textwrap
 from enum import Enum
@@ -204,14 +203,17 @@ def _fmt(value: float) -> str:
     return f"{value:.1f}"
 
 
-# The characters XML 1.0 forbids in a document, which a UCDL string may hold.
-_NOT_XML = dict.fromkeys(
-    [*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), 0xFFFE, 0xFFFF], "\ufffd")
+# XML 1.0 text: the characters XML 1.0 forbids in a document, which a UCDL
+# string may hold, become U+FFFD, and the three markup characters are escaped.
+_XML_TEXT = {
+    **dict.fromkeys([*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), 0xFFFE,
+                     0xFFFF], "\ufffd"),
+    ord("&"): "&amp;", ord("<"): "&lt;", ord(">"): "&gt;"}
 
 
 def _text(value: str) -> str:
     """``value`` as XML 1.0 text: escaped, each forbidden character U+FFFD."""
-    return html.escape(value.translate(_NOT_XML), quote=False)
+    return value.translate(_XML_TEXT)
 
 
 def _clip(center: tuple[float, float], toward: tuple[float, float],

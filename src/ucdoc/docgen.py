@@ -17,7 +17,6 @@ Multi-line cells (scenario steps, extensions, misuses) use a literal
 
 from __future__ import annotations
 
-import html
 import re
 from typing import TYPE_CHECKING, Optional
 
@@ -27,6 +26,10 @@ if TYPE_CHECKING:
     from .risk import RiskAssessment
 
 EMPTY_CELL = "—"
+
+# The five characters html.escape replaces, with its replacements.
+_HTML = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
+                       "'": "&#x27;"})
 
 _ESCAPES = str.maketrans(
     {"\\": "\\\\", "|": "\\|", "<": "\\<", "\n": "\\n", "\r": "\\r"})
@@ -179,11 +182,11 @@ def render_html_page(uc: UseCase,
     parts.append('<html lang="en">')
     parts.append("<head>")
     parts.append('<meta charset="utf-8">')
-    parts.append(f"<title>{html.escape(uc.title)}</title>")
+    parts.append(f"<title>{uc.title.translate(_HTML)}</title>")
     parts.append(f"<style>\n{_HTML_STYLE}\n</style>")
     parts.append("</head>")
     parts.append("<body>")
-    parts.append(f"<h1>{html.escape(uc.title)}</h1>")
+    parts.append(f"<h1>{uc.title.translate(_HTML)}</h1>")
     if svg is not None:
         parts.append("<figure>")
         parts.append(_check_svg(svg).rstrip("\n"))
@@ -193,10 +196,11 @@ def render_html_page(uc: UseCase,
     for label, content in _rows(uc, assessment):
         if content:
             value = "<br>".join(
-                html.escape(part).replace("\n", "<br>") for part in content)
+                part.translate(_HTML).replace("\n", "<br>") for part in content)
         else:
-            value = html.escape(EMPTY_CELL)
-        parts.append(f"<tr><td>{html.escape(label)}</td><td>{value}</td></tr>")
+            value = EMPTY_CELL
+        parts.append(
+            f"<tr><td>{label.translate(_HTML)}</td><td>{value}</td></tr>")
     parts.append("</table>")
     parts.append("</body>")
     parts.append("</html>")

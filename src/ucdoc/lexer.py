@@ -205,8 +205,11 @@ class Diagnostic(Record):
         span = self.span and f"{self.span.line}:{self.span.column}"
         return ":".join(filter(None, (self.file, span, self.path))) or None
 
-    def sort_key(self) -> tuple[str, str]:
-        return (self.location or "", self.code)
+    def sort_key(self) -> tuple[list, str]:
+        """The location, its digit runs compared as numbers, then the code."""
+        parts: list = re.split(r"(\d+)", self.location or "")
+        parts[1::2] = map(int, parts[1::2])
+        return (parts, self.code)
 
     def render(self) -> str:
         """The report line ``location: severity: [code] message``."""

@@ -433,8 +433,9 @@ def validate_use_case(uc: UseCase) -> list[Diagnostic]:
     """Check every semantic invariant; empty result means the record is valid.
 
     Never raises: all violations come back as error diagnostics, sorted by
-    field path then code so output is stable.  The check runs once per
-    instance; later calls, and :func:`require_valid`, reuse its result.
+    field path (list indices as numbers) then code so output is stable.  The
+    check runs once per instance; later calls, and :func:`require_valid`,
+    reuse its result.
     """
     return list(uc._diagnostics)
 

@@ -19,7 +19,7 @@ misclassification of the intended purpose.
 
 from __future__ import annotations
 
-import pkgutil
+import os
 import re
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -205,8 +205,10 @@ class _TaxonomyReader(_Parser):
 @lru_cache(maxsize=1)
 def builtin_taxonomy() -> Taxonomy:
     """The packaged taxonomy (4 prohibited and 15 high-risk sub-uses)."""
-    # pkgutil, not importlib.resources, which imports inspect on 3.12+
-    data = pkgutil.get_data("ucdoc", f"data/{_BUILTIN_RESOURCE}")
+    # What pkgutil.get_data does, without importing it; importlib.resources
+    # imports inspect on 3.12+.
+    data = __spec__.loader.get_data(
+        os.path.join(os.path.dirname(__file__), "data", _BUILTIN_RESOURCE))
     return load_taxonomy(file_text(data))
 
 

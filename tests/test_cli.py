@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import os
@@ -196,7 +197,7 @@ def test_non_utf8_file_is_parse_error(tmp_path):
     out_file = tmp_path / "c.json"
     code, out, err = cli("catalog", "build", str(src_dir), "--out", str(out_file))
     assert code == ExitStatus.PARSE_ERROR
-    assert "bad.ucdl:1:4: error: [parse.lex.not_utf8] " in err
+    assert "bad.ucdl:1:4: error: [lex.not_utf8] " in err
     assert out == f"wrote 1 use case(s) to {out_file}\n"
 
     code, _, err = cli("classify", SMART_CAMERA, "--taxonomy", str(bad))
@@ -764,7 +765,7 @@ SRC_DIR = Path(ucdoc.__file__).resolve().parents[1]
 # through ``urllib.request``; ``dataclasses``, which loads ``inspect``, only
 # by reading a record's ``__dataclass_fields__``.
 _NEVER_LOADED = ("urllib.request", "http.client", "email", "ssl",
-                 "dataclasses", "inspect")
+                 "dataclasses", "inspect", "html", "pkgutil")
 
 _CORE = {"ucdoc", "ucdoc.cli", "ucdoc.lexer", "ucdoc.model", "ucdoc.parser"}
 
@@ -811,6 +812,21 @@ def test_command_imports_only_what_it_runs(tmp_path, argv, extra):
         "assert code == 0, code")
     assert modules == _CORE | {f"ucdoc.{m}" for m in extra}
     assert stray == []
+
+
+def test_main_freezes_the_collector_and_run_does_not():
+    # main() freezes what the run left before the process exits, so that
+    # the collections at exit skip it; run(), which in-process callers use,
+    # leaves the collector as it was.
+    code = ("import atexit, gc, sys\nfrom ucdoc.cli import main\n"
+            "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+            f"sys.argv = ['ucdoc', 'validate', {SMART_CAMERA!r}]\nmain()\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=package_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout.splitlines()[-1]) == (0, "True")
+    assert gc.get_freeze_count() == 0
+    assert cli("validate", SMART_CAMERA)[0] == ExitStatus.OK
+    assert gc.get_freeze_count() == 0
 
 
 @pytest.mark.parametrize("argv", [

@@ -11,6 +11,7 @@ from typing import Optional
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import fixture_text
 from support import make_use_case, mutate_use_case
 from ucdoc import (
     Actor,
@@ -27,6 +28,7 @@ from ucdoc import (
     UseCase,
     ValidationFailedError,
     canonicalize,
+    parse_document,
     require_valid,
     use_case_from_dict,
     use_case_to_dict,
@@ -222,6 +224,20 @@ def test_diagnostics_are_sorted_and_stable():
     second = validate_use_case(broken)
     assert first == second
     assert first == sorted(first, key=lambda d: d.sort_key())
+
+
+def test_diagnostics_sort_step_indices_as_numbers():
+    # smart_camera.ucdl with eight more steps, 12 in all; steps 3 and 11,
+    # main_scenario[2] and main_scenario[10], name an undeclared actor.
+    text = fixture_text("smart_camera").replace(
+        "3 system: \"detects", "3 ghost: \"detects")
+    extra = "".join(f'    {n} {"ghost" if n == 11 else "system"}: "step {n}"\n'
+                    for n in range(5, 13))
+    head, tail = text.split("  }\n  extension 4a")
+    (uc,), errors = parse_document(f"{head}{extra}  }}\n  extension 4a{tail}")
+    assert errors == [] and len(uc.main_scenario) == 12
+    assert [d.path for d in validate_use_case(uc)] == [
+        "main_scenario[2].actor", "main_scenario[10].actor"]
 
 
 def test_require_valid_raises_with_diagnostics():
