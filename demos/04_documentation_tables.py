@@ -22,7 +22,6 @@ from ucdoc import (
     render_svg,
     render_table_markdown,
 )
-from ucdoc.docgen import parse_table_rows
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 OUT = Path(__file__).resolve().parent / "out"
@@ -38,12 +37,6 @@ assessment = classify(camera, TAX)
 
 table = render_table_markdown(camera, assessment)
 print(table)
-
-# The escaping is invertible: a rendered table parses back to the exact
-# values, so documentation stays machine-readable.
-rows = dict(parse_table_rows(table))
-print("risk row: ", rows["Risk level"])
-print("misuse row:", rows["Misuses"])
 
 # ---------------------------------------------------------------------------
 # One self-contained HTML page per fixture: diagram + table + risk rows.

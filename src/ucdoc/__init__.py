@@ -35,8 +35,8 @@ _EXPORTS = {
         "build_diagram", "layout", "render_svg", "render_textual",
     ],
     "docgen": [
-        "EMPTY_CELL", "MalformedSvgError", "escape_cell", "parse_table_rows",
-        "render_html_page", "render_table_markdown", "unescape_cell",
+        "EMPTY_CELL", "MalformedSvgError", "escape_cell", "render_html_page",
+        "render_table_markdown",
     ],
     "catalog": [
         "Catalog", "CatalogEntry", "CatalogStats", "Query", "build_catalog",

@@ -7,17 +7,15 @@ of Open issues, and an *Application areas* row right after the purpose.
 Risk rows (``Risk level``, ``Risk rationale``) are generated output and are
 appended after the authored rows when an assessment is supplied.
 
-Markdown cell escaping is invertible: ``\\``, ``|``, ``<``, LF and CR are
-backslash-escaped, and rows are split at LF alone, so a rendered table can
-be parsed back to the exact cell values (see :func:`parse_table_rows`).
-Multi-line cells (scenario steps, extensions, misuses) use a literal
-``<br>`` separator, which cannot collide with content because every literal
-``<`` is escaped.
+Both tables write a cell by one rule: the row's lines are joined, and a
+line break, LF or CR, in the value or between its lines is written as
+``<br>``.  Markdown backslash-escapes ``\\``, ``|`` and ``<``, so a row keeps
+two cells and a value cannot open raw HTML; HTML entity-escapes.  The tables
+are output only: the catalogue JSON is the machine-readable form.
 """
 
 from __future__ import annotations
 
-import re
 from typing import TYPE_CHECKING, Optional
 
 from .model import UseCase, require_valid
@@ -31,14 +29,11 @@ EMPTY_CELL = "—"
 _HTML = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
                        "'": "&#x27;"})
 
-_ESCAPES = str.maketrans(
-    {"\\": "\\\\", "|": "\\|", "<": "\\<", "\n": "\\n", "\r": "\\r"})
-_UNESCAPES = {"\\": "\\", "|": "|", "<": "<", "n": "\n", "r": "\r"}
-_ESCAPE_RE = re.compile(r"\\([\\|<nr])")
-# One cell of a stripped table row: the ``|`` before it (not the row's last
-# character), one space of padding on each side, and up to the next
-# unescaped ``|`` or the end of the row.
-_CELL_RE = re.compile(r"\|(?!$) ?((?:\\[\\|]?|[^\\|])*?) ?(?=\||$)")
+# Each table's escapes for a cell; LF and CR are line breaks in both.
+_BREAKS = {"\n": "<br>", "\r": "<br>"}
+_MARKDOWN_CELL = str.maketrans(
+    {"\\": "\\\\", "|": "\\|", "<": "\\<", **_BREAKS})
+_HTML_CELL = str.maketrans({**_HTML, **_BREAKS})
 
 
 class MalformedSvgError(ValueError):
@@ -46,32 +41,9 @@ class MalformedSvgError(ValueError):
 
 
 def escape_cell(value: str) -> str:
-    """Escape a value for use inside one Markdown table cell."""
-    return value.translate(_ESCAPES)
-
-
-def unescape_cell(value: str) -> str:
-    """Inverse of :func:`escape_cell`."""
-    return _ESCAPE_RE.sub(lambda m: _UNESCAPES[m[1]], value)
-
-
-def parse_table_rows(text: str) -> list[tuple[str, str]]:
-    """Read back (label, value) pairs from a rendered Markdown table.
-
-    The header and separator rows are skipped; values come back unescaped,
-    exactly as they were before rendering.
-    """
-    rows: list[tuple[str, str]] = []
-    for line in text.split("\n"):  # a cell escapes "\n", not every line break
-        if not line.strip().startswith("|"):
-            continue
-        cells = _CELL_RE.findall(line.strip())
-        if len(cells) != 2:
-            continue
-        if cells[0] in ("Field", EMPTY_CELL) or set(cells[0]) <= {"-"}:
-            continue
-        rows.append((unescape_cell(cells[0]), unescape_cell(cells[1])))
-    return rows
+    """Escape a value for use inside one Markdown table cell; each LF or CR
+    becomes ``<br>``."""
+    return value.translate(_MARKDOWN_CELL)
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +56,8 @@ def _actor_line(name: str, kind: str) -> str:
 
 def _rows(uc: UseCase,
           assessment: Optional[RiskAssessment]) -> list[tuple[str, list[str]]]:
-    """Label → content lines; empty list means the placeholder cell."""
+    """Label → content lines; empty list means the placeholder cell.  No
+    label holds a character that either table escapes."""
     scenario = [f"{s.index}. {s.actor}: {s.action}" for s in uc.main_scenario]
     extensions: list[str] = []
     for ext in uc.extensions:
@@ -129,17 +102,18 @@ def _rows(uc: UseCase,
     return rows
 
 
+def _cell(content: list[str], escapes: dict[int, str]) -> str:
+    """One table cell: ``content``'s lines, each line break a ``<br>``."""
+    return "\n".join(content).translate(escapes) if content else EMPTY_CELL
+
+
 def render_table_markdown(uc: UseCase,
                           assessment: Optional[RiskAssessment] = None) -> str:
     """Two-column Markdown table documenting one valid use case."""
     require_valid(uc)
     lines = ["| Field | Value |", "| --- | --- |"]
     for label, content in _rows(uc, assessment):
-        if content:
-            value = "<br>".join(escape_cell(part) for part in content)
-        else:
-            value = EMPTY_CELL
-        lines.append(f"| {escape_cell(label)} | {value} |")
+        lines.append(f"| {label} | {_cell(content, _MARKDOWN_CELL)} |")
     return "\n".join(lines) + "\n"
 
 
@@ -194,13 +168,8 @@ def render_html_page(uc: UseCase,
     parts.append("<table>")
     parts.append("<tr><th>Field</th><th>Value</th></tr>")
     for label, content in _rows(uc, assessment):
-        if content:
-            value = "<br>".join(
-                part.translate(_HTML).replace("\n", "<br>") for part in content)
-        else:
-            value = EMPTY_CELL
         parts.append(
-            f"<tr><td>{label.translate(_HTML)}</td><td>{value}</td></tr>")
+            f"<tr><td>{label}</td><td>{_cell(content, _HTML_CELL)}</td></tr>")
     parts.append("</table>")
     parts.append("</body>")
     parts.append("</html>")

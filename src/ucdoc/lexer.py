@@ -242,7 +242,7 @@ _QUOTE = {ord(c): "\\" + e for e, c in _ESCAPES.items()}
 # ``[^\W\d]`` stands for "letter or _" but also admits numeric non-letters
 # such as "½"; :func:`_word_end` rejects those where a word or segment starts.
 _NUMBER = r"(?P<digits>\d+)(?:[^\W\d]\w*)?"
-_IDENT = r"[^\W\d]\w*(?:(?:\.[^\W\d]|-[^\W_])\w*)*"
+_IDENT = r"[^\W\d]\w*+(?:(?:\.[^\W\d]|-[^\W_])\w*+)*"
 
 # One ``match`` per token: blanks and comments are a prefix of the match,
 # and the token starts at the empty group ``start``.  Each alternative ends
@@ -250,15 +250,16 @@ _IDENT = r"[^\W\d]\w*(?:(?:\.[^\W\d]|-[^\W_])\w*)*"
 # (the ``\Z`` one matches once, after the last token); an alternative that
 # starts with a character, not a group, is skipped at once when the next
 # character cannot start it.  Each punctuation mark's group is named after
-# its kind.
+# its kind.  A run that the next character cannot continue is possessive
+# (``*+``), so a failed alternative does not try shorter runs.
 _TOKEN_RE = re.compile(rf"""
-    [ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*
+    [ \t\r\n]*+(?:\#[^\n]*+[ \t\r\n]*+)*+
     (?P<start>)
     (?: {"|".join(f"{re.escape(t)}(?P<{k.name}>)" for t, k in _PUNCTUATION.items())}
       | {_IDENT}(?P<ident>)
       | {_NUMBER}(?P<number>)
       | \"\"\"(?P<tbody>[^"]*(?:"(?!"")[^"]*)*)(?P<tclose>\"\"\")?(?P<triple>)
-      | "[^"\\\n]*"(?P<plain>)
+      | "[^"\\\n]*+"(?P<plain>)
       | "(?P<body>[^"\\\n]*(?:\\[^\n][^"\\\n]*)*)(?P<dangle>\\)?(?P<close>")?
         (?P<string>)
       | .(?P<invalid>)

@@ -134,8 +134,6 @@ class CatalogFormatError(ValueError):
 class QueryError(ValueError):
     """Raised for filters that cannot match anything (unknown area id)."""
 
-    code = "query.unknown_area"
-
 
 class Actor(Record):
     name: str

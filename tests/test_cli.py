@@ -467,6 +467,20 @@ def test_table_markdown():
     assert "Risk level" not in out
 
 
+def test_table_markdown_writes_line_breaks_as_br():
+    # CommonMark shows a backslash before a letter as itself, so a break
+    # written as "\n" would read as "\n"; "<br>" reads as a break.
+    code, out, _ = cli("table", SMART_CAMERA)
+    assert code == 0
+    assert [line for line in out.split("\n")
+            if line.startswith("| Intended purpose |")] == [
+        "| Intended purpose | Shoot a picture automatically when all the"
+        " people posing in front of<br>the camera are smiling. Smile"
+        " detection runs on the camera itself and<br>triggers the shutter;"
+        " the feature is aimed at group photos in<br>entertainment and"
+        " leisure contexts only. |"]
+
+
 def test_table_with_risk():
     code, out, _ = cli("table", SMART_CAMERA, "--with-risk")
     assert code == 0

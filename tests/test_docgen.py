@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from html.parser import HTMLParser
 
 import pytest
@@ -21,10 +22,8 @@ from ucdoc.docgen import (
     EMPTY_CELL,
     MalformedSvgError,
     escape_cell,
-    parse_table_rows,
     render_html_page,
     render_table_markdown,
-    unescape_cell,
 )
 
 TAX = builtin_taxonomy()
@@ -58,10 +57,34 @@ FORBIDDEN_LABELS = [
 ]
 
 
+def cells(row: str) -> list[str]:
+    """A table row's cells as written, escapes kept.  As in GitHub-flavoured
+    Markdown, a cell ends at each ``|`` that no backslash escapes; each cell
+    has one space of padding on either side, and the row ends in a ``|``."""
+    assert row.startswith("|"), row
+    found, cell, escaped = [], "", False
+    for c in row[1:]:
+        if c == "|" and not escaped:
+            found.append(cell[1:-1])
+            cell = ""
+        else:
+            cell += c
+        escaped = c == "\\" and not escaped
+    assert cell == "", f"the row does not end in an unescaped |: {row!r}"
+    return found
+
+
 def rows_of(table: str) -> dict[str, str]:
-    pairs = parse_table_rows(table)
-    assert len({label for label, _ in pairs}) == len(pairs)
-    return dict(pairs)
+    """Label → value cell as written, for each row below the header.  A line
+    ends at LF or CR in CommonMark, and every row has two cells."""
+    assert "\r" not in table
+    lines = table.split("\n")
+    assert lines[:2] == ["| Field | Value |", "| --- | --- |"]
+    assert lines[-1] == ""
+    rows = [cells(line) for line in lines[2:-1]]
+    assert all(len(row) == 2 for row in rows), rows
+    assert len({label for label, _ in rows}) == len(rows)
+    return dict(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -70,18 +93,18 @@ def rows_of(table: str) -> dict[str, str]:
 
 def test_row_labels_exact_and_ordered():
     table = render_table_markdown(base_use_case())
-    assert [label for label, _ in parse_table_rows(table)] == EXPECTED_LABELS
+    assert list(rows_of(table)) == EXPECTED_LABELS
 
 
 def test_risk_rows_appended_with_assessment():
     uc = base_use_case()
     assessment = classify(uc, TAX)
     table = render_table_markdown(uc, assessment)
-    labels = [label for label, _ in parse_table_rows(table)]
-    assert labels == EXPECTED_LABELS + ["Risk level", "Risk rationale"]
     values = rows_of(table)
+    assert list(values) == EXPECTED_LABELS + ["Risk level", "Risk rationale"]
     assert values["Risk level"] == assessment.level.label
-    assert values["Risk rationale"] == "; ".join(assessment.rationale)
+    assert values["Risk rationale"] == escape_cell(
+        "; ".join(assessment.rationale))
 
 
 def test_no_risk_rows_without_assessment():
@@ -151,35 +174,33 @@ def test_table_shape():
     assert table.endswith("\n")
 
 
-def test_parse_skips_surrounding_prose():
-    table = render_table_markdown(base_use_case())
-    document = "# Title\n\nSome prose | with a pipe.\n\n" + table + "\nTrailing.\n"
-    assert parse_table_rows(document) == parse_table_rows(table)
-
-
 # ---------------------------------------------------------------------------
 # Markdown: escaping
 
 
+# What an escaped value is made of: a backslash before \, | or <, a line
+# break, or a character that is none of \, |, <, LF and CR.
+ESCAPED_CELL = re.compile(r"(?:\\[\\|<]|<br>|[^\\|<\n\r])*")
+
+
 def test_escape_cell_round_trip_random():
+    # Every random value is one cell of one row: no line ending, no
+    # unescaped |, and no < that is not escaped or a break.
     rng = random.Random(20240811)
     for _ in range(500):
         value = random_text(rng, nasty=True)
         escaped = escape_cell(value)
-        assert unescape_cell(escaped) == value
-        assert "\n" not in escaped
-        assert "\r" not in escaped
-        assert "<" not in escaped.replace("\\<", "")
-        stripped = escaped.replace("\\\\", "").replace("\\|", "")
-        assert "|" not in stripped
+        assert ESCAPED_CELL.fullmatch(escaped), escaped
+        assert cells(f"| x | {escaped} |") == ["x", escaped]
 
 
 def test_nasty_values_survive_render_parse():
     nasty = "a | b \\| c \\ d\nline <br> two\r\ttab"
     uc = u(intended_purpose=nasty, title="T|tle \\ <odd>")
     values = rows_of(render_table_markdown(uc))
-    assert values["Intended purpose"] == nasty
-    assert values["Use case"] == "T|tle \\ <odd> (scan-1)"
+    assert values["Intended purpose"] == (
+        "a \\| b \\\\\\| c \\\\ d<br>line \\<br> two<br>\ttab")
+    assert values["Use case"] == "T\\|tle \\\\ \\<odd> (scan-1)"
 
 
 @pytest.mark.parametrize("value", [
@@ -189,20 +210,9 @@ def test_nasty_values_survive_render_parse():
 ])
 def test_edge_values_survive_render_parse(value):
     # A trailing backslash must not escape the cell's closing pipe, a lone
-    # pipe must not split the cell, and a row ends at LF alone.
+    # pipe must not split the cell, and a row ends at LF or CR alone.
     assert rows_of(render_table_markdown(u(intended_purpose=value)))[
-        "Intended purpose"] == value
-
-
-@pytest.mark.parametrize("row, cells", [
-    ("|a|b\\\\|", [("a", "b\\")]),          # no padding, value ends in \
-    ("| a | \\| |", [("a", "|")]),
-    ("| a | b", [("a", "b")]),             # no closing pipe
-    ("| a |  |", [("a", "")]),
-    ("| a | b | c |", []),                 # three cells: not a field row
-])
-def test_parse_table_rows_reads_unpadded_and_open_rows(row, cells):
-    assert parse_table_rows(row) == cells
+        "Intended purpose"] == escape_cell(value)
 
 
 def test_multi_part_cells_keep_joiner_distinct():
@@ -212,12 +222,9 @@ def test_multi_part_cells_keep_joiner_distinct():
         ScenarioStep(1, "operator", "types <br> literally", "scan"),
         ScenarioStep(2, "system", "responds", "report"),
     ), extensions=(), associations=())
-    table = render_table_markdown(uc)
-    # In the raw cell the content "<" is escaped, the joiner is not.
-    assert "types \\<br> literally<br>2. system: responds" in table
-    values = rows_of(table)
-    assert values["Main success scenario"] == (
-        "1. operator: types <br> literally<br>2. system: responds")
+    # The content's "<" is escaped, the joiner is not.
+    assert rows_of(render_table_markdown(uc))["Main success scenario"] == (
+        "1. operator: types \\<br> literally<br>2. system: responds")
 
 
 def test_random_use_cases_round_trip_single_value_rows():
@@ -226,15 +233,13 @@ def test_random_use_cases_round_trip_single_value_rows():
         uc = make_use_case(rng)
         table = render_table_markdown(uc, classify(uc, TAX))
         values = rows_of(table)
-        assert values["Use case"] == f"{uc.title} ({uc.id})"
-        assert values["Intended purpose"] == uc.intended_purpose
+        assert values["Use case"] == escape_cell(f"{uc.title} ({uc.id})")
+        assert values["Intended purpose"] == escape_cell(uc.intended_purpose)
         if uc.context_of_use:
-            assert values["Context of use"] == uc.context_of_use
+            assert values["Context of use"] == escape_cell(uc.context_of_use)
         if uc.trigger:
-            assert values["Trigger"] == uc.trigger
-        assert values["Inputs"] == "; ".join(uc.inputs)
-        for line in table.splitlines():
-            assert "\n" not in line and "\r" not in line
+            assert values["Trigger"] == escape_cell(uc.trigger)
+        assert values["Inputs"] == escape_cell("; ".join(uc.inputs))
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +306,15 @@ def test_html_newlines_become_breaks():
     uc = u(intended_purpose="first\nsecond")
     page = render_html_page(uc)
     assert "first<br>second" in page
+
+
+def test_both_tables_write_lf_and_cr_as_breaks():
+    # CommonMark ends a line at CR as well as LF, so a raw CR would end
+    # the Markdown row; both tables write either one as a break.
+    uc = u(intended_purpose="a\nb\rc\r\nd")
+    assert rows_of(render_table_markdown(uc))["Intended purpose"] == (
+        "a<br>b<br>c<br><br>d")
+    assert "<td>a<br>b<br>c<br><br>d</td>" in render_html_page(uc)
 
 
 def test_html_embeds_svg_once():

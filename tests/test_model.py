@@ -182,12 +182,16 @@ def test_single_violation_detected(mutant, expected, path, message):
     assert (expected, path, message) in found, f"expected {expected} in {found}"
 
 
-def test_mutated_corpus_emits_exactly_the_documented_codes():
-    # The codes in the first column of the module docstring's table.
+def validation_codes() -> set[str]:
+    """The codes in the first column of the module docstring's table."""
     lines = model.__doc__.splitlines()
     rules = [i for i, line in enumerate(lines) if line.startswith("====")]
-    documented = {code for line in lines[rules[1] + 1:rules[2]]
-                  for code in re.split(r"\s{2,}", line)[0].split(" / ")}
+    return {code for line in lines[rules[1] + 1:rules[2]]
+            for code in re.split(r"\s{2,}", line)[0].split(" / ")}
+
+
+def test_mutated_corpus_emits_exactly_the_documented_codes():
+    documented = validation_codes()
     assert len(documented) == 35
     emitted = {d.code for seed in range(500)
                for d in validate_use_case(mutate_use_case(random.Random(seed)))}
