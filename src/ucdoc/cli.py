@@ -79,14 +79,14 @@ def _path(text: str) -> str:
     return text
 
 
-def _parse(path: str, stdin: Optional[str | IO]
+def _parse(path: str, stdin: Optional[str | bytes | IO]
            ) -> tuple[str, list[UseCase], list[Diagnostic]]:
     """The name of ``path`` (``<stdin>`` for ``-``), its use cases and its
     parse errors."""
     if path == "-":
         if stdin is None:
             raise _UsageError("no data on stdin")
-        data = stdin if isinstance(stdin, str) else stdin.read()
+        data = stdin if isinstance(stdin, (str, bytes)) else stdin.read()
         return ("<stdin>", *parse_document(file_text(data)))
     return (path, *parse_document(read_ucdl(path)))
 
@@ -122,8 +122,8 @@ def _report(name: Optional[str], diags: list[Diagnostic], err: TextIO,
     return _status(diags, strict)
 
 
-def _single_use_case(path: str, stdin: Optional[str | IO], err: TextIO
-                     ) -> tuple[str, Optional[UseCase], ExitStatus]:
+def _single_use_case(path: str, stdin: Optional[str | bytes | IO],
+                     err: TextIO) -> tuple[str, Optional[UseCase], ExitStatus]:
     """Read, parse and validate the one use case of ``path``; None, with the
     exit status, when it does not parse or validate."""
     name, use_cases, errors = _parse(path, stdin)
@@ -358,12 +358,12 @@ def build_arg_parser() -> _ArgumentParser:
     return parser
 
 
-def run(argv: list[str], stdin: Optional[str | IO] = None,
+def run(argv: list[str], stdin: Optional[str | bytes | IO] = None,
         stdout: Optional[TextIO] = None,
         stderr: Optional[TextIO] = None) -> int:
-    """Run one command; ``stdin`` is the text, or the text or binary stream,
-    read for ``-``.  Each is read as a UCDL file holding its text or bytes
-    reads (:func:`~ucdoc.lexer.file_text`)."""
+    """Run one command; ``stdin`` is the text or bytes, or a text or binary
+    stream, read for ``-``.  Each is read as a UCDL file holding its text or
+    bytes reads (:func:`~ucdoc.lexer.file_text`)."""
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
     parser = build_arg_parser()

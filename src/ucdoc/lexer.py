@@ -187,8 +187,7 @@ class Diagnostic(Record):
     """One finding of any stage, from the lexer to the catalogue.
 
     ``path`` is a field path such as ``main_scenario[2].actor``, ``span``
-    a source position and ``file`` the input it is in; ``expected`` lists
-    what a parser error wanted, also written out at the end of ``message``.
+    a source position and ``file`` the input it is in.
     """
 
     severity: Severity
@@ -197,7 +196,6 @@ class Diagnostic(Record):
     path: Optional[str] = None
     span: Optional[SourceSpan] = None
     file: Optional[str] = None
-    expected: tuple[str, ...] = ()
 
     @property
     def location(self) -> Optional[str]:
@@ -249,13 +247,14 @@ _IDENT = r"[^\W\d]\w*+(?:(?:\.[^\W\d]|-[^\W_])\w*+)*"
 # in an empty group that names it, so ``lastindex`` tells which one matched
 # (the ``\Z`` one matches once, after the last token); an alternative that
 # starts with a character, not a group, is skipped at once when the next
-# character cannot start it.  Each punctuation mark's group is named after
-# its kind.  A run that the next character cannot continue is possessive
-# (``*+``), so a failed alternative does not try shorter runs.
+# character cannot start it.  Every punctuation mark is one alternative,
+# ``punct``, and its kind is ``_PUNCTUATION[text]``.  A run that the next
+# character cannot continue is possessive (``*+``), so a failed alternative
+# does not try shorter runs.
 _TOKEN_RE = re.compile(rf"""
     [ \t\r\n]*+(?:\#[^\n]*+[ \t\r\n]*+)*+
     (?P<start>)
-    (?: {"|".join(f"{re.escape(t)}(?P<{k.name}>)" for t, k in _PUNCTUATION.items())}
+    (?: (?:{"|".join(map(re.escape, _PUNCTUATION))})(?P<punct>)
       | {_IDENT}(?P<ident>)
       | {_NUMBER}(?P<number>)
       | \"\"\"(?P<tbody>[^"]*(?:"(?!"")[^"]*)*)(?P<tclose>\"\"\")?(?P<triple>)
@@ -267,12 +266,9 @@ _TOKEN_RE = re.compile(rf"""
     )
 """, re.VERBOSE)
 
-_IDENT_G, _NUMBER_G, _TRIPLE_G, _PLAIN_G, _STRING_G, _END_G = (
-    _TOKEN_RE.groupindex[name]
-    for name in ("ident", "number", "triple", "plain", "string", "end"))
-# By group: punctuation is 2 to 10.
-_PUNCT_KIND = (None, None, *_PUNCTUATION.values())
-_PUNCT_TEXT = (None, None, *_PUNCTUATION)
+_PUNCT_G, _IDENT_G, _NUMBER_G, _TRIPLE_G, _PLAIN_G, _STRING_G, _END_G = (
+    _TOKEN_RE.groupindex[name] for name in
+    ("punct", "ident", "number", "triple", "plain", "string", "end"))
 
 _ESCAPE_RE = re.compile(r"\\(.)")
 
@@ -335,9 +331,8 @@ def dedent_block(content: str) -> str:
     return "\n".join(lines)
 
 
-# A problem the lexer or the parser found: (code, message, offset, length,
-# expected).
-_Problem = tuple[str, str, int, int, tuple[str, ...]]
+# A problem the lexer or the parser found: (code, message, offset, length).
+_Problem = tuple[str, str, int, int]
 
 
 def _string_value(m: re.Match, start: int, problems: list[_Problem]) -> str:
@@ -346,16 +341,16 @@ def _string_value(m: re.Match, start: int, problems: list[_Problem]) -> str:
         c = e[1]
         if c not in _ESCAPES:
             problems.append(("lex.bad_escape", f"unknown escape sequence '\\{c}'",
-                             start + 1 + e.start(), 2, ()))
+                             start + 1 + e.start(), 2))
         return _ESCAPES.get(c, c)
     body = _ESCAPE_RE.sub(escape, m["body"])
     end = m.end()
     if m["dangle"] is not None:
         problems.append(("lex.bad_escape", "dangling backslash in string",
-                         end - 1, 1, ()))
+                         end - 1, 1))
     if m["close"] is None:
         problems.append(("lex.unterminated_string", "unterminated string",
-                         start, end - start, ()))
+                         start, end - start))
     return body
 
 
@@ -363,8 +358,8 @@ def _diagnostics(source: str, problems: list[_Problem]) -> list[Diagnostic]:
     """The errors of ``problems``, in order, at their spans in ``source``."""
     lines = problems and LineIndex(source)
     return [Diagnostic(Severity.ERROR, code, message,
-                       span=lines.span(offset, length), expected=expected)
-            for code, message, offset, length, expected in problems]
+                       span=lines.span(offset, length))
+            for code, message, offset, length in problems]
 
 
 def _rare_token(m: re.Match, i: int, start: int, emit: Callable,
@@ -389,19 +384,18 @@ def _rare_token(m: re.Match, i: int, start: int, emit: Callable,
             except ValueError:  # beyond sys.get_int_max_str_digits()
                 problems.append(("lex.number_too_long",
                                  f"number of {len(text)} digits is too long",
-                                 start, end - start, ()))
+                                 start, end - start))
                 return end
     elif i == _STRING_G:
         kind, value = STRING, _string_value(m, start, problems)
     elif i == _TRIPLE_G:
         if m["tclose"] is None:
             problems.append(("lex.unterminated_string",
-                             "unterminated triple-quoted string", start, 3,
-                             ()))
+                             "unterminated triple-quoted string", start, 3))
         kind, value = STRING, dedent_block(m["tbody"])
     else:
         problems.append(("lex.invalid_char", f"unexpected character {text!r}",
-                         start, 1, ()))
+                         start, 1))
         return end
     emit((kind, text, value, start))
     return end
@@ -420,22 +414,21 @@ def _scan(source: str) -> tuple[list[Token], list[_Problem]]:
     except UnicodeEncodeError as exc:
         # No token of a text that was not decoded is trusted.
         return [(EOF, "", None, exc.start)], [
-            ("lex.not_utf8", "text is not valid UTF-8", exc.start, 1, ())]
+            ("lex.not_utf8", "text is not valid UTF-8", exc.start, 1)]
     tokens: list[Token] = []
     problems: list[_Problem] = []
     emit = tokens.append
-    kinds, texts = _PUNCT_KIND, _PUNCT_TEXT
-    ident_g, plain_g, end_g = _IDENT_G, _PLAIN_G, _END_G
+    kinds = _PUNCTUATION
+    punct_g, ident_g, plain_g, end_g = _PUNCT_G, _IDENT_G, _PLAIN_G, _END_G
     scan = _TOKEN_RE.scanner(source).match     # matches on from the last end
     while True:
         m = scan()
         i = m.lastindex
         start = m.end(1)
-        if i < ident_g:                         # punctuation
-            emit((kinds[i], texts[i], None, start))
-            continue
         text = source[start:m.end()]
-        if i == ident_g and text.isascii():
+        if i == punct_g:
+            emit((kinds[text], text, None, start))
+        elif i == ident_g and text.isascii():
             emit((IDENT, text, text, start))
         elif i == plain_g:                      # a string without escapes
             emit((STRING, text, text[1:-1], start))

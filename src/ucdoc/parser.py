@@ -104,7 +104,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.errors: list[_Problem] = []
-        self.lex_offsets = [offset for _, _, offset, _, _ in lex_problems]
+        self.lex_offsets = [offset for _, _, offset, _ in lex_problems]
         # per usecase block: its use case, or None when it holds a problem
         self.results: list[Optional[UseCase]] = []
 
@@ -127,19 +127,17 @@ class _Parser:
         return tok
 
     def error(self, message: str, at: Optional[Token] = None,
-              expected: tuple[str, ...] = (), code: str = "syntax") -> None:
+              code: str = "syntax") -> None:
         """Report ``message`` at the token ``at``, by default the current one."""
-        if expected:
-            message += f" (expected {' or '.join(expected)})"
         _, text, _, offset = at or self.tokens[self.pos]
-        self.errors.append((code, message, offset, len(text), expected))
+        self.errors.append((code, message, offset, len(text)))
 
     def expect(self, kind: TokenKind, what: str) -> Token:
         tok = self.tokens[self.pos]
         if tok[KIND] is kind:       # never EOF, so there is a next token
             self.pos += 1
             return tok
-        self.error(f"expected {what}, found {_describe(tok)}", expected=(what,))
+        self.error(f"expected {what}, found {_describe(tok)}")
         raise _Panic
 
     def skip_balanced(self) -> None:
@@ -196,8 +194,7 @@ class _Parser:
                 self.results[-1] = None
             else:
                 self.error(
-                    f"expected '{_USECASE_KW}', found {_describe(self.cur())}",
-                    expected=(_USECASE_KW,))
+                    f"expected '{_USECASE_KW}', found {_describe(self.cur())}")
             self.sync_to_usecase()
 
     def sync_to_usecase(self) -> None:
@@ -229,8 +226,7 @@ class _Parser:
         if tok[KIND] in _WORD_KINDS:
             self.pos += 1
             return tok[TEXT]
-        self.error(f"expected {what}, found {_describe(tok)}",
-                   expected=(what,))
+        self.error(f"expected {what}, found {_describe(tok)}")
         raise _Panic
 
     def parse_string(self, what: str) -> str:
@@ -276,8 +272,8 @@ class _Parser:
         if kind is STRING:
             self.advance()
             return ApplicationAreaRef(value)
-        self.error(f"expected application area, found {_describe(tok)}",
-                   expected=("area id", "other(\"…\")"))
+        self.error(f'expected an area id or {OTHER_AREA}("…"), '
+                   f"found {_describe(tok)}")
         raise _Panic
 
     def parse_association_item(self) -> Association:
@@ -293,7 +289,7 @@ class _Parser:
         self.expect(LBRACE, "'{'")
         while (kind := self.tokens[self.pos][KIND]) is not RBRACE:
             if kind is EOF:
-                self.error(f"unclosed {what} block", expected=("}",))
+                self.error(f"unclosed {what} block (expected }})")
                 raise _Panic
             yield
         self.advance()
@@ -312,23 +308,22 @@ class _Parser:
         for _ in self.block(what):
             key = self.tokens[self.pos]
             if key[KIND] is not IDENT:
-                self.error(f"expected a field, found {_describe(key)}",
-                           expected=("field name", "}"))
+                self.error(
+                    f"expected a field name or }}, found {_describe(key)}")
                 raise _Panic
             name = key[TEXT]
             attr, read, _, shape = table.get(name, _NO_FIELD)
             after = self.tokens[self.pos + 1]   # an IDENT is never the last
             if read is None and self.starts_field(parent):
-                self.error(f"unclosed {what} block before {name!r}", key,
-                           expected=("}",))
+                self.error(
+                    f"unclosed {what} block before {name!r} (expected }})", key)
                 raise _Panic
             if after[KIND] is COLON:
                 self.pos += 2
             elif shape or (read is None and after[KIND] is LBRACE):
                 self.pos += 1
             else:
-                self.error(f"expected ':', found {_describe(after)}", after,
-                           expected=("':'",))
+                self.error(f"expected ':', found {_describe(after)}", after)
                 raise _Panic
             if read is None:
                 self.error(f"unknown field {name!r} in {what} block", key,
@@ -363,7 +358,7 @@ class _Parser:
             person = self.expect(IDENT, f"'{_PERSON_KW}'")
             if person[TEXT] != _PERSON_KW:
                 self.error(f"expected '{_PERSON_KW}' block, found "
-                           f"{person[TEXT]!r}", person, expected=(_PERSON_KW,))
+                           f"{person[TEXT]!r}", person)
                 raise _Panic
             actors.append(self.parse_actor_body(role))
         return tuple(actors)
@@ -397,8 +392,8 @@ class _Parser:
         index = self.expect(INT, "step index")[VALUE]
         kind, text, value, _ = actor = self.cur()
         if kind is not STRING and kind not in _WORD_KINDS:
-            self.error(f"expected step actor, found {_describe(actor)}",
-                       expected=("actor identifier",))
+            self.error(
+                f"expected an actor identifier, found {_describe(actor)}")
             raise _Panic
         self.pos += 1
         self.expect(COLON, "':'")
@@ -416,8 +411,8 @@ class _Parser:
     def parse_extension(self, key: str) -> Extension:
         branch = self.cur()
         if branch[KIND] not in (BRANCH, IDENT):
-            self.error(f"expected branch id, found {_describe(branch)}",
-                       expected=("branch id such as '3a'",))
+            self.error(f"expected a branch id such as '3a', "
+                       f"found {_describe(branch)}")
             raise _Panic
         self.pos += 1
         condition = self.parse_string("extension condition string")

@@ -83,9 +83,10 @@ class Taxonomy(Record):
 
     @cached_property
     def _keywords(self) -> list[tuple[str, str, int]]:
-        # (keyword, whole-word pattern, entry index), in taxonomy order; _scan
-        # compiles a pattern, through re's cache, once a label holds its word.
-        return [(kw, r"\b" + re.escape(kw) + r"\b", i)
+        # (keyword, pattern, entry index), in taxonomy order; _scan compiles a
+        # pattern, through re's cache, once a label holds its word.  No word
+        # character may touch a keyword ("c++" has no ``\b`` after it).
+        return [(kw, r"(?<!\w)" + re.escape(kw) + r"(?!\w)", i)
                 for i, entry in enumerate(self.entries) for kw in entry.keywords]
 
     def find(self, area_id: str) -> Optional[TaxonomyEntry]:
@@ -169,8 +170,7 @@ class _TaxonomyReader(_Parser):
 
     def expect_word(self, text: str) -> None:
         if not self.at_word(text):
-            self.error(f"expected {text!r}, found {_describe(self.cur())}",
-                       expected=(text,))
+            self.error(f"expected {text!r}, found {_describe(self.cur())}")
         self.advance()
 
     def read(self) -> tuple[str, tuple[TaxonomyEntry, ...]]:

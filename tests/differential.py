@@ -246,11 +246,12 @@ def unpack(spec: str, scratch: Path) -> Path:
     return scratch
 
 
-def _python(args: list[str], path: list[Path], what: str) -> str:
-    """The standard output of this script run with ``args`` in a new process
-    with ``PYTHONPATH`` set to ``path``."""
+def _python(args: list[str], path: list[Path], what: str,
+            script: str = __file__) -> str:
+    """The standard output of ``script``, by default this one, run with
+    ``args`` in a new process with ``PYTHONPATH`` set to ``path``."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, path)))
-    proc = subprocess.run([sys.executable, __file__, *args], env=env,
+    proc = subprocess.run([sys.executable, script, *args], env=env,
                           capture_output=True, text=True)
     if proc.returncode != 0:
         raise SideError(f"{what} failed:\n{proc.stderr}")

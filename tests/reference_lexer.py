@@ -48,14 +48,10 @@ class SourceSpan:
 class ParseError:
     span: SourceSpan
     message: str
-    expected: tuple[str, ...] = ()
     code: str = "syntax"
 
     def render(self) -> str:
-        suffix = ""
-        if self.expected:
-            suffix = " (expected " + " or ".join(self.expected) + ")"
-        return f"{self.span}: {self.message}{suffix}"
+        return f"{self.span}: {self.message}"
 
     def sort_key(self) -> tuple[int, int]:
         return (self.span.line, self.span.column)

@@ -983,13 +983,14 @@ def test_console_without_dash_leaves_stdin_alone():
 
 @pytest.mark.parametrize("newline", ["\r", "\r\n"], ids=["cr", "crlf"])
 def test_dash_reads_as_the_file_does(tmp_path, newline):
-    # Standard input is read by file_text's rule, universal newlines
-    # included: a lone CR used to leave the leading comment open to the end
-    # of the input, and a CR LF kept its CR in triple-quoted prose. A text
-    # or binary stream passed to run is read by the same rule as a text;
-    # main passes the binary one.
+    # Standard input is read by file_text's rule, universal newlines and
+    # the byte-order mark included: a lone CR used to leave the leading
+    # comment open to the end of the input, and a CR LF kept its CR in
+    # triple-quoted prose. Bytes, and a text or binary stream, passed to
+    # run are read by the same rule as a text (bytes used to raise
+    # AttributeError); main passes the binary stream.
     for fixture in sorted(FIXTURES_DIR.glob("*.ucdl")):
-        text = "# comment\n" + fixture.read_text(encoding="utf-8")
+        text = "\ufeff# comment\n" + fixture.read_text(encoding="utf-8")
         data = text.replace("\n", newline).encode()
         path = tmp_path / fixture.name
         path.write_bytes(data)
@@ -997,6 +998,7 @@ def test_dash_reads_as_the_file_does(tmp_path, newline):
             code, out, err = cli(command, str(path))
             assert (code, err) == (0, "")
             assert cli(command, "-", stdin=data.decode()) == (code, out, err)
+            assert cli(command, "-", stdin=data) == (code, out, err)
             stream = io.StringIO(data.decode())
             assert cli(command, "-", stdin=stream) == (code, out, err)
             assert cli(command, "-", stdin=io.BytesIO(data)) == (code, out, err)

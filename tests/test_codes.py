@@ -85,10 +85,10 @@ def values(node: ast.expr, scope: ast.AST) -> set[str]:
 
 def minted_codes() -> set[str]:
     codes: set[str] = set()
-    # A lexer problem is a (code, message, offset, length, expected) tuple.
+    # A lexer problem is a (code, message, offset, length) tuple.
     lexer = tree("lexer")
     for n in ast.walk(lexer):
-        if isinstance(n, ast.Tuple) and len(n.elts) == 5 and isinstance(
+        if isinstance(n, ast.Tuple) and len(n.elts) == 4 and isinstance(
                 n.elts[0], ast.Constant):
             codes |= values(n.elts[0], lexer)
     # A parser error takes its code from ``code=``, or the default.

@@ -27,8 +27,8 @@ def _tokens(result, fields=lambda t: (t.kind, t.text, t.value, t.span)):
     return (
         [(kind.name, text, value, (span.line, span.column, span.length))
          for kind, text, value, span in map(fields, tokens)],
-        [(e.code, e.message, e.expected,
-          (e.span.line, e.span.column, e.span.length)) for e in errors],
+        [(e.code, e.message, (e.span.line, e.span.column, e.span.length))
+         for e in errors],
     )
 
 

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
-from conftest import fixture_text
+from conftest import FIXTURE_NAMES, fixture_text
+from differential import make_inputs
 from support import make_use_case
 from ucdoc import (
     Actor,
@@ -84,7 +86,6 @@ def test_unclosed_brace_single_error(what):
     use_cases, errors = parse_document(f'usecase "T" {{\n  {UNCLOSED[what]}\n')
     assert use_cases == []
     assert len(errors) == 1
-    assert "}" in errors[0].expected
     assert errors[0].message == f"unclosed {what} block (expected }})"
     assert errors[0].span.line == 3
 
@@ -101,7 +102,7 @@ def test_nested_records_share_no_key_with_the_use_case():
 # later fields as its own, one field.unknown finding each.  An extra "}"
 # before a use-case key closed the use case early: it is one finding, and
 # the truncated use case is dropped, not validated.
-@pytest.mark.parametrize("source, findings", [
+BROKEN = [
     (fixture_text("smart_camera").replace(
         'kind: human }\n  target_persons', 'kind: human\n  target_persons'),
      ["15:3: error: [syntax] unclosed actor block before 'target_persons' "
@@ -131,8 +132,11 @@ def test_nested_records_share_no_key_with_the_use_case():
      ["1:21: error: [field.unknown] unknown field 'zz' in use case block"]),
     ("usecase",
      ["1:8: error: [syntax] expected use case title string, found end of "
-      "input (expected use case title string)"]),
-], ids=["actor-lost-close", "misuse-lost-close", "misuse-lost-close-extension",
+      "input"]),
+]
+
+
+@pytest.mark.parametrize("source, findings", BROKEN, ids=["actor-lost-close", "misuse-lost-close", "misuse-lost-close-extension",
         "extra-close", "block-with-colon",
         "duplicate-annotation", "unknown-key-no-value", "unknown-key-arrow",
         "no-title"])
@@ -140,6 +144,63 @@ def test_findings_of_a_broken_input(source, findings):
     use_cases, errors = parse_document(source)
     assert use_cases == []
     assert [e.render() for e in errors] == findings
+
+
+def taxonomy_errors(text):
+    try:
+        load_taxonomy(text)
+    except TaxonomyError as err:
+        return list(err.errors)
+    return []
+
+
+def parse_errors(text):
+    return parse_document(text)[1]
+
+
+# An input for each finding that says what the parser or the taxonomy
+# reader expected, with the finding: it says so once.
+EXPECTED_ONCE = [
+    (parse_errors, "usecase 7 {}",
+     "1:9: error: [syntax] expected use case title string, found '7'"),
+    (parse_errors, "frobnicate",
+     "1:1: error: [syntax] expected 'usecase', found 'frobnicate'"),
+    (parse_errors, MINIMAL.replace("id: t", "id: {"),
+     "1:19: error: [syntax] expected use case id, found '{'"),
+    (parse_errors, MINIMAL.replace('name: "U"', 'name "U"'),
+     "1:55: error: [syntax] expected ':', found string"),
+    (parse_errors, MINIMAL[:-1] + " target_persons { human { } } }",
+     "1:199: error: [syntax] expected 'person' block, found 'human'"),
+    (taxonomy_errors, 'versio: "v"',
+     "1:1: error: [syntax] expected 'version', found 'versio'"),
+    (parse_errors, MINIMAL.replace('[other("x")]', "[{]"),
+     '1:94: error: [syntax] expected an area id or other("…"), found \'{\''),
+    (parse_errors, 'usecase "T" { "x": 1 }',
+     "1:15: error: [syntax] expected a field name or }, found string"),
+    (parse_errors, MINIMAL.replace("1 U:", "1 :"),
+     "1:169: error: [syntax] expected an actor identifier, found ':'"),
+    (parse_errors, MINIMAL[:-1] + ' extension "c" { } }',
+     "1:192: error: [syntax] expected a branch id such as '3a', found string"),
+]
+
+
+@pytest.mark.parametrize("read, source, finding", EXPECTED_ONCE, ids=[
+    "expect", "usecase", "word", "colon", "person", "taxonomy-word",
+    "area", "field", "step-actor", "branch"])
+def test_a_finding_says_what_it_expected_once(read, source, finding):
+    assert [e.render() for e in read(source)] == [finding]
+
+
+def test_no_finding_says_expected_twice():
+    # Over the fixtures, this module's inputs and token-mutated fixtures.
+    texts = [*map(fixture_text, FIXTURE_NAMES),
+             *(source for source, _ in BROKEN),
+             *(f'usecase "T" {{\n  {body}\n' for body in UNCLOSED.values()),
+             *(text for _, text in make_inputs("token_mutations", 1, 400))]
+    findings = [e for text in texts for e in parse_errors(text)]
+    assert findings
+    assert [e.render() for e in findings
+            if len(re.findall(r"\bexpected\b", e.message)) > 1] == []
 
 
 def test_duplicate_field_first_wins():
@@ -165,14 +226,6 @@ def test_unknown_field_value_is_skipped_to_its_close(field):
     src = MINIMAL.replace('inputs:', field + ' inputs:')
     _, errors = parse_document(src)
     assert [e.code for e in errors] == ["field.unknown"]
-
-
-def taxonomy_errors(text):
-    try:
-        load_taxonomy(text)
-    except TaxonomyError as err:
-        return list(err.errors)
-    return []
 
 
 # Each kind of record, read with one more field written after its last
@@ -372,8 +425,8 @@ def test_step_actor_may_be_quoted():
 @pytest.mark.parametrize("actor", ["{", "->", ":"])
 def test_step_actor_of_another_token_is_an_error(actor):
     _, errors = parse_document(MINIMAL.replace("1 U:", f"1 {actor}:"))
-    assert errors[0].message == (f"expected step actor, found {actor!r} "
-                                 "(expected actor identifier)")
+    assert errors[0].message == (
+        f"expected an actor identifier, found {actor!r}")
 
 
 def test_round_trip_property():

@@ -39,7 +39,7 @@ PARENT_FIELDS = {
     "ucdoc.lexer.Diagnostic": (
         'severity: Severity', 'code: str', 'message: str',
         'path: Optional[str] = None', 'span: Optional[SourceSpan] = None',
-        'file: Optional[str] = None', 'expected: tuple[str, ...] = ()'),
+        'file: Optional[str] = None'),
     "ucdoc.model.Actor": ('name: str', 'kind: ActorKind', 'role: ActorRole'),
     "ucdoc.model.ScenarioStep": (
         'index: int', 'actor: str', 'action: str',

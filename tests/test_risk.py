@@ -132,6 +132,8 @@ HAND_BUILT = Taxonomy("hand-1", (
     TaxonomyEntry("beta.two", Tier.PROHIBITED, "Beta", "Two",
                   ("camera", "score")),
     TaxonomyEntry("gamma.three", Tier.HIGH_RISK, "Gamma", "Three", ("a.b",)),
+    TaxonomyEntry("delta.four", Tier.HIGH_RISK, "Delta", "Four",
+                  ("c++", ".net")),
 ))
 
 
@@ -153,6 +155,9 @@ def test_hand_built_taxonomy_find_and_classify():
     ("score camera", "beta.two"),     # a later entry with more hits wins
     ("rule a.b applies", "gamma.three"),
     ("rule axb applies", None),       # keywords are literal, not regexes
+    ("c++ tools", "delta.four"),      # a keyword may start or end in a
+    ("a .net app", "delta.four"),     # character that is not a word one
+    ("asp.net or c++x", None),        # but no word character may touch it
 ])
 def test_hand_built_taxonomy_best_match(label, expected):
     m = match_area(ApplicationAreaRef("other", label), HAND_BUILT)
@@ -164,7 +169,8 @@ def brute_force_scan(tax: Taxonomy, ref: ApplicationAreaRef):
     if ref.area_id != "other":
         return [(1, e) for e in tax.entries if e.area_id == ref.area_id]
     label = ref.free_label.lower()
-    counts = [(sum(re.search(r"\b" + re.escape(kw) + r"\b", label) is not None
+    counts = [(sum(re.search(r"(?<!\w)" + re.escape(kw) + r"(?!\w)", label)
+                   is not None
                    for kw in entry.keywords), entry) for entry in tax.entries]
     return [(hits, entry) for hits, entry in counts if hits]
 
@@ -378,7 +384,7 @@ def oracle_level(uc, tax: Taxonomy) -> RiskLevel:
         for entry in tax.entries:
             if ref.area_id == "other":
                 label = (ref.free_label or "").lower()
-                if any(re.search(r"\b" + re.escape(k) + r"\b", label)
+                if any(re.search(r"(?<!\w)" + re.escape(k) + r"(?!\w)", label)
                        for k in entry.keywords):
                     levels.append(entry.tier.level)
             elif entry.area_id == ref.area_id:
